@@ -16,7 +16,6 @@ from dprep import (
     BudgetLedger,
     PrivacyParams,
     RngStream,
-    budget_status,
     laplace_sample,
     release_scalar,
 )
@@ -52,8 +51,7 @@ def main():
                             RngStream(1).child("release", 2))
         print(f"release 3: value {r3.value:.3f} at epsilon 0.4 -> fits exactly")
 
-        spent, remaining = budget_status(ledger)
-        print(f"status: spent {spent}, remaining {remaining}")
+        print(f"status: spent {ledger.spent}, remaining {ledger.remaining}")
 
         print("\nledger file (append-only, written before any report):")
         for line in ledger_path.read_text().strip().splitlines():

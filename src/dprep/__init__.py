@@ -55,6 +55,7 @@ from .errors import (
     DprepError,
     IngestionError,
     InsufficientDataError,
+    LedgerCorruptError,
     SingularFitError,
     TransformDomainError,
 )
@@ -64,7 +65,6 @@ from .linmod import (
     ModelSpec,
     Term,
     confidence_interval,
-    design_matrix,
     fit_ols,
     parse_formula,
     t_quantile,
@@ -76,7 +76,6 @@ from .privacy import (
     PrivacyParams,
     RngStream,
     UncappedBudgetWarning,
-    budget_status,
     laplace_sample,
     release_scalar,
 )

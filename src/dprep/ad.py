@@ -210,13 +210,6 @@ class ADPosterior:
             raise ConfigError("sample vectors must have equal length")
         object.__setattr__(self, "theta_hat", theta_hat(self.r_samples, self.delta))
 
-    def theta_at(self, delta: float) -> float:
-        return theta_hat(self.r_samples, delta)
-
-    def r_quantiles(self, probs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict[str, float]:
-        qs = np.quantile(self.r_samples, probs)
-        return {f"{p:g}": float(q) for p, q in zip(probs, qs)}
-
 
 def theta_hat(r_samples: np.ndarray, delta: float) -> float:
     """Empirical posterior probability that r >= delta."""
@@ -225,28 +218,29 @@ def theta_hat(r_samples: np.ndarray, delta: float) -> float:
     return float(np.mean(np.asarray(r_samples) >= delta))
 
 
+def _r_free_logweights(s_noisy: float, M: int, eps: float) -> np.ndarray:
+    """-eps*|s_noisy - s| + log C(M, s) for s in 0..M: the S-conditional without r."""
+    s_grid = np.arange(M + 1)
+    log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
+    return -eps * np.abs(s_noisy - s_grid) + log_binom
+
+
 def s_conditional_logweights(
-    s_noisy: float, M: int, eps: float, r: float, log_binom: np.ndarray | None = None
+    s_noisy: float, M: int, eps: float, r: float, r_free: np.ndarray | None = None
 ) -> np.ndarray:
     """Unnormalized log-weights of the count's conditional on s in 0..M.
 
     The weight of s is exp(-eps*|s_noisy - s|) * C(M, s) * r^s (1-r)^(M-s);
-    xlogy keeps the endpoints r = 0, 1 finite.
+    xlogy keeps the endpoints r = 0, 1 finite.  A sampler passes in
+    ``r_free = _r_free_logweights(...)`` so that part is computed once.
     """
+    if r_free is None:
+        r_free = _r_free_logweights(s_noisy, M, eps)
     s_grid = np.arange(M + 1)
-    if log_binom is None:
-        log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
-    return (
-        -eps * np.abs(s_noisy - s_grid)
-        + log_binom
-        + xlogy(s_grid, r)
-        + xlogy(M - s_grid, 1.0 - r)
-    )
+    return r_free + xlogy(s_grid, r) + xlogy(M - s_grid, 1.0 - r)
 
 
-def gibbs_posterior(
-    released: ADReleased, config: ADConfig | None = None, delta: float | None = None
-) -> ADPosterior:
+def gibbs_posterior(released: ADReleased, delta: float | None = None) -> ADPosterior:
     """Exact two-block Gibbs sampler for (r, S) given the noisy count.
 
     Both full conditionals are available in closed form, so no proposal
@@ -257,17 +251,11 @@ def gibbs_posterior(
       proportional to exp(-eps*|s_noisy - s|) * C(M, s) * r^s (1-r)^(M-s),
       normalized by direct summation.
 
-    The chain starts from S = round(clamp(s_noisy, 0, M)), discards the
-    burn-in, and keeps the configured number of draws.
+    M, epsilon, the prior, the chain lengths and the seed all come from
+    ``released.config``.  The chain starts from S = round(clamp(s_noisy,
+    0, M)), discards the burn-in, and keeps the configured number of draws.
     """
-    if config is None:
-        config = released.config
-    elif (config.M, config.eps) != (released.config.M, released.config.eps):
-        raise ConfigError(
-            "posterior config must echo the release's M and epsilon: "
-            f"got (M={config.M}, eps={config.eps}), release had "
-            f"(M={released.config.M}, eps={released.config.eps})"
-        )
+    config = released.config
     if delta is None:
         delta = config.delta if config.delta is not None else 0.5
 
@@ -277,10 +265,7 @@ def gibbs_posterior(
     burn_in, keep = config.mcmc
     s_noisy = released.s_noisy
 
-    s_grid = np.arange(M + 1)
-    log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
-    laplace_term = -eps * np.abs(s_noisy - s_grid) + log_binom
-
+    r_free = _r_free_logweights(s_noisy, M, eps)
     rng = RngStream(config.seed).child("ad-gibbs").generator
     S = int(round(min(max(s_noisy, 0.0), float(M))))
 
@@ -288,7 +273,7 @@ def gibbs_posterior(
     s_samples = np.empty(keep, dtype=np.intp)
     for t in range(burn_in + keep):
         r = beta_conditional(rng, S, M, a, b)
-        logw = laplace_term + xlogy(s_grid, r) + xlogy(M - s_grid, 1.0 - r)
+        logw = s_conditional_logweights(s_noisy, M, eps, r, r_free)
         logw -= logw.max()
         cdf = np.cumsum(np.exp(logw))
         S = int(np.searchsorted(cdf, rng.random() * cdf[-1]))

@@ -32,6 +32,8 @@ from .tabular import Dataset
 
 Z975 = float(ndtri(0.975))  # 1.959964
 
+POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
+
 
 def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
     """Symmetric length overlap of two intervals.
@@ -168,9 +170,7 @@ class AMPosterior:
         return float(np.trapezoid(self.grid * self.density, self.grid))
 
 
-def posterior_nu(
-    released: AMReleased, config: AMConfig | None = None, n_samples: int = 1000
-) -> AMPosterior:
+def posterior_nu(released: AMReleased) -> AMPosterior:
     """Posterior density of nu_bar, proportional to
     exp(-M*eps*|nu - nu_noisy|) * nu^(a-1) * (1-nu)^(b-1) on [0, 1].
 
@@ -180,12 +180,7 @@ def posterior_nu(
     consume randomness.  When a < 1 or b < 1 the endpoints are singular, so
     the grid is opened by one step at each end.
     """
-    if config is None:
-        config = released.config
-    elif (config.M, config.eps) != (released.config.M, released.config.eps):
-        raise ConfigError(
-            "posterior config must echo the release's M and epsilon"
-        )
+    config = released.config
     a, b = config.prior
     G = config.grid_points
     if a < 1 or b < 1:
@@ -203,7 +198,7 @@ def posterior_nu(
     cdf = np.concatenate([[0.0], cumulative_trapezoid(density, grid)])
     cdf /= cdf[-1]
     rng = RngStream(config.seed).child("am-posterior").generator
-    samples = np.interp(rng.random(n_samples), cdf, grid)
+    samples = np.interp(rng.random(POSTERIOR_SAMPLES), cdf, grid)
     return AMPosterior(grid=grid, density=density, cdf=cdf, samples=samples)
 
 

@@ -27,12 +27,10 @@ from .errors import (
     ConfigError,
     DegenerateIntervalError,
     DprepError,
-    IngestionError,
     SingularFitError,
-    TransformDomainError,
 )
 from .linmod import ConfidenceInterval, parse_formula
-from .privacy import BudgetLedger, budget_status
+from .privacy import BudgetLedger
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
@@ -96,10 +94,6 @@ def _build_region(args, n_subset: int | None):
         raise ConfigError(f"--region must be lo:hi or inflate:ALPHA, got {spec!r}")
     lo, hi = spec.split(":", 1)
     return build_fixed_region(_float_inf(lo), _float_inf(hi))
-
-
-def _open_ledger(args) -> BudgetLedger:
-    return BudgetLedger(cap=args.budget_cap, path=args.ledger)
 
 
 def _check_out_paths(args) -> None:
@@ -246,7 +240,7 @@ def _cmd_ad_verify(args) -> int:
         seed=seed,
     )
     region = _build_region(args, dataset.n_rows // args.M)
-    ledger = _open_ledger(args)
+    ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     report, debug = ad_verify(dataset, parse_formula(args.model), args.coef,
                               region, config, ledger)
     write_json(args.out, report)
@@ -297,7 +291,7 @@ def _cmd_am_verify(args) -> int:
     inversion = None
     if args.invert:
         inversion = _inversion_from_args(args, dataset.n_rows // args.M)
-    ledger = _open_ledger(args)
+    ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     report, debug = am_verify(
         dataset,
         parse_formula(args.model),
@@ -354,13 +348,12 @@ def _cmd_budget_status(args) -> int:
     if not os.path.exists(args.ledger):
         raise ConfigError(f"no ledger file at {args.ledger}")
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
-    spent, remaining = budget_status(ledger)
     print(json.dumps({
         "ledger": args.ledger,
         "entries": len(ledger.entries),
-        "epsilon_spent": spent,
+        "epsilon_spent": ledger.spent,
         "cap": ledger.cap,
-        "remaining": remaining,
+        "remaining": ledger.remaining,
     }, indent=2))
     return 0
 
@@ -386,13 +379,7 @@ def main(argv=None) -> int:
     except (SingularFitError, DegenerateIntervalError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, IngestionError, TransformDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DprepError as exc:
+    except (DprepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

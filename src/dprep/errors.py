@@ -21,6 +21,10 @@ class BudgetExceededError(DprepError):
     """A release would push the privacy ledger past its cap."""
 
 
+class LedgerCorruptError(DprepError):
+    """A ledger file holds a line that is not a valid release record."""
+
+
 class SingularFitError(DprepError):
     """A least-squares fit could not be completed.
 

@@ -100,10 +100,6 @@ class ModelSpec:
     def term_names(self) -> tuple[str, ...]:
         return tuple(term.name for term in self.terms)
 
-    @classmethod
-    def from_formula(cls, formula: str, intercept: bool = True) -> "ModelSpec":
-        return parse_formula(formula, intercept=intercept)
-
 
 _FACTOR_RE = re.compile(r"^(?:(log|sq)\(\s*([^()\s]+)\s*\)|([^()\s:]+))$")
 
@@ -155,7 +151,8 @@ def _transform_column(values: np.ndarray, column: str, transform: str) -> np.nda
 
 
 def design_columns(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list[str]]:
-    """Build the design matrix together with its column names."""
+    """Design matrix and its column names: the all-ones ``intercept`` column
+    first iff the intercept is on, then term columns in specification order."""
     n = dataset.n_rows
     cols: list[np.ndarray] = []
     names: list[str] = []
@@ -169,13 +166,6 @@ def design_columns(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list
         cols.append(col)
         names.append(term.name)
     return np.column_stack(cols), names
-
-
-def design_matrix(dataset: Dataset, model: ModelSpec) -> np.ndarray:
-    """Design matrix: all-ones column first iff the intercept is on, then
-    term columns in specification order."""
-    X, _ = design_columns(dataset, model)
-    return X
 
 
 @dataclass(frozen=True)

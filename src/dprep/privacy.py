@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, LedgerCorruptError
 
 
 class UncappedBudgetWarning(UserWarning):
@@ -140,6 +140,22 @@ class NoisyRelease:
         )
 
 
+def _read_records(fh, path: str):
+    """Yield the records of an open ledger file.  A line that is not a valid
+    record (a torn write, a missing field) raises LedgerCorruptError naming
+    ``path:line``: skipping it would understate the budget spent."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = NoisyRelease.from_record(line)
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise LedgerCorruptError(
+                f"{path}:{lineno}: unreadable ledger record ({exc!r})"
+            ) from exc
+        yield entry
+
+
 class BudgetLedger:
     """Append-only record of privacy spending.
 
@@ -160,12 +176,9 @@ class BudgetLedger:
         self._spent = 0.0
         if self.path is not None and os.path.exists(self.path):
             with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        entry = NoisyRelease.from_record(line)
-                        self._entries.append(entry)
-                        self._spent += entry.epsilon_spent
+                self._entries = list(_read_records(fh, self.path))
+            for entry in self._entries:
+                self._spent += entry.epsilon_spent
         if self.cap is not None and self.spent > self.cap + 1e-9:
             raise BudgetExceededError(
                 f"ledger already holds {self.spent} of budget, above cap {self.cap}"
@@ -200,10 +213,7 @@ class BudgetLedger:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 try:
                     fh.seek(0)
-                    on_disk = sum(
-                        NoisyRelease.from_record(line).epsilon_spent
-                        for line in fh if line.strip()
-                    )
+                    on_disk = sum(e.epsilon_spent for e in _read_records(fh, self.path))
                     if self.cap is not None and \
                             on_disk + release.epsilon_spent > self.cap + 1e-9:
                         raise BudgetExceededError(
@@ -254,8 +264,3 @@ def release_scalar(
     )
     ledger.append(release)
     return release
-
-
-def budget_status(ledger: BudgetLedger) -> tuple[float, float | None]:
-    """Return (epsilon spent, remaining budget or None if uncapped)."""
-    return ledger.spent, ledger.remaining

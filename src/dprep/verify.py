@@ -27,6 +27,7 @@ from .ad import (
     delta_star,
     gibbs_posterior,
     release_count,
+    theta_hat,
 )
 from .am import (
     AMConfig,
@@ -68,23 +69,20 @@ def _provenance(seed: int) -> dict:
     return {"seed": seed, "timestamp": _utc_now(), "engine_version": __version__}
 
 
+def _quantiles(samples: np.ndarray) -> dict[str, float]:
+    qs = np.quantile(samples, QUANTILE_PROBS)
+    return {f"{p:g}": float(q) for p, q in zip(QUANTILE_PROBS, qs)}
+
+
 def summarize_r_samples(r_samples, delta: float) -> dict:
     """Posterior summary recomputable from the stored samples alone."""
     samples = np.asarray(r_samples, dtype=float)
-    qs = np.quantile(samples, QUANTILE_PROBS)
-    return {
-        "theta_hat": float(np.mean(samples >= delta)),
-        "r_quantiles": {f"{p:g}": float(q) for p, q in zip(QUANTILE_PROBS, qs)},
-    }
+    return {"theta_hat": theta_hat(samples, delta), "r_quantiles": _quantiles(samples)}
 
 
 def summarize_nu_samples(samples) -> dict:
     arr = np.asarray(samples, dtype=float)
-    qs = np.quantile(arr, QUANTILE_PROBS)
-    return {
-        "mean": float(arr.mean()),
-        "quantiles": {f"{p:g}": float(q) for p, q in zip(QUANTILE_PROBS, qs)},
-    }
+    return {"mean": float(arr.mean()), "quantiles": _quantiles(arr)}
 
 
 def resolve_delta(config: ADConfig, region: ToleranceRegion) -> float:

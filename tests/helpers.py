@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from dprep import Dataset
+from dprep import Dataset, NoisyRelease
 
 
 def synth_dataset(
@@ -36,3 +38,14 @@ def replace_row(dataset: Dataset, row: int, values: dict[str, float]) -> Dataset
             new[row] = values[name]
         columns[name] = new
     return Dataset(columns)
+
+
+LEDGER_RECORD = NoisyRelease(value=3.0, epsilon_spent=0.5, sensitivity=1.0).to_record()
+# ledger lines that are not valid release records
+BAD_LEDGER_RECORDS = {
+    "torn": LEDGER_RECORD[:25],
+    "missing-key": json.dumps({k: v for k, v in json.loads(LEDGER_RECORD).items()
+                               if k != "value"}),
+    "invalid-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": 0.0'),
+    "not-an-object": "[0.5]",
+}

@@ -238,12 +238,6 @@ def test_posterior_samples_seeded():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_posterior_config_echo_enforced():
-    released = _released(0.7, M=25)
-    with pytest.raises(ConfigError, match="echo"):
-        posterior_nu(released, AMConfig(M=26, epsilon=1.0))
-
-
 def test_credible_interval_validation():
     post = posterior_nu(_released(0.7, M=25))
     with pytest.raises(ConfigError):

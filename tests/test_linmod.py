@@ -14,11 +14,11 @@ from dprep import (
     Term,
     TransformDomainError,
     confidence_interval,
-    design_matrix,
     fit_ols,
     parse_formula,
     t_quantile,
 )
+from dprep.linmod import design_columns
 
 
 # ---------------------------------------------------------------- formulas
@@ -60,18 +60,20 @@ def test_model_spec_invariants():
 def test_design_matrix_layout():
     ds = Dataset({"x": np.array([1.0, 2.0, 3.0]), "y": np.zeros(3)})
     m = parse_formula("y ~ x + sq(x)")
-    X = design_matrix(ds, m)
+    X, names = design_columns(ds, m)
+    assert names == ["intercept", "x", "sq(x)"]
     assert np.array_equal(X[:, 0], np.ones(3))
     assert np.array_equal(X[:, 1], [1, 2, 3])
     assert np.array_equal(X[:, 2], [1, 4, 9])
-    X2 = design_matrix(ds, ModelSpec("y", (Term.plain("x"),), intercept=False))
+    X2, names2 = design_columns(ds, ModelSpec("y", (Term.plain("x"),), intercept=False))
     assert X2.shape == (3, 1)
+    assert names2 == ["x"]
 
 
 def test_log_transform_domain():
     ds = Dataset({"x": np.array([1.0, 0.0, 3.0]), "y": np.zeros(3)})
     with pytest.raises(TransformDomainError, match="log"):
-        design_matrix(ds, parse_formula("y ~ log(x)"))
+        design_columns(ds, parse_formula("y ~ log(x)"))
 
 
 # -------------------------------------------------------------------- OLS
@@ -143,7 +145,7 @@ def test_residual_orthogonality_and_permutation_invariance():
         })
         m = parse_formula("y ~ a + b + a:b")
         fit = fit_ols(ds, m)
-        X = design_matrix(ds, m)
+        X, _ = design_columns(ds, m)
         y = ds.column("y")
         resid = y - X @ fit.coefficients
         assert np.linalg.norm(X.T @ resid) <= 1e-8 * np.linalg.norm(X.T @ y)

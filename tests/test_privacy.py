@@ -1,17 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
+
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD
 
 from dprep import (
     BudgetExceededError,
     BudgetLedger,
     ConfigError,
+    LedgerCorruptError,
     NoisyRelease,
     PrivacyParams,
     RngStream,
     UncappedBudgetWarning,
-    budget_status,
     laplace_sample,
     release_scalar,
 )
@@ -106,7 +109,7 @@ def test_budget_composition_and_refusal():
     # exact-fit spending is allowed
     release_scalar(0.0, 1.0, PrivacyParams(0.4), ledger, stream)
     assert ledger.spent == pytest.approx(1.0)
-    assert budget_status(ledger) == (pytest.approx(1.0), pytest.approx(0.0))
+    assert (ledger.spent, ledger.remaining) == (pytest.approx(1.0), pytest.approx(0.0))
 
 
 def test_refusal_consumes_no_randomness():
@@ -175,3 +178,26 @@ def test_ledger_file_cap_already_blown(tmp_path):
     release_scalar(0.0, 1.0, PrivacyParams(3.0), ledger, RngStream(1).child("x"))
     with pytest.raises(BudgetExceededError):
         BudgetLedger(cap=1.0, path=path)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LEDGER_RECORDS))
+def test_ledger_file_unreadable_record_fails_closed(tmp_path, kind):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS[kind])
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
+        BudgetLedger(cap=5.0, path=path)
+
+
+def test_append_to_corrupt_ledger_file_writes_nothing(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    ledger = BudgetLedger(cap=5.0, path=path)
+    stream = RngStream(31).child("corrupt")
+    release_scalar(1.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    # another writer died part-way through its record
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(BAD_LEDGER_RECORDS["torn"])
+    before = path.read_bytes()
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
+        release_scalar(1.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    assert path.read_bytes() == before
+    assert len(ledger.entries) == 1

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import synth_dataset
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, synth_dataset
 
 from dprep import (
     ADConfig,
@@ -317,3 +317,19 @@ def test_cli_budget_status(tmp_path, table, capsys):
     assert status["remaining"] == pytest.approx(1.0)
 
     assert main(["budget-status", "--ledger", str(tmp_path / "nope.ndjson")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["torn", "missing-key"])
+@pytest.mark.parametrize("command", ["budget-status", "ad-verify"])
+def test_cli_corrupt_ledger_exits_2(tmp_path, table, capsys, command, kind):
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS[kind])
+    before = ledger.read_bytes()
+    if command == "ad-verify":
+        args = _ad_args(table, tmp_path)
+    else:
+        args = ["budget-status", "--ledger", str(ledger)]
+    assert main(args) == 2
+    assert f"{ledger}:2:" in capsys.readouterr().err
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "release.json").exists()
