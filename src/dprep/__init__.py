@@ -69,7 +69,7 @@ from .linmod import (
     parse_formula,
     t_quantile,
 )
-from .partition import PartitionPlan, make_partition, subset_view
+from .partition import PartitionPlan, make_partition
 from .privacy import (
     BudgetLedger,
     NoisyRelease,

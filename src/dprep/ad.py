@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr, xlogy
 
 from .errors import ConfigError, SingularFitError
-from .linmod import ModelSpec, fit_ols
-from .partition import PartitionPlan, subset_view
+from .linmod import ModelSpec, design_columns, fit_design
+from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
     NoisyRelease,
@@ -165,10 +165,12 @@ def compute_indicator_count(
     than imputing W_l = 0: the count's sensitivity argument assumes all M
     subsets produced an indicator.
     """
+    X, names = design_columns(dataset, model)
+    blocks = zip(plan.split(X), plan.split(dataset.column(model.response)))
     estimates = np.empty(plan.M)
-    for l in range(plan.M):
+    for l, (X_l, y_l) in enumerate(blocks):
         try:
-            fit = fit_ols(subset_view(dataset, plan, l), model)
+            fit = fit_design(X_l, y_l, names)
         except SingularFitError as exc:
             raise SingularFitError(f"subset {l}: {exc}", subset=l) from exc
         estimates[l] = fit.coef(coef)

@@ -19,8 +19,9 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtri, xlogy
 
 from .errors import ConfigError, DegenerateIntervalError, SingularFitError
-from .linmod import ConfidenceInterval, ModelSpec, confidence_interval, fit_ols
-from .partition import PartitionPlan, subset_view
+from .linmod import ConfidenceInterval, ModelSpec, confidence_interval
+from .linmod import design_columns, fit_design
+from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
     NoisyRelease,
@@ -108,14 +109,17 @@ def average_overlap(
             raise ConfigError(
                 f"coefficient {coef!r} must appear untransformed in {tag}"
             )
+    designs = []
+    for model in (model0, model1):
+        X, names = design_columns(dataset, model)
+        designs.append((plan.split(X), plan.split(dataset.column(model.response)), names))
     nus = np.empty(plan.M)
     ci_pairs = []
     for l in range(plan.M):
-        subset = subset_view(dataset, plan, l)
         cis = []
-        for tag, model in (("model0", model0), ("model1", model1)):
+        for tag, (X_blocks, y_blocks, names) in zip(("model0", "model1"), designs):
             try:
-                fit = fit_ols(subset, model)
+                fit = fit_design(X_blocks[l], y_blocks[l], names)
             except SingularFitError as exc:
                 raise SingularFitError(
                     f"subset {l}, {tag}: {exc}", subset=l, model=tag

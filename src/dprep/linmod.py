@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+from scipy.special import stdtrit
 
 from .errors import (
     ConfigError,
@@ -202,14 +202,19 @@ class FitResult:
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
-    """Fit by ordinary least squares via pivoted QR.
+    """Fit the model on the whole dataset; see :func:`fit_design`."""
+    X, names = design_columns(dataset, model)
+    return fit_design(X, dataset.column(model.response), names)
+
+
+def fit_design(X: np.ndarray, y: np.ndarray, names) -> FitResult:
+    """Fit y on the design X (columns named by ``names``) by ordinary least
+    squares via pivoted QR.
 
     Raises InsufficientDataError when fewer than p + 2 rows are available
     and SingularFitError when the design is rank deficient (pivot threshold
     RANK_TOL relative to the largest |R| diagonal).
     """
-    X, names = design_columns(dataset, model)
-    y = dataset.column(model.response)
     n, k = X.shape
     if n < k + 1:
         raise InsufficientDataError(
@@ -273,7 +278,7 @@ def t_quantile(df: int, p: float) -> float:
         raise ConfigError(f"p must be in (0, 1), got {p}")
     if p == 0.5:
         return 0.0
-    return float(scipy.stats.t.ppf(p, df))
+    return float(stdtrit(df, p))
 
 
 def confidence_interval(

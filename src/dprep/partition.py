@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .privacy import RngStream
-from .tabular import Dataset
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,17 @@ class PartitionPlan:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.M)
 
-    def rows_of(self, l: int) -> np.ndarray:
-        """Row indices of subset l, in original row order."""
-        if not 0 <= l < self.M:
-            raise ConfigError(f"subset index {l} outside 0..{self.M - 1}")
-        return np.flatnonzero(self.assignment == l)
+    def split(self, values) -> list[np.ndarray]:
+        """The M row blocks of ``values`` (indexed by row along its first
+        axis), subset l at position l, each in original row order."""
+        if len(values) != self.n_rows:
+            raise ConfigError(
+                f"plan covers {self.n_rows} rows but the data has {len(values)}"
+            )
+        # stable, so each block keeps row order; narrow keys let numpy radix-sort
+        keys = self.assignment.astype(np.min_scalar_type(self.M - 1))
+        order = np.argsort(keys, kind="stable")
+        return np.split(values[order], np.cumsum(self.sizes)[:-1])
 
     def to_record(self) -> str:
         return json.dumps({"n_rows": self.n_rows, "M": self.M, "seed": self.seed})
@@ -65,18 +70,5 @@ def make_partition(N: int, M: int, seed: int) -> PartitionPlan:
     perm = RngStream(seed).child("partition").generator.permutation(N)
     assignment = np.empty(N, dtype=np.intp)
     base, extra = divmod(N, M)
-    start = 0
-    for l in range(M):
-        size = base + (1 if l < extra else 0)
-        assignment[perm[start : start + size]] = l
-        start += size
+    assignment[perm] = np.repeat(np.arange(M), base + (np.arange(M) < extra))
     return PartitionPlan(n_rows=N, M=M, seed=seed, assignment=assignment)
-
-
-def subset_view(dataset: Dataset, plan: PartitionPlan, l: int) -> Dataset:
-    """Rows of subset l as a Dataset, original order preserved."""
-    if plan.n_rows != dataset.n_rows:
-        raise ConfigError(
-            f"plan covers {plan.n_rows} rows but dataset has {dataset.n_rows}"
-        )
-    return dataset.subset(plan.rows_of(l))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -112,10 +113,16 @@ class NoisyRelease:
     timestamp: str = ""
 
     def __post_init__(self):
-        if not self.epsilon_spent > 0:
-            raise ConfigError("epsilon_spent must be positive")
-        if not self.sensitivity > 0:
-            raise ConfigError("sensitivity must be positive")
+        value = self.value
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not -math.inf < value < math.inf:
+            raise ConfigError(f"value must be a finite number, got {value!r}")
+        if not 0 < self.epsilon_spent < math.inf:
+            raise ConfigError("epsilon_spent must be positive and finite")
+        if not 0 < self.sensitivity < math.inf:
+            raise ConfigError("sensitivity must be positive and finite")
+        if not (isinstance(self.mechanism, str) and isinstance(self.timestamp, str)):
+            raise ConfigError("mechanism and timestamp must be strings")
 
     def to_record(self) -> str:
         return json.dumps(
@@ -143,11 +150,17 @@ class NoisyRelease:
 def _read_records(fh, path: str):
     """Yield the records of an open ledger file.  A line that is not a valid
     record (a torn write, a missing field) raises LedgerCorruptError naming
-    ``path:line``: skipping it would understate the budget spent."""
+    ``path:line``: skipping it would understate the budget spent.
+
+    The file is opened with ``errors="replace"``; records are written as
+    ASCII-only JSON, so a U+FFFD in a line marks bytes that are not UTF-8.
+    """
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
         try:
+            if "\ufffd" in line:
+                raise ValueError("bytes that are not UTF-8")
             entry = NoisyRelease.from_record(line)
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise LedgerCorruptError(
@@ -175,7 +188,7 @@ class BudgetLedger:
         self._entries: list[NoisyRelease] = []
         self._spent = 0.0
         if self.path is not None and os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, encoding="utf-8", errors="replace") as fh:
                 self._entries = list(_read_records(fh, self.path))
             for entry in self._entries:
                 self._spent += entry.epsilon_spent
@@ -209,7 +222,7 @@ class BudgetLedger:
         if self.path is not None:
             # the file is the source of truth across processes: recheck the
             # cap against its contents while holding the lock
-            with open(self.path, "a+", encoding="utf-8") as fh:
+            with open(self.path, "a+", encoding="utf-8", errors="replace") as fh:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 try:
                     fh.seek(0)

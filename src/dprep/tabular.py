@@ -63,10 +63,6 @@ class Dataset:
         except KeyError:
             raise IngestionError(f"no column named {name!r}") from None
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset({name: col[idx] for name, col in self.columns.items()})
-
 
 def read_schema(path) -> dict[str, str]:
     """Read a JSON schema file mapping column name to 'numeric'|'categorical'."""

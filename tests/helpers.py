@@ -47,5 +47,11 @@ BAD_LEDGER_RECORDS = {
     "missing-key": json.dumps({k: v for k, v in json.loads(LEDGER_RECORD).items()
                                if k != "value"}),
     "invalid-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": 0.0'),
+    "infinite-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": Infinity'),
     "not-an-object": "[0.5]",
+    "value-not-a-number": LEDGER_RECORD.replace('"value": 3.0', '"value": "abc"'),
+    "mechanism-not-a-string": LEDGER_RECORD.replace('"mechanism": "laplace"',
+                                                    '"mechanism": 5'),
 }
+# a record torn inside a timestamp holding bytes that are not UTF-8
+TORN_NON_UTF8 = b'{"timestamp": "\xff\xfe'

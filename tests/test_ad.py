@@ -120,27 +120,23 @@ def test_indicator_count_matches_brute_force_fits():
     ind = compute_indicator_count(ds, model, "x2", region, plan)
 
     # oracle: independent lstsq fit per subset
-    expected = []
+    expected, estimates = [], []
     for l in range(3):
-        rows = plan.rows_of(l)
+        rows = np.flatnonzero(plan.assignment == l)
         X = np.column_stack([np.ones(rows.size)] +
                             [ds.column(c)[rows] for c in ("x1", "x2", "x3")])
         beta, *_ = np.linalg.lstsq(X, ds.column("y")[rows], rcond=None)
         expected.append(1 if beta[2] >= 0.0 else 0)
+        estimates.append(beta[2])
     assert ind.W.tolist() == expected
     assert ind.S == sum(expected)
-    assert ind.estimates == pytest.approx(
-        [np.linalg.lstsq(
-            np.column_stack([np.ones(plan.rows_of(l).size)] +
-                            [ds.column(c)[plan.rows_of(l)] for c in ("x1", "x2", "x3")]),
-            ds.column("y")[plan.rows_of(l)], rcond=None)[0][2]
-         for l in range(3)], rel=1e-9)
+    assert ind.estimates == pytest.approx(estimates, rel=1e-9)
 
 
 def test_singular_subset_aborts_with_index():
     plan = make_partition(8, 2, seed=1)
     x = np.arange(8.0)
-    x[plan.rows_of(0)] = 5.0  # subset 0 becomes constant in x
+    x[plan.assignment == 0] = 5.0  # subset 0 becomes constant in x
     ds = Dataset({"x": x, "y": np.arange(8.0) + 1.0})
     with pytest.raises(SingularFitError, match="subset 0") as exc_info:
         compute_indicator_count(ds, parse_formula("y ~ x"), "x",

@@ -128,7 +128,7 @@ def test_average_overlap_matches_hand_computation():
 
     expected = []
     for l in range(2):
-        rows = plan.rows_of(l)
+        rows = np.flatnonzero(plan.assignment == l)
         cis = []
         for covs in (("x1", "x2"), ("x1", "x3")):
             X = np.column_stack([np.ones(rows.size)] +
@@ -161,7 +161,7 @@ def test_average_overlap_singular_abort_names_model():
     plan = make_partition(8, 2, seed=1)
     x = np.arange(8.0)
     z = np.arange(8.0) ** 2
-    z[plan.rows_of(1)] = 1.0  # model1's extra column is constant in subset 1
+    z[plan.assignment == 1] = 1.0  # model1's extra column is constant in subset 1
     ds = Dataset({"x": x, "z": z, "y": x + 1.0})
     with pytest.raises(SingularFitError, match="subset 1, model1") as info:
         average_overlap(ds, parse_formula("y ~ x"), parse_formula("y ~ x + z"),

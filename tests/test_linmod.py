@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -151,7 +154,7 @@ def test_residual_orthogonality_and_permutation_invariance():
         assert np.linalg.norm(X.T @ resid) <= 1e-8 * np.linalg.norm(X.T @ y)
 
         perm = rng.permutation(n)
-        fit_p = fit_ols(ds.subset(perm), m)
+        fit_p = fit_ols(Dataset({k: v[perm] for k, v in ds.columns.items()}), m)
         assert fit_p.coefficients == pytest.approx(fit.coefficients, rel=1e-12)
 
 
@@ -232,6 +235,27 @@ def test_t_quantile_contract():
         t_quantile(0, 0.5)
     with pytest.raises(ConfigError):
         confidence_interval(_exact_fit(), "x", 1.5)
+
+
+def test_t_quantile_equals_scipy_stats_ppf():
+    from scipy import stats
+
+    ps = np.concatenate([[1e-12, 1e-6, 0.025, 0.4999, 0.5001, 0.975, 1 - 1e-6],
+                         np.linspace(0.01, 0.99, 9)])
+    for df in (1, 2, 3, 7, 30, 997, 10**6):
+        for p in ps:
+            assert t_quantile(df, p) == float(stats.t.ppf(p, df))
+
+
+def test_import_leaves_out_scipy_stats():
+    import dprep
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(dprep.__file__)))
+    code = "import sys, dprep, dprep.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_unknown_coefficient_name():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from dprep import ConfigError, Dataset, PartitionPlan, make_partition, subset_view
+from dprep import ConfigError, PartitionPlan, make_partition
 
 
 def test_exact_division():
     plan = make_partition(10, 5, seed=1)
     assert plan.sizes.tolist() == [2, 2, 2, 2, 2]
-    all_rows = np.concatenate([plan.rows_of(l) for l in range(5)])
+    all_rows = np.concatenate(plan.split(np.arange(10)))
     assert sorted(all_rows.tolist()) == list(range(10))
 
 
@@ -19,11 +19,11 @@ def test_remainder_rule_lowest_indexed_subsets():
 
 
 def test_single_subset_is_identity():
-    ds = Dataset({"v": np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])})
+    v = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
     plan = make_partition(6, 1, seed=9)
-    sub = subset_view(ds, plan, 0)
-    assert sub.column("v").tolist() == ds.column("v").tolist()
-    assert sub.column("v").mean() == ds.column("v").mean()
+    (sub,) = plan.split(v)
+    assert sub.tolist() == v.tolist()
+    assert sub.mean() == v.mean()
 
 
 def test_argument_errors():
@@ -60,13 +60,34 @@ def test_record_round_trip():
     assert np.array_equal(clone.assignment, plan.assignment)
 
 
-def test_subset_view_order_and_mismatch():
-    ds = Dataset({"v": np.arange(12.0)})
+def test_split_order_and_mismatch():
     plan = make_partition(12, 3, seed=5)
-    for l in range(3):
-        v = subset_view(ds, plan, l).column("v")
+    blocks = plan.split(np.arange(12.0))
+    assert len(blocks) == 3
+    for l, v in enumerate(blocks):
         assert np.all(np.diff(v) > 0)  # original order preserved
+        assert np.all(plan.assignment[v.astype(int)] == l)
     with pytest.raises(ConfigError, match="plan covers"):
-        subset_view(Dataset({"v": np.arange(5.0)}), plan, 0)
-    with pytest.raises(ConfigError):
-        plan.rows_of(3)
+        plan.split(np.arange(5.0))
+
+
+def test_split_blocks_of_a_matrix():
+    plan = make_partition(11, 4, seed=2)
+    X = np.arange(22.0).reshape(11, 2)
+    for l, block in enumerate(plan.split(X)):
+        assert np.array_equal(block, X[np.flatnonzero(plan.assignment == l)])
+        assert block.flags.c_contiguous
+
+
+def test_assignment_cuts_the_permutation_into_blocks():
+    # the first N mod M blocks of the seeded permutation get one extra row
+    from dprep.privacy import RngStream
+    N, M, seed = 103, 7, 12
+    perm = RngStream(seed).child("partition").generator.permutation(N)
+    expected = np.empty(N, dtype=np.intp)
+    start = 0
+    for l in range(M):
+        size = N // M + (1 if l < N % M else 0)
+        expected[perm[start:start + size]] = l
+        start += size
+    assert np.array_equal(make_partition(N, M, seed).assignment, expected)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8
 
 from dprep import (
     BudgetExceededError,
@@ -145,6 +145,12 @@ def test_invalid_parameters():
         PrivacyParams(0.0)
     with pytest.raises(ConfigError):
         NoisyRelease(value=0.0, epsilon_spent=1.0, sensitivity=0.0)
+    for bad in ({"value": "abc"}, {"value": True}, {"value": math.nan},
+                {"value": math.inf}, {"mechanism": 5}, {"timestamp": None},
+                {"epsilon_spent": math.inf}, {"sensitivity": math.inf}):
+        with pytest.raises(ConfigError):
+            NoisyRelease(**{"value": 0.0, "epsilon_spent": 1.0, "sensitivity": 1.0,
+                            **bad})
     with pytest.raises(ConfigError):
         release_scalar(0.0, -1.0, PrivacyParams(1.0), BudgetLedger(), RngStream(0))
     with pytest.raises(ConfigError):
@@ -184,6 +190,18 @@ def test_ledger_file_cap_already_blown(tmp_path):
 def test_ledger_file_unreadable_record_fails_closed(tmp_path, kind):
     path = tmp_path / "ledger.ndjson"
     path.write_text(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS[kind])
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
+        BudgetLedger(cap=5.0, path=path)
+
+
+@pytest.mark.parametrize("tail", [
+    TORN_NON_UTF8,
+    LEDGER_RECORD.replace('"timestamp": ""', '"timestamp": "\xff"')
+    .encode("latin-1") + b"\n" + LEDGER_RECORD.encode() + b"\n",
+], ids=["torn", "complete"])
+def test_ledger_file_non_utf8_record_fails_closed(tmp_path, tail):
+    path = tmp_path / "ledger.ndjson"
+    path.write_bytes(LEDGER_RECORD.encode() + b"\n" + tail)
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
         BudgetLedger(cap=5.0, path=path)
 

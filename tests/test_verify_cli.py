@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, synth_dataset
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, synth_dataset
 
 from dprep import (
     ADConfig,
@@ -319,11 +319,13 @@ def test_cli_budget_status(tmp_path, table, capsys):
     assert main(["budget-status", "--ledger", str(tmp_path / "nope.ndjson")]) == 2
 
 
-@pytest.mark.parametrize("kind", ["torn", "missing-key"])
+@pytest.mark.parametrize("kind", ["torn", "missing-key", "value-not-a-number",
+                                  "non-utf8"])
 @pytest.mark.parametrize("command", ["budget-status", "ad-verify"])
 def test_cli_corrupt_ledger_exits_2(tmp_path, table, capsys, command, kind):
     ledger = tmp_path / "ledger.ndjson"
-    ledger.write_text(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS[kind])
+    bad = TORN_NON_UTF8 if kind == "non-utf8" else BAD_LEDGER_RECORDS[kind].encode()
+    ledger.write_bytes(LEDGER_RECORD.encode() + b"\n" + bad)
     before = ledger.read_bytes()
     if command == "ad-verify":
         args = _ad_args(table, tmp_path)
