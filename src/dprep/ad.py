@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, ndtr, xlogy
 
-from .errors import ConfigError, SingularFitError
-from .linmod import ModelSpec, design_columns, fit_design
+from .errors import ConfigError, InsufficientDataError, SingularFitError
+from .linmod import (
+    RANK_DEFICIENT,
+    ModelSpec,
+    coef_position,
+    design_with_response,
+    fit_stack,
+)
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -165,15 +171,20 @@ def compute_indicator_count(
     than imputing W_l = 0: the count's sensitivity argument assumes all M
     subsets produced an indicator.
     """
-    X, names = design_columns(dataset, model)
-    blocks = zip(plan.split(X), plan.split(dataset.column(model.response)))
+    Xy, names = design_with_response(dataset, model)
+    j = coef_position(names, coef)
     estimates = np.empty(plan.M)
-    for l, (X_l, y_l) in enumerate(blocks):
+    start = 0
+    for stack in plan.split(Xy):
         try:
-            fit = fit_design(X_l, y_l, names)
-        except SingularFitError as exc:
-            raise SingularFitError(f"subset {l}: {exc}", subset=l) from exc
-        estimates[l] = fit.coef(coef)
+            fit = fit_stack(stack)
+        except InsufficientDataError as exc:
+            raise SingularFitError(f"subset {start}: {exc}", subset=start) from exc
+        if fit.singular.any():
+            l = start + int(np.argmax(fit.singular))
+            raise SingularFitError(f"subset {l}: {RANK_DEFICIENT}", subset=l)
+        estimates[start:start + len(stack)] = fit.coefficients[:, j]
+        start += len(stack)
     W = region.contains(estimates).astype(np.intp)
     return IndicatorCount(W=W, S=int(W.sum()), estimates=estimates)
 
@@ -191,7 +202,11 @@ def release_count(
     S: int, config: ADConfig, ledger: BudgetLedger, stream: RngStream | None = None
 ) -> ADReleased:
     """Release S + Laplace(0, 1/epsilon); the count's global sensitivity is 1
-    because one changed row can flip at most one subset's indicator."""
+    because one changed row can flip at most one subset's indicator.
+
+    Neighbours differ by substituting one row and N is public: adding or
+    removing a row re-draws the partition, which the sensitivity does not
+    cover."""
     if stream is None:
         stream = RngStream(config.seed).child("ad-release")
     release = release_scalar(float(S), 1.0, config.epsilon, ledger, stream)

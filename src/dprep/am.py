@@ -18,9 +18,14 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtri, xlogy
 
-from .errors import ConfigError, DegenerateIntervalError, SingularFitError
-from .linmod import ConfidenceInterval, ModelSpec, confidence_interval
-from .linmod import design_columns, fit_design
+from .errors import (
+    ConfigError,
+    DegenerateIntervalError,
+    InsufficientDataError,
+    SingularFitError,
+)
+from .linmod import RANK_DEFICIENT, ZERO_SE, ConfidenceInterval, ModelSpec
+from .linmod import design_with_response, fit_stack, t_quantile
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -79,11 +84,13 @@ class AMConfig:
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Custodian-only per-subset overlaps and their mean."""
+    """Custodian-only per-subset overlaps, their mean, and the intervals:
+    ``lower[m, l]`` and ``upper[m, l]`` bound model m's interval on subset l."""
 
     nus: np.ndarray
     nu_bar: float
-    ci_pairs: tuple
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 def _has_plain_term(model: ModelSpec, coef: str) -> bool:
@@ -109,25 +116,52 @@ def average_overlap(
             raise ConfigError(
                 f"coefficient {coef!r} must appear untransformed in {tag}"
             )
-    designs = []
+    if not 0 < level < 1:
+        raise ConfigError(f"level must be in (0, 1), got {level}")
+    designs, columns = [], []
     for model in (model0, model1):
-        X, names = design_columns(dataset, model)
-        designs.append((plan.split(X), plan.split(dataset.column(model.response)), names))
-    nus = np.empty(plan.M)
-    ci_pairs = []
-    for l in range(plan.M):
-        cis = []
-        for tag, (X_blocks, y_blocks, names) in zip(("model0", "model1"), designs):
+        Xy, names = design_with_response(dataset, model)
+        designs.append(plan.split(Xy))
+        columns.append(names.index(coef))
+        del Xy  # the stacks hold a sorted copy; free this one before the next build
+    lower = np.empty((2, plan.M))
+    upper = np.empty((2, plan.M))
+    start = 0
+    for stack in zip(*designs):
+        stop = start + len(stack[0])
+        # a loop over subsets stops at the first subset with a failure, and
+        # within it meets them in this order: model0 fit, model0 interval,
+        # model1 fit, model1 interval, overlap
+        fails = np.zeros((5, stop - start), dtype=bool)
+        reasons = [RANK_DEFICIENT, ZERO_SE.format(coef), RANK_DEFICIENT,
+                   ZERO_SE.format(coef), "overlap requires intervals of positive length"]
+        for m, Xy_s in enumerate(stack):
             try:
-                fit = fit_design(X_blocks[l], y_blocks[l], names)
-            except SingularFitError as exc:
-                raise SingularFitError(
-                    f"subset {l}, {tag}: {exc}", subset=l, model=tag
-                ) from exc
-            cis.append(confidence_interval(fit, coef, level))
-        nus[l] = overlap_measure(cis[0], cis[1])
-        ci_pairs.append(tuple(cis))
-    return OverlapResult(nus=nus, nu_bar=float(nus.mean()), ci_pairs=tuple(ci_pairs))
+                fit = fit_stack(Xy_s)
+            except InsufficientDataError as exc:
+                fails[2 * m, 0], reasons[2 * m] = True, str(exc)
+                break
+            center = fit.coefficients[:, columns[m]]
+            se = fit.stderrs[:, columns[m]]
+            half = t_quantile(fit.residual_df, (1 + level) / 2) * se
+            lower[m, start:stop] = center - half
+            upper[m, start:stop] = center + half
+            fails[2 * m] = fit.singular
+            fails[2 * m + 1] = se == 0.0
+        else:
+            fails[4] = np.any(upper[:, start:stop] - lower[:, start:stop] <= 0, axis=0)
+        if fails.any():
+            b, kind = divmod(int(np.argmax(fails.T)), 5)
+            l, tag = start + b, f"model{kind // 2}"
+            if kind in (0, 2):
+                raise SingularFitError(f"subset {l}, {tag}: {reasons[kind]}",
+                                       subset=l, model=tag)
+            raise DegenerateIntervalError(reasons[kind])
+        start = stop
+    length = upper - lower
+    c = np.maximum(0.0, np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1]))
+    nus = 0.5 * (c / length[0] + c / length[1])
+    return OverlapResult(nus=nus, nu_bar=float(nus.mean()), lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
@@ -148,7 +182,9 @@ def release_overlap(
     """Release nu_bar + Laplace(0, 1/(epsilon*M)).
 
     One changed row perturbs a single subset's overlap by at most 1, so the
-    average has sensitivity 1/M.
+    average has sensitivity 1/M.  Neighbours differ by substituting one row
+    and N is public: adding or removing a row re-draws the partition, which
+    the sensitivity does not cover.
     """
     if stream is None:
         stream = RngStream(config.seed).child("am-release")

@@ -1,7 +1,7 @@
 """Linear-model specification, OLS fitting, and equal-tailed confidence intervals.
 
-Deterministic throughout: fitting the same data twice, or the same data
-with permuted rows, gives identical results.
+Deterministic throughout: fitting the same data twice gives identical
+results, and fitting it with permuted rows gives results equal to rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +24,14 @@ from .tabular import Dataset
 
 TRANSFORMS = ("identity", "log", "square")
 
-# pivot threshold relative to the largest |R| diagonal entry of the QR
+# pivot threshold relative to the largest |R| diagonal entry of the pivoted QR
 RANK_TOL = 1e-10
+# a fit skips the pivoted rank check only when its unpivoted R bounds the
+# pivoted diagonal ratio above RANK_TOL by at least this factor
+CERTIFICATE_MARGIN = 1e3
+
+RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
+ZERO_SE = "coefficient {!r} has zero standard error; its interval would be a single point"
 
 
 @dataclass(frozen=True)
@@ -150,9 +156,11 @@ def _transform_column(values: np.ndarray, column: str, transform: str) -> np.nda
     return np.log(values)
 
 
-def design_columns(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list[str]]:
-    """Design matrix and its column names: the all-ones ``intercept`` column
-    first iff the intercept is on, then term columns in specification order."""
+def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list[str]]:
+    """Design matrix with the response appended as its last column (the
+    layout :func:`fit_stack` takes), and the names of the design columns:
+    the all-ones ``intercept`` column first iff the intercept is on, then
+    term columns in specification order."""
     n = dataset.n_rows
     cols: list[np.ndarray] = []
     names: list[str] = []
@@ -165,6 +173,7 @@ def design_columns(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list
             col = col * _transform_column(dataset.column(column), column, transform)
         cols.append(col)
         names.append(term.name)
+    cols.append(dataset.column(model.response))
     return np.column_stack(cols), names
 
 
@@ -191,62 +200,101 @@ class FitResult:
         return float(self.stderrs[self._index(which)])
 
     def _index(self, which) -> int:
-        if isinstance(which, (int, np.integer)):
-            return int(which)
-        try:
-            return self.coef_index[which]
-        except KeyError:
-            raise ConfigError(
-                f"no coefficient {which!r}; have {tuple(self.coef_index)}"
-            ) from None
+        return coef_position(self.coef_index, which)
+
+
+def coef_position(names, which) -> int:
+    """Column of coefficient ``which``: an int index or a name in ``names``."""
+    if isinstance(which, (int, np.integer)):
+        return int(which)
+    try:
+        return list(names).index(which)
+    except ValueError:
+        raise ConfigError(f"no coefficient {which!r}; have {tuple(names)}") from None
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
-    """Fit the model on the whole dataset; see :func:`fit_design`."""
-    X, names = design_columns(dataset, model)
-    return fit_design(X, dataset.column(model.response), names)
+    """Fit the model on the whole dataset: a stack of one, see :func:`fit_stack`.
 
-
-def fit_design(X: np.ndarray, y: np.ndarray, names) -> FitResult:
-    """Fit y on the design X (columns named by ``names``) by ordinary least
-    squares via pivoted QR.
-
-    Raises InsufficientDataError when fewer than p + 2 rows are available
-    and SingularFitError when the design is rank deficient (pivot threshold
-    RANK_TOL relative to the largest |R| diagonal).
+    Raises SingularFitError when the design is rank deficient.
     """
-    n, k = X.shape
+    Xy, names = design_with_response(dataset, model)
+    fit = fit_stack(Xy[None])
+    if fit.singular[0]:
+        raise SingularFitError(RANK_DEFICIENT)
+    return FitResult(
+        coefficients=fit.coefficients[0],
+        stderrs=fit.stderrs[0],
+        residual_df=fit.residual_df,
+        sigma2_hat=float(fit.sigma2_hat[0]),
+        coef_index={name: i for i, name in enumerate(names)},
+    )
+
+
+@dataclass(frozen=True)
+class StackFit:
+    """OLS fits of a stack of B equally sized blocks; row b of each array
+    belongs to block b.  The numbers of a ``singular`` block mean nothing."""
+
+    coefficients: np.ndarray
+    stderrs: np.ndarray
+    residual_df: int
+    sigma2_hat: np.ndarray
+    singular: np.ndarray
+
+
+def _pivoted_rank_deficient(X: np.ndarray) -> bool:
+    """The rank rule: with column pivoting, the smallest |R| diagonal entry
+    is at most RANK_TOL times the largest."""
+    R, _ = scipy.linalg.qr(X, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return bool(diag.min() <= RANK_TOL * diag.max())
+
+
+def fit_stack(Xy: np.ndarray) -> StackFit:
+    """Fit y on the design X by ordinary least squares for every block of a
+    stack Xy of shape (B, n, k + 1): block b is X = Xy[b, :, :k] and
+    y = Xy[b, :, k].
+
+    One batched, unpivoted QR of the blocks [X | y] gives R (the first k
+    columns) and Q^T y (the last), so Q is never formed; the estimates and
+    standard errors follow from R^-1.  Raises InsufficientDataError when
+    n < k + 1.  A block is flagged singular exactly when the pivoted rank
+    rule refuses it.  That rule runs only on blocks whose R does not
+    certify acceptance: the |r_ii| of any triangular factor of X lie in
+    [sigma_min, sigma_max], so the pivoted ratio min|r_ii| / max|r_ii| is
+    at least 1 / (||R||_F ||R^-1||_F).  A zero on the diagonal flags the
+    block singular at once: X is then singular to working precision, which
+    the pivoted rule refuses as well.
+    """
+    n, k = Xy.shape[1], Xy.shape[2] - 1
     if n < k + 1:
         raise InsufficientDataError(
             f"need at least {k + 1} rows to fit {k} coefficients, have {n}"
         )
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= RANK_TOL * diag.max():
-        raise SingularFitError(
-            "design matrix is rank deficient (collinear columns or subset too small)"
-        )
-    beta_piv = scipy.linalg.solve_triangular(R, Q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
+    X, y = Xy[..., :k], Xy[..., k]
+    R_aug = np.linalg.qr(Xy, mode="r")
+    R = R_aug[:, :k, :k].copy()
+    zero_diag = np.any(np.diagonal(R, axis1=1, axis2=2) == 0, axis=1)
+    R[zero_diag] = np.eye(k)  # keeps inv from failing on the whole stack
+    R_inv = np.linalg.inv(R)
+    cond_bound = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+    certified = cond_bound * (RANK_TOL * CERTIFICATE_MARGIN) < 1  # False on nan
+    singular = zero_diag.copy()
+    for b in np.flatnonzero(~(certified | zero_diag)):
+        singular[b] = _pivoted_rank_deficient(X[b])
 
-    residuals = y - X @ beta
-    rss = float(residuals @ residuals)
+    beta = (R_inv @ R_aug[:, :k, k:])[..., 0]
+    residuals = y - (X @ beta[..., None])[..., 0]
     residual_df = n - k
-    sigma2_hat = rss / residual_df
-
-    r_inv = scipy.linalg.solve_triangular(R, np.eye(k))
-    diag_xtx_inv_piv = np.sum(r_inv * r_inv, axis=1)
-    diag_xtx_inv = np.empty(k)
-    diag_xtx_inv[piv] = diag_xtx_inv_piv
-    stderrs = np.sqrt(sigma2_hat * diag_xtx_inv)
-
-    return FitResult(
+    sigma2_hat = np.einsum("bn,bn->b", residuals, residuals) / residual_df
+    diag_xtx_inv = np.einsum("bij,bij->bi", R_inv, R_inv)
+    return StackFit(
         coefficients=beta,
-        stderrs=stderrs,
+        stderrs=np.sqrt(sigma2_hat[:, None] * diag_xtx_inv),
         residual_df=residual_df,
         sigma2_hat=sigma2_hat,
-        coef_index={name: i for i, name in enumerate(names)},
+        singular=singular,
     )
 
 
@@ -297,9 +345,6 @@ def confidence_interval(
     if se == 0.0:
         if degenerate == "point":
             return ConfidenceInterval(center, center, level)
-        raise DegenerateIntervalError(
-            f"coefficient {which!r} has zero standard error; "
-            "its interval would be a single point"
-        )
+        raise DegenerateIntervalError(ZERO_SE.format(which))
     half = t_quantile(fit.residual_df, (1 + level) / 2) * se
     return ConfidenceInterval(center - half, center + half, level)

@@ -11,6 +11,12 @@ from .errors import ConfigError
 from .privacy import RngStream
 
 
+def _block_sizes(N: int, M: int) -> np.ndarray:
+    """Sizes of M blocks of N rows: the first N mod M get one extra row."""
+    base, extra = divmod(N, M)
+    return base + (np.arange(M) < extra)
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of every row to one of M subsets.
@@ -29,24 +35,37 @@ class PartitionPlan:
         arr = np.asarray(self.assignment, dtype=np.intp).copy()
         if arr.shape != (self.n_rows,):
             raise ConfigError("assignment length must equal n_rows")
+        if not (1 <= self.M <= self.n_rows and 0 <= arr.min() and arr.max() < self.M
+                and np.array_equal(np.bincount(arr, minlength=self.M), self.sizes)):
+            raise ConfigError(
+                "assignment must cut the rows into M subsets whose sizes differ "
+                "by at most one, the larger ones first"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.M)
+        return _block_sizes(self.n_rows, self.M)
 
     def split(self, values) -> list[np.ndarray]:
-        """The M row blocks of ``values`` (indexed by row along its first
-        axis), subset l at position l, each in original row order."""
+        """``values`` (indexed by row along its first axis) cut into at most
+        two stacks of equally sized subset blocks, in subset order: shape
+        (N mod M, ceil(N/M), ...) for the first subsets, then
+        (M - N mod M, floor(N/M), ...) for the rest.  Each block keeps the
+        original row order; the stacks are views of one sorted copy."""
         if len(values) != self.n_rows:
             raise ConfigError(
                 f"plan covers {self.n_rows} rows but the data has {len(values)}"
             )
         # stable, so each block keeps row order; narrow keys let numpy radix-sort
         keys = self.assignment.astype(np.min_scalar_type(self.M - 1))
-        order = np.argsort(keys, kind="stable")
-        return np.split(values[order], np.cumsum(self.sizes)[:-1])
+        ordered = np.take(values, np.argsort(keys, kind="stable"), axis=0)
+        base, extra = divmod(self.n_rows, self.M)
+        cut = extra * (base + 1)
+        stacks = [ordered[:cut].reshape(extra, base + 1, *ordered.shape[1:]),
+                  ordered[cut:].reshape(self.M - extra, base, *ordered.shape[1:])]
+        return [stack for stack in stacks if len(stack)]
 
     def to_record(self) -> str:
         return json.dumps({"n_rows": self.n_rows, "M": self.M, "seed": self.seed})
@@ -69,6 +88,5 @@ def make_partition(N: int, M: int, seed: int) -> PartitionPlan:
         raise ConfigError(f"M ({M}) may not exceed the number of rows N ({N})")
     perm = RngStream(seed).child("partition").generator.permutation(N)
     assignment = np.empty(N, dtype=np.intp)
-    base, extra = divmod(N, M)
-    assignment[perm] = np.repeat(np.arange(M), base + (np.arange(M) < extra))
+    assignment[perm] = np.repeat(np.arange(M), _block_sizes(N, M))
     return PartitionPlan(n_rows=N, M=M, seed=seed, assignment=assignment)

@@ -123,6 +123,14 @@ class NoisyRelease:
             raise ConfigError("sensitivity must be positive and finite")
         if not (isinstance(self.mechanism, str) and isinstance(self.timestamp, str)):
             raise ConfigError("mechanism and timestamp must be strings")
+        try:  # an int too large for a float would overflow the ledger's sum
+            object.__setattr__(self, "value", float(value))
+            object.__setattr__(self, "epsilon_spent", float(self.epsilon_spent))
+            object.__setattr__(self, "sensitivity", float(self.sensitivity))
+        except OverflowError:
+            raise ConfigError(
+                "value, epsilon_spent and sensitivity must fit in a float"
+            ) from None
 
     def to_record(self) -> str:
         return json.dumps(
@@ -251,6 +259,9 @@ def release_scalar(
     stream: RngStream,
 ) -> NoisyRelease:
     """Release ``true_value`` plus Laplace(0, sensitivity/epsilon) noise.
+
+    ``sensitivity`` bounds the change of ``true_value`` between neighbouring
+    datasets: datasets that differ by substituting one row, N being public.
 
     The budget check runs before any noise is sampled; a refused release
     consumes neither budget nor randomness.  The returned value is never

@@ -55,7 +55,7 @@ FORBIDDEN_RELEASE_FIELDS = (
     "nus",
     "nu_per_subset",
     "nu_bar",
-    "ci_pairs",
+    "interval_pairs",
 )
 
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -213,12 +213,12 @@ def am_verify(
             "difference_interval": [diff_ci.lower, diff_ci.upper],
         }
 
+    # subset l, model m -> [lower, upper]
+    pairs = np.stack((overlap.lower, overlap.upper), axis=-1).transpose(1, 0, 2)
     debug = {
         "nu_bar": overlap.nu_bar,
         "nu_per_subset": [float(v) for v in overlap.nus],
-        "interval_pairs": [
-            [[c.lower, c.upper] for c in pair] for pair in overlap.ci_pairs
-        ],
+        "interval_pairs": pairs.tolist(),
         "plan": json.loads(plan.to_record()),
     }
     return report, debug

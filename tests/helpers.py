@@ -52,6 +52,9 @@ BAD_LEDGER_RECORDS = {
     "value-not-a-number": LEDGER_RECORD.replace('"value": 3.0', '"value": "abc"'),
     "mechanism-not-a-string": LEDGER_RECORD.replace('"mechanism": "laplace"',
                                                     '"mechanism": 5'),
+    # finite as a Python int, too large for a float
+    "huge-int-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": 1' + "0" * 400),
+    "huge-int-value": LEDGER_RECORD.replace('"value": 3.0', '"value": 1' + "0" * 400),
 }
 # a record torn inside a timestamp holding bytes that are not UTF-8
 TORN_NON_UTF8 = b'{"timestamp": "\xff\xfe'

@@ -116,7 +116,7 @@ def test_average_overlap_identical_models_is_one():
     res = average_overlap(ds, m, m, "x1", plan)
     assert res.nus.tolist() == [1.0] * 4
     assert res.nu_bar == 1.0
-    assert len(res.ci_pairs) == 4
+    assert res.lower.shape == res.upper.shape == (2, 4)
 
 
 def test_average_overlap_matches_hand_computation():
@@ -173,7 +173,8 @@ def test_average_overlap_singular_abort_names_model():
 def test_release_overlap_sensitivity_is_one_over_m():
     config = AMConfig(M=25, epsilon=1.0, seed=13)
     ledger = BudgetLedger(cap=1.0)
-    result = OverlapResult(nus=np.full(25, 0.8), nu_bar=0.8, ci_pairs=())
+    result = OverlapResult(nus=np.full(25, 0.8), nu_bar=0.8,
+                           lower=np.zeros((2, 25)), upper=np.ones((2, 25)))
     released = release_overlap(result, config, ledger)
     twin = RngStream(13).child("am-release")
     assert released.nu_bar_noisy == 0.8 + laplace_sample(twin, 1.0 / 25.0)

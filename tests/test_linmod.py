@@ -21,7 +21,7 @@ from dprep import (
     parse_formula,
     t_quantile,
 )
-from dprep.linmod import design_columns
+from dprep.linmod import design_with_response
 
 
 # ---------------------------------------------------------------- formulas
@@ -61,22 +61,23 @@ def test_model_spec_invariants():
 # ---------------------------------------------------------- design matrix
 
 def test_design_matrix_layout():
-    ds = Dataset({"x": np.array([1.0, 2.0, 3.0]), "y": np.zeros(3)})
+    ds = Dataset({"x": np.array([1.0, 2.0, 3.0]), "y": np.array([5.0, 6.0, 7.0])})
     m = parse_formula("y ~ x + sq(x)")
-    X, names = design_columns(ds, m)
+    Xy, names = design_with_response(ds, m)
     assert names == ["intercept", "x", "sq(x)"]
-    assert np.array_equal(X[:, 0], np.ones(3))
-    assert np.array_equal(X[:, 1], [1, 2, 3])
-    assert np.array_equal(X[:, 2], [1, 4, 9])
-    X2, names2 = design_columns(ds, ModelSpec("y", (Term.plain("x"),), intercept=False))
-    assert X2.shape == (3, 1)
+    assert np.array_equal(Xy[:, 0], np.ones(3))
+    assert np.array_equal(Xy[:, 1], [1, 2, 3])
+    assert np.array_equal(Xy[:, 2], [1, 4, 9])
+    assert np.array_equal(Xy[:, 3], [5, 6, 7])  # the response, last
+    X2, names2 = design_with_response(ds, ModelSpec("y", (Term.plain("x"),), intercept=False))
+    assert X2.shape == (3, 2)
     assert names2 == ["x"]
 
 
 def test_log_transform_domain():
     ds = Dataset({"x": np.array([1.0, 0.0, 3.0]), "y": np.zeros(3)})
     with pytest.raises(TransformDomainError, match="log"):
-        design_columns(ds, parse_formula("y ~ log(x)"))
+        design_with_response(ds, parse_formula("y ~ log(x)"))
 
 
 # -------------------------------------------------------------------- OLS
@@ -148,7 +149,7 @@ def test_residual_orthogonality_and_permutation_invariance():
         })
         m = parse_formula("y ~ a + b + a:b")
         fit = fit_ols(ds, m)
-        X, _ = design_columns(ds, m)
+        X = design_with_response(ds, m)[0][:, :-1]
         y = ds.column("y")
         resid = y - X @ fit.coefficients
         assert np.linalg.norm(X.T @ resid) <= 1e-8 * np.linalg.norm(X.T @ y)

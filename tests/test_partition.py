@@ -4,10 +4,16 @@ import pytest
 from dprep import ConfigError, PartitionPlan, make_partition
 
 
+def _blocks(plan, values):
+    """The M subset blocks of ``values``, read off the plan's stacks."""
+    return [block for stack in plan.split(values) for block in stack]
+
+
 def test_exact_division():
     plan = make_partition(10, 5, seed=1)
     assert plan.sizes.tolist() == [2, 2, 2, 2, 2]
-    all_rows = np.concatenate(plan.split(np.arange(10)))
+    assert [stack.shape for stack in plan.split(np.arange(10))] == [(5, 2)]
+    all_rows = np.concatenate(_blocks(plan, np.arange(10)))
     assert sorted(all_rows.tolist()) == list(range(10))
 
 
@@ -21,7 +27,7 @@ def test_remainder_rule_lowest_indexed_subsets():
 def test_single_subset_is_identity():
     v = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
     plan = make_partition(6, 1, seed=9)
-    (sub,) = plan.split(v)
+    ((sub,),) = plan.split(v)
     assert sub.tolist() == v.tolist()
     assert sub.mean() == v.mean()
 
@@ -62,7 +68,7 @@ def test_record_round_trip():
 
 def test_split_order_and_mismatch():
     plan = make_partition(12, 3, seed=5)
-    blocks = plan.split(np.arange(12.0))
+    blocks = _blocks(plan, np.arange(12.0))
     assert len(blocks) == 3
     for l, v in enumerate(blocks):
         assert np.all(np.diff(v) > 0)  # original order preserved
@@ -74,9 +80,26 @@ def test_split_order_and_mismatch():
 def test_split_blocks_of_a_matrix():
     plan = make_partition(11, 4, seed=2)
     X = np.arange(22.0).reshape(11, 2)
-    for l, block in enumerate(plan.split(X)):
+    for l, block in enumerate(_blocks(plan, X)):
         assert np.array_equal(block, X[np.flatnonzero(plan.assignment == l)])
         assert block.flags.c_contiguous
+
+
+def test_split_stacks_blocks_by_size():
+    # 11 rows in 4 subsets: three blocks of 3 rows, then one of 2, cut from
+    # one sorted copy without a copy per block
+    plan = make_partition(11, 4, seed=2)
+    X = np.arange(22.0).reshape(11, 2)
+    big, small = plan.split(X)
+    assert big.shape == (3, 3, 2) and small.shape == (1, 2, 2)
+    assert big.base is not None and big.base is small.base
+
+
+def test_plan_refuses_sizes_split_cannot_stack():
+    for assignment in ([0, 1, 1, 1], [1, 0, 0, 0], [0, 0, 2, 1], [0, -1, 1, 0]):
+        with pytest.raises(ConfigError, match="sizes differ"):
+            PartitionPlan(n_rows=4, M=2, seed=0, assignment=assignment)
+    PartitionPlan(n_rows=5, M=2, seed=0, assignment=[1, 0, 0, 1, 0])
 
 
 def test_assignment_cuts_the_permutation_into_blocks():
@@ -91,3 +114,18 @@ def test_assignment_cuts_the_permutation_into_blocks():
         expected[perm[start:start + size]] = l
         start += size
     assert np.array_equal(make_partition(N, M, seed).assignment, expected)
+
+
+def test_appending_a_row_redraws_the_partition():
+    # neighbours substitute a row and keep N: the plan is a function of
+    # (N, M, seed), so it is unchanged.  One appended row re-draws it, so
+    # the sensitivities do not cover add/remove neighbours.
+    N, M = 20_000, 50
+    moved = []
+    for seed in range(10):
+        before = make_partition(N, M, seed).assignment
+        assert np.array_equal(before, make_partition(N, M, seed).assignment)
+        moved.append(int(np.sum(make_partition(N + 1, M, seed).assignment[:N] != before)))
+    assert moved[0] > 0.45 * N  # seed 0: 9,646 rows change subset
+    assert min(moved) > 100
+    assert np.median(moved) > N / 4

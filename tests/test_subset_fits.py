@@ -1,15 +1,19 @@
-"""The subset fits of AD and AM equal whole-model fits on each subset's rows."""
+"""The subset fits of AD and AM equal whole-model fits on each subset's rows,
+and the batched fit core agrees with the per-block pivoted-QR fit."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import synth_dataset
 
 from dprep import (
     ConfigError,
     Dataset,
+    DegenerateIntervalError,
+    SingularFitError,
     TransformDomainError,
     average_overlap,
     build_fixed_region,
@@ -19,6 +23,8 @@ from dprep import (
     make_partition,
     parse_formula,
 )
+from dprep import linmod
+from dprep.linmod import RANK_TOL, design_with_response, fit_stack
 
 
 def _subset_fits(ds, model, plan):
@@ -70,7 +76,8 @@ def test_average_overlap_equals_per_subset_fit_ols(M):
                                      _subset_fits(ds, m1, plan))):
         ci0 = confidence_interval(f0, "x1", 0.9)
         ci1 = confidence_interval(f1, "x1", 0.9)
-        assert res.ci_pairs[l] == (ci0, ci1)
+        assert [res.lower[0, l], res.upper[0, l]] == [ci0.lower, ci0.upper]
+        assert [res.lower[1, l], res.upper[1, l]] == [ci1.lower, ci1.upper]
         c = max(0.0, min(ci0.upper, ci1.upper) - max(ci0.lower, ci1.lower))
         assert res.nus[l] == 0.5 * (c / ci0.length + c / ci1.length)
 
@@ -99,3 +106,184 @@ def test_design_is_built_before_any_fit():
         compute_indicator_count(ds, model, "x", build_fixed_region(0.0, 1.0), plan)
     with pytest.raises(TransformDomainError):
         average_overlap(ds, parse_formula("y ~ x"), model, "x", plan)
+
+
+# ------------------------------------------------ the per-block pivoted fit
+
+def _pivoted_fit(X, y):
+    """Reference: one block fitted alone by pivoted QR, the rank rule on its
+    diagonal.  Returns None for a refused block, else (beta, stderrs)."""
+    n, k = X.shape
+    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= RANK_TOL * diag.max():
+        return None
+    beta = np.empty(k)
+    beta[piv] = scipy.linalg.solve_triangular(R, Q.T @ y)
+    residuals = y - X @ beta
+    r_inv = scipy.linalg.solve_triangular(R, np.eye(k))
+    diag_xtx_inv = np.empty(k)
+    diag_xtx_inv[piv] = np.sum(r_inv * r_inv, axis=1)
+    return beta, np.sqrt(residuals @ residuals / (n - k) * diag_xtx_inv)
+
+
+def _assert_matches_pivoted_fits(Xy, plan):
+    for stack in plan.split(Xy):
+        fit = fit_stack(stack)
+        for b, block in enumerate(stack):
+            ref = _pivoted_fit(block[:, :-1], block[:, -1])
+            assert fit.singular[b] == (ref is None)
+            if ref is not None:
+                np.testing.assert_allclose(fit.coefficients[b], ref[0], rtol=1e-10, atol=0)
+                np.testing.assert_allclose(fit.stderrs[b], ref[1], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("formula", MODELS + ["z ~ x1 + sq(x2)"])
+@pytest.mark.parametrize("M", [2, 7, 10])
+def test_stack_fits_match_pivoted_fits(formula, M):
+    ds = _dataset()
+    model = parse_formula(formula)
+    Xy, _ = design_with_response(ds, model)
+    _assert_matches_pivoted_fits(Xy, make_partition(ds.n_rows, M, seed=M))
+
+
+@pytest.fixture(scope="module")
+def paper_scale():
+    return synth_dataset(160_000, seed=5)
+
+
+@pytest.mark.parametrize("formula", ["y ~ x1 + x2 + x3",
+                                     "y ~ x1 + sq(x2) + x1:x3 + log(x1)"])
+@pytest.mark.parametrize("M", [25, 1000, 5000])
+def test_stack_fits_match_pivoted_fits_at_paper_scale(paper_scale, formula, M):
+    model = parse_formula(formula)
+    Xy, _ = design_with_response(paper_scale, model)
+    _assert_matches_pivoted_fits(Xy, make_partition(paper_scale.n_rows, M, seed=M + 3))
+
+
+def test_rank_decisions_match_pivoted_rule_across_conditioning():
+    # blocks of 3-row binary designs, many of them singular, and blocks whose
+    # third column leans on the first by 10^-e, e from 0 to 16
+    rng = np.random.default_rng(8)
+    binary = np.concatenate([np.ones((400, 3, 1)),
+                             rng.integers(0, 2, (400, 3, 2)).astype(float)], axis=2)
+    binary = np.concatenate([binary, rng.normal(size=(400, 1, 3))], axis=1)
+    x = rng.normal(size=(65, 30, 2))
+    lean = 10.0 ** -np.linspace(0, 16, 65)[:, None, None]
+    ladder = np.concatenate([x, x[:, :, :1] + lean * rng.normal(size=(65, 30, 1))], axis=2)
+    for X in (binary, ladder):
+        y = rng.normal(size=X.shape[:2])
+        fit = fit_stack(np.concatenate([X, y[..., None]], axis=2))
+        expected = [_pivoted_fit(X[b], y[b]) is None for b in range(len(X))]
+        assert fit.singular.tolist() == expected
+        assert 0 < sum(expected) < len(X)
+
+
+# ------------------------------------------- the certificate and its limits
+
+def _block(rho, rng, n=40):
+    """A 3-column block whose pivoted QR has diagonal ratio about rho: its
+    third column is the first plus rho times a direction orthogonal to both."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, 3)))
+    return Q @ np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, rho]])
+
+
+def _pivoted_ratio(X):
+    R, _ = scipy.linalg.qr(X, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return diag.min() / diag.max()
+
+
+def test_ill_conditioned_full_rank_block_goes_to_the_pivoted_rule(monkeypatch):
+    rng = np.random.default_rng(4)
+    X = np.stack([_block(1.0, rng), _block(1e-8, rng)])
+    assert 1e-9 < _pivoted_ratio(X[1]) < 1e-7
+    calls = []
+    rule = linmod._pivoted_rank_deficient
+
+    def counted(block):
+        calls.append(block)
+        return rule(block)
+
+    monkeypatch.setattr(linmod, "_pivoted_rank_deficient", counted)
+    fit = fit_stack(np.concatenate([X, rng.normal(size=(2, 40, 1))], axis=2))
+    assert fit.singular.tolist() == [False, False]
+    assert len(calls) == 1 and np.array_equal(calls[0], X[1])
+
+
+def test_rank_deficient_blocks_refused_without_linalg_error():
+    rng = np.random.default_rng(6)
+    under = _block(0.9 * RANK_TOL, rng)
+    assert 0.5 * RANK_TOL < _pivoted_ratio(under) < RANK_TOL
+    constant = np.column_stack([np.ones(40), rng.normal(size=40), np.full(40, 2.0)])
+    zero = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
+    X = np.stack([_block(1.0, rng), under, constant, zero])
+    fit = fit_stack(np.concatenate([X, rng.normal(size=(4, 40, 1))], axis=2))  # no LinAlgError
+    assert fit.singular.tolist() == [False, True, True, True]
+    assert np.all(np.isfinite(fit.coefficients[0]))
+
+
+# ------------------------------------- which singular subset is named first
+
+def _first_failure(ds, models, plan):
+    """(subset, model index, message) of the first fit that a per-subset
+    loop over (subset, model0, model1) cannot make, or None."""
+    for l in range(plan.M):
+        rows = np.flatnonzero(plan.assignment == l)
+        sub = Dataset({k: v[rows] for k, v in ds.columns.items()})
+        for m, model in enumerate(models):
+            try:
+                fit_ols(sub, model)
+            except SingularFitError as exc:  # InsufficientDataError included
+                return l, m, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("constant, formula1", [
+    ({"u": [2, 3], "v": [1, 3]}, "y ~ x + v"),  # both stacks, both models
+    ({"u": [2, 3], "v": [3]}, "y ~ x + v"),     # subset 2, model0
+    ({"u": [3], "v": [3]}, "y ~ x + v"),        # only in the smaller stack
+    ({"u": [], "v": [0, 2]}, "y ~ x + v"),      # subset 0, model1
+    # model1 needs 6 rows and the smaller stack's subsets have 5
+    ({"u": [3], "v": []}, "y ~ x + v + w + z"),
+    ({"u": [], "v": []}, "y ~ x + v + w + z"),
+])
+def test_first_failing_subset_is_named_in_subset_then_model_order(constant, formula1):
+    plan = make_partition(23, 4, seed=7)  # subsets of 6, 6, 6 and 5 rows
+    rng = np.random.default_rng(2)
+    cols = {name: rng.normal(size=23) for name in ("x", "u", "v", "w", "z", "y")}
+    for name, subsets in constant.items():
+        cols[name][np.isin(plan.assignment, subsets)] = 1.5
+    ds = Dataset(cols)
+    models = (parse_formula("y ~ x + u"), parse_formula(formula1))
+    l, m, message = _first_failure(ds, models, plan)
+    with pytest.raises(SingularFitError) as info:
+        average_overlap(ds, *models, "x", plan)
+    assert str(info.value) == f"subset {l}, model{m}: {message}"
+    assert (info.value.subset, info.value.model) == (l, f"model{m}")
+    for model in models:
+        expected = _first_failure(ds, (model,), plan)
+        region = build_fixed_region(0.0, 1.0)
+        if expected is None:
+            compute_indicator_count(ds, model, "x", region, plan)
+            continue
+        with pytest.raises(SingularFitError) as info:
+            compute_indicator_count(ds, model, "x", region, plan)
+        assert str(info.value) == f"subset {expected[0]}: {expected[2]}"
+        assert info.value.subset == expected[0]
+
+
+@pytest.mark.parametrize("zero_y, constant_u, error", [
+    (1, 2, DegenerateIntervalError),  # the zero-width interval comes first
+    (2, 1, SingularFitError),
+])
+def test_zero_width_interval_and_singular_fit_in_subset_order(zero_y, constant_u, error):
+    plan = make_partition(23, 4, seed=7)
+    rng = np.random.default_rng(5)
+    cols = {name: rng.normal(size=23) for name in ("x", "u", "y")}
+    cols["y"][plan.assignment == zero_y] = 0.0  # fitted exactly: zero stderr
+    cols["u"][plan.assignment == constant_u] = 1.5
+    ds = Dataset(cols)
+    with pytest.raises(error, match="zero standard error" if error is DegenerateIntervalError
+                       else f"subset {constant_u}, model1"):
+        average_overlap(ds, parse_formula("y ~ x"), parse_formula("y ~ x + u"), "x", plan)

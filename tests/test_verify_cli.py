@@ -320,7 +320,7 @@ def test_cli_budget_status(tmp_path, table, capsys):
 
 
 @pytest.mark.parametrize("kind", ["torn", "missing-key", "value-not-a-number",
-                                  "non-utf8"])
+                                  "huge-int-epsilon", "huge-int-value", "non-utf8"])
 @pytest.mark.parametrize("command", ["budget-status", "ad-verify"])
 def test_cli_corrupt_ledger_exits_2(tmp_path, table, capsys, command, kind):
     ledger = tmp_path / "ledger.ndjson"
