@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,15 @@ class PartitionPlan:
     def sizes(self) -> np.ndarray:
         return _block_sizes(self.n_rows, self.M)
 
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Rows sorted by subset, computed once per plan.  Stable, so each
+        block keeps row order; narrow keys let numpy radix-sort."""
+        keys = self.assignment.astype(np.min_scalar_type(self.M - 1))
+        order = np.argsort(keys, kind="stable")
+        order.setflags(write=False)
+        return order
+
     def split(self, values) -> list[np.ndarray]:
         """``values`` (indexed by row along its first axis) cut into at most
         two stacks of equally sized subset blocks, in subset order: shape
@@ -58,9 +68,7 @@ class PartitionPlan:
             raise ConfigError(
                 f"plan covers {self.n_rows} rows but the data has {len(values)}"
             )
-        # stable, so each block keeps row order; narrow keys let numpy radix-sort
-        keys = self.assignment.astype(np.min_scalar_type(self.M - 1))
-        ordered = np.take(values, np.argsort(keys, kind="stable"), axis=0)
+        ordered = np.take(values, self._order, axis=0)
         base, extra = divmod(self.n_rows, self.M)
         cut = extra * (base + 1)
         stacks = [ordered[:cut].reshape(extra, base + 1, *ordered.shape[1:]),

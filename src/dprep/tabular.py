@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,26 +131,68 @@ def encode_categoricals(header, rows, schema) -> Dataset:
                 raise IngestionError(
                     f"categorical column {name!r} is constant (single level {levels[0]!r})"
                 )
-            # reference level = levels[0]; indicators for the rest
-            for level in levels[1:]:
-                out[f"{name}_{level}"] = np.array(
-                    [1.0 if cell == level else 0.0 for cell in cells]
-                )
+            out.update(_indicators(name, cells, levels))
+    return Dataset(out)
+
+
+def _indicators(name, cells, levels) -> dict[str, np.ndarray]:
+    """``<name>_<level>`` indicators for every level but the reference, ``levels[0]``."""
+    code = {level: k for k, level in enumerate(levels)}
+    codes = np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
+    return {f"{name}_{level}": (codes == k).astype(np.float64)
+            for k, level in enumerate(levels[1:], start=1)}
+
+
+def _read_columns(path, header, skiprows, schema, delimiter) -> Dataset:
+    """The data rows parsed in bulk by numpy.  Raises ValueError, TypeError
+    or IngestionError wherever the per-cell path might differ: a header it
+    refuses, a row of the wrong length, a cell numpy cannot parse, a
+    non-finite number, a constant column, a level that is padded, a
+    missing token or holds a NUL (which csv refuses before Python 3.11)."""
+    if len(set(header)) != len(header) or not set(schema) <= set(header):
+        raise ValueError("header left to the per-cell path")
+    kinds = [schema.get(name, "numeric") for name in header]
+    dtype = [(f"f{i}", "f8" if kind == "numeric" else "O") for i, kind in enumerate(kinds)]
+    # newline="" as for csv: a quoted line break stays as written
+    with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a table with no data rows warns
+        table = np.loadtxt(fh, dtype, comments=None, delimiter=delimiter,
+                           skiprows=skiprows, quotechar='"', ndmin=1)
+    out: dict[str, np.ndarray] = {}
+    for i, (name, kind) in enumerate(zip(header, kinds)):
+        cells = table[f"f{i}"]
+        if kind == "numeric":
+            out[name] = cells
+            continue
+        levels = sorted(set(cells))
+        if len(levels) < 2 or any(level != level.strip() or "\0" in level
+                                  or level.lower() in _MISSING for level in levels):
+            raise ValueError(f"column {name!r} left to the per-cell path")
+        out.update(_indicators(name, cells, levels))
     return Dataset(out)
 
 
 def read_table(path, schema, delimiter: str = ",") -> Dataset:
     """Read a delimited text file (header row required) into a Dataset.
 
-    ``schema`` may be a mapping or a path to a JSON schema file.
+    ``schema`` may be a mapping or a path to a JSON schema file.  The data
+    rows are parsed in bulk by numpy; when that parse fails or meets a cell
+    the per-cell path might treat differently, the table is re-read cell by
+    cell (``encode_categoricals``), which words every error and also reads
+    cells numpy refuses but ``float`` accepts (``1_000``, full-width digits).
     """
     if not isinstance(schema, dict):
         schema = read_schema(schema)
-    with open(os.fspath(path), encoding="utf-8", newline="") as fh:
+    path = os.fspath(path)
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file, expected a header row") from None
+        try:
+            return _read_columns(path, header, reader.line_num, schema, delimiter)
+        except (ValueError, TypeError, IngestionError):
+            pass  # numpy refuses the delimiter or a cell, or a check above failed
         rows = [row for row in reader if row]
     return encode_categoricals(header, rows, schema)

@@ -95,6 +95,18 @@ def test_split_stacks_blocks_by_size():
     assert big.base is not None and big.base is small.base
 
 
+def test_split_sorts_once_per_plan(monkeypatch):
+    plan = make_partition(11, 4, seed=2)
+    X = np.arange(22.0).reshape(11, 2)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    first, second = plan.split(X), plan.split(X)
+    assert len(sorts) == 1
+    assert len(first) == len(second) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 def test_plan_refuses_sizes_split_cannot_stack():
     for assignment in ([0, 1, 1, 1], [1, 0, 0, 0], [0, 0, 2, 1], [0, -1, 1, 0]):
         with pytest.raises(ConfigError, match="sizes differ"):

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from dprep import Dataset, IngestionError, encode_categoricals, read_schema, read_table
+from dprep import Dataset, IngestionError, encode_categoricals, read_schema, read_table, tabular
 
 
 def test_two_level_categorical_single_indicator():
@@ -93,3 +95,131 @@ def test_dataset_invariants():
         ds.column("a")[0] = 99.0  # columns are read-only
     with pytest.raises(IngestionError, match="no column"):
         ds.column("zzz")
+
+
+# ------------------------------------------- bulk parse against the per-cell path
+
+def _per_cell(path, schema, delimiter=","):
+    """The oracle: ``encode_categoricals`` over ``csv.reader`` rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    return encode_categoricals(header, rows, schema)
+
+
+def _outcome(read, path, schema, delimiter=","):
+    """The Dataset read, or the error text (csv before Python 3.11 refuses NUL)."""
+    try:
+        return read(path, schema, delimiter)
+    except (IngestionError, csv.Error, UnicodeDecodeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same(want, got):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        assert got.column(name).dtype == want.column(name).dtype
+        assert np.array_equal(got.column(name), want.column(name))
+
+
+NUM = {"a": "numeric", "b": "numeric"}
+CAT = {"a": "numeric", "g": "categorical"}
+# name -> (file text, schema, delimiter)
+CORPUS = {
+    "padded numbers": (" a , b \n 1 ,\t2.5\n3\t, -4 \n", {}, ","),
+    "underscore digits": ("a,b\n1_000,2\n3,4\n", NUM, ","),
+    "full-width digits": ("a,b\n１２,2\n3,4\n", NUM, ","),
+    "inf numeric": ("a,b\n1,2\ninf,4\n", NUM, ","),
+    "1e400 numeric": ("a,b\n1,2\n1e400,4\n", NUM, ","),
+    "NaN numeric": ("a,b\n1,2\nNaN,4\n", NUM, ","),
+    "NULL numeric": ("a,b\n1,NULL\n3,4\n", NUM, ","),
+    "na numeric": ("a,b\n1,2\n3,na\n", NUM, ","),
+    "empty quoted numeric": ('a,b\n1,2\n"",4\n', NUM, ","),
+    "inf level": ("a,g\n1,inf\n2,x\n3,1e400\n", CAT, ","),
+    "NaN level": ("a,g\n1,x\n2,NaN\n", CAT, ","),
+    "NULL level": ("a,g\n1,NULL\n2,x\n", CAT, ","),
+    "na level": ("a,g\n1,x\n2, na \n", CAT, ","),
+    "empty quoted level": ('a,g\n1,x\n2,""\n', CAT, ","),
+    "quoted cells": ('a,g\n"1","x"\n2,"y, z"\n"3",x\n', CAT, ","),
+    "doubled quote": ('a,g\n1,"say ""x"""\n2,y\n', CAT, ","),
+    "quoted newline in data": ('a,g\n1,"x\ny"\n2,y\n3,"x\r\ny"\n', CAT, ","),
+    "quoted newline in header": ('"a\nb",g\n1,x\n2,y\n', {"g": "categorical"}, ","),
+    "quote inside cell": ('a,g\n1,x"y"\n2,"x"y\n', CAT, ","),
+    "blank lines": ("a,b\n\n1,2\n\n\n3,4\n\n", NUM, ","),
+    "whitespace-only line": ("a,b\n1,2\n  \n3,4\n", NUM, ","),
+    "whitespace-only line, one column": ("a\n1\n \t\n3\n", {}, ","),
+    "CRLF": ("a,g\r\n1,x\r\n2,y\r\n", CAT, ","),
+    "CR": ("a,g\r1,x\r2,y\r", CAT, ","),
+    "no final newline": ("a,g\n1,x\n2,y", CAT, ","),
+    "hash-leading cell": ("a,g\n#1,x\n2,y\n", CAT, ","),
+    "hash-leading level": ("a,g\n1,#x\n2,y\n", CAT, ","),
+    "trailing delimiter": ("a,b\n1,2,\n3,4,\n", NUM, ","),
+    "short row": ("a,b\n1,2\n3\n", NUM, ","),
+    "long row": ("a,b\n1,2\n3,4,5\n", NUM, ","),
+    "long row, categorical": ("a,g\n1,x\n2,y,5\n", CAT, ","),
+    "padded levels": ("a,g\n1,x\n2, x\n3,y \n", CAT, ","),
+    "levels differing by case": ("a,g\n1,x\n2,X\n3,x\n", CAT, ","),
+    "constant level": ("a,g\n1,x\n2,x\n", CAT, ","),
+    "NUL in a level": ("a,g\n1,x\x00\n2,y\n", CAT, ","),
+    "non-ASCII level": ("a,g\n1,é\n2,e\n", CAT, ","),
+    "one data row": ("a,b\n1,2\n", NUM, ","),
+    "header only": ("a,b\n", NUM, ","),
+    "duplicate header": ("a,a\n1,2\n", {}, ","),
+    "schema column missing": ("a,b\n1,2\n", {"c": "numeric"}, ","),
+    "non-numeric": ("a,b\n1,2\n3,oops\n", NUM, ","),
+    "semicolon": ("a;g\n1.5;x\n2;y\n", CAT, ";"),
+    "semicolon, decimal comma": ("a;b\n1,5;2\n", NUM, ";"),
+    "tab": ("a\tg\n1\tx\n 2 \ty\n", CAT, "\t"),
+    "tab, empty field": ("a\tb\n1\t\n", NUM, "\t"),
+    "newline delimiter": ("a\nb\n1\n", {}, "\n"),
+    "quote delimiter": ('a"b\n1"2\n', {}, '"'),
+    # past the first block the header read decodes
+    "invalid UTF-8": ("a,g\n" + "1,x\n2,y\n" * 2000 + "3,\udcff\n", CAT, ","),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", CORPUS)
+def test_read_table_matches_per_cell_path(tmp_path, name):
+    text, schema, delimiter = CORPUS[name]
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    _assert_same(_outcome(_per_cell, path, schema, delimiter),
+                 _outcome(read_table, path, schema, delimiter))
+
+
+def _seeded_table(tmp_path, n=20_000, seed=5):
+    rng = np.random.default_rng(seed)
+    x = np.char.mod("%.6f", rng.normal(size=n))
+    g = np.array(["low", "mid", "high", "top"])[rng.integers(0, 4, n)]
+    path = tmp_path / "seeded.csv"
+    path.write_text("x,g\n" + "".join(f"{a},{b}\n" for a, b in zip(x, g)))
+    return path, {"x": "numeric", "g": "categorical"}
+
+
+def test_read_table_matches_per_cell_path_on_seeded_table(tmp_path):
+    path, schema = _seeded_table(tmp_path)
+    ds = read_table(path, schema)
+    _assert_same(_per_cell(path, schema), ds)
+    assert ds.column_names == ("x", "g_low", "g_mid", "g_top")  # "high" is the reference
+
+
+def test_clean_tables_load_without_the_per_cell_path(tmp_path, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("per-cell path used")
+
+    monkeypatch.setattr(tabular, "encode_categoricals", per_cell)
+    path, schema = _seeded_table(tmp_path, n=500)
+    assert read_table(path, schema).n_rows == 500
+    for name in ("padded numbers", "quoted cells", "doubled quote", "quoted newline in data",
+                 "quoted newline in header", "blank lines", "CRLF", "CR",
+                 "no final newline", "hash-leading level", "levels differing by case",
+                 "non-ASCII level", "one data row", "semicolon", "tab"):
+        text, schema, delimiter = CORPUS[name]
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        read_table(path, schema, delimiter)

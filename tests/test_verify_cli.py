@@ -3,13 +3,14 @@ import math
 
 import pytest
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, synth_dataset
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, replace_row, synth_dataset
 
 from dprep import (
     ADConfig,
     AMConfig,
     BudgetLedger,
     InversionAssumption,
+    TransformDomainError,
     ad_verify,
     am_verify,
     build_fixed_region,
@@ -126,6 +127,27 @@ def test_delta_resolution_rules():
     assert resolve_delta(ADConfig(M=4, epsilon=1.0), inflated) == \
            pytest.approx(expected)
     assert resolve_delta(ADConfig(M=4, epsilon=1.0, delta=0.37), inflated) == 0.37
+
+
+@pytest.mark.parametrize("framework", ["ad", "am"])
+def test_pre_release_failure_spends_no_epsilon(tmp_path, framework):
+    # log of a non-positive cell fails before the release: the ledger file
+    # is left byte-identical
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n")
+    before = ledger.read_bytes()
+    ds = replace_row(synth_dataset(120, seed=4), 7, {"x1": 0.0})
+    budget = BudgetLedger(cap=2.0, path=ledger)
+    with pytest.raises(TransformDomainError, match="log"):
+        if framework == "ad":
+            ad_verify(ds, parse_formula("y ~ log(x1) + x2"), "x2",
+                      build_fixed_region(0.0, math.inf),
+                      ADConfig(M=4, epsilon=1.0, seed=3), budget)
+        else:
+            am_verify(ds, parse_formula("y ~ x2 + x3"), parse_formula("y ~ log(x1) + x2"),
+                      "x2", AMConfig(M=4, epsilon=1.0, seed=5), budget)
+    assert ledger.read_bytes() == before
+    assert budget.spent == 0.5
 
 
 def test_ledger_append_precedes_report_emission(tmp_path, table):
