@@ -1,11 +1,12 @@
 """Verification against alternative data: tolerance regions, noised indicator
-counts, and the exact Gibbs posterior for the fraction of in-region subsets.
+counts, and the exact posterior for the fraction of in-region subsets.
 
 The pipeline is: partition the confidential data, fit the published model on
 each subset, count how many subset coefficients land in the tolerance region
-(S, custodian-only), release S + Laplace(0, 1/epsilon), and sample the joint
-posterior of (r, S) given the noisy count.  Only the noisy count and
-posterior summaries ever cross the privacy boundary.
+(S, custodian-only), release S + Laplace(0, 1/epsilon), and draw (r, S)
+exactly from their posterior given the noisy count; the ``burn_in`` of
+``ADConfig.mcmc`` is unused.  Only the noisy count and posterior summaries
+ever cross the privacy boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr, xlogy
+from scipy.special import betaln, gammaln, ndtr
 
 from .errors import ConfigError, InsufficientDataError, SingularFitError
 from .linmod import (
@@ -120,6 +121,9 @@ class ADConfig:
 
     delta=None resolves to 0.5 for fixed regions and to 0.9 * delta_star
     for inflated ones at verification time; set it explicitly to override.
+    mcmc=(burn_in, keep): keep is the number of posterior draws; burn_in is
+    validated and echoed in the report but unused, since the draws are
+    exact and independent.
     """
 
     M: int
@@ -235,75 +239,48 @@ def theta_hat(r_samples: np.ndarray, delta: float) -> float:
     return float(np.mean(np.asarray(r_samples) >= delta))
 
 
-def _r_free_logweights(s_noisy: float, M: int, eps: float) -> np.ndarray:
-    """-eps*|s_noisy - s| + log C(M, s) for s in 0..M: the S-conditional without r."""
+def s_marginal_logweights(
+    s_noisy: float, M: int, eps: float, a: float, b: float
+) -> np.ndarray:
+    """Unnormalized log p(S = s | s_noisy) for s in 0..M, with r integrated out.
+
+    The weight of s is exp(-eps*|s_noisy - s|) * C(M, s) * B(s + a, M - s + b):
+    the Laplace likelihood times the Beta-Binomial prior of the count.
+    """
     s_grid = np.arange(M + 1)
     log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
-    return -eps * np.abs(s_noisy - s_grid) + log_binom
-
-
-def s_conditional_logweights(
-    s_noisy: float, M: int, eps: float, r: float, r_free: np.ndarray | None = None
-) -> np.ndarray:
-    """Unnormalized log-weights of the count's conditional on s in 0..M.
-
-    The weight of s is exp(-eps*|s_noisy - s|) * C(M, s) * r^s (1-r)^(M-s);
-    xlogy keeps the endpoints r = 0, 1 finite.  A sampler passes in
-    ``r_free = _r_free_logweights(...)`` so that part is computed once.
-    """
-    if r_free is None:
-        r_free = _r_free_logweights(s_noisy, M, eps)
-    s_grid = np.arange(M + 1)
-    return r_free + xlogy(s_grid, r) + xlogy(M - s_grid, 1.0 - r)
+    return (-eps * np.abs(s_noisy - s_grid) + log_binom
+            + betaln(s_grid + a, M - s_grid + b))
 
 
 def gibbs_posterior(released: ADReleased, delta: float | None = None) -> ADPosterior:
-    """Exact two-block Gibbs sampler for (r, S) given the noisy count.
+    """Exact i.i.d. draws of (r, S) given the noisy count.
 
-    Both full conditionals are available in closed form, so no proposal
-    tuning is needed:
-
-    * r | S is Beta(S + a, M - S + b);
-    * S | r, s_noisy is the discrete distribution over 0..M with weight
-      proportional to exp(-eps*|s_noisy - s|) * C(M, s) * r^s (1-r)^(M-s),
-      normalized by direct summation.
-
-    M, epsilon, the prior, the chain lengths and the seed all come from
-    ``released.config``.  The chain starts from S = round(clamp(s_noisy,
-    0, M)), discards the burn-in, and keeps the configured number of draws.
+    S takes only the values 0..M, so r integrates out in closed form: each
+    pair is S drawn from its marginal (``s_marginal_logweights``, normalized
+    by direct summation), then r | S ~ Beta(S + a, M - S + b).  There is no
+    chain to mix.  M, epsilon, the prior and the seed come from
+    ``released.config``; ``keep`` of ``config.mcmc`` is the number of draws.
     """
     config = released.config
     if delta is None:
         delta = config.delta if config.delta is not None else 0.5
 
     M = config.M
-    eps = config.eps
     a, b = config.prior
-    burn_in, keep = config.mcmc
-    s_noisy = released.s_noisy
-
-    r_free = _r_free_logweights(s_noisy, M, eps)
+    _, keep = config.mcmc
+    logw = s_marginal_logweights(released.s_noisy, M, config.eps, a, b)
+    weights = np.exp(logw - logw.max())
     rng = RngStream(config.seed).child("ad-gibbs").generator
-    S = int(round(min(max(s_noisy, 0.0), float(M))))
-
-    r_samples = np.empty(keep)
-    s_samples = np.empty(keep, dtype=np.intp)
-    for t in range(burn_in + keep):
-        r = beta_conditional(rng, S, M, a, b)
-        logw = s_conditional_logweights(s_noisy, M, eps, r, r_free)
-        logw -= logw.max()
-        cdf = np.cumsum(np.exp(logw))
-        S = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
-        if t >= burn_in:
-            r_samples[t - burn_in] = r
-            s_samples[t - burn_in] = S
+    s_samples = rng.choice(M + 1, size=keep, p=weights / weights.sum())
+    r_samples = beta_conditional(rng, s_samples, M, a, b)
     return ADPosterior(r_samples=r_samples, s_samples=s_samples, delta=delta)
 
 
 def beta_conditional(
-    rng: np.random.Generator, S: int, M: int, a: float, b: float, size=None
+    rng: np.random.Generator, S, M: int, a: float, b: float, size=None
 ):
-    """Draw r | S from its exact Beta(S + a, M - S + b) conditional."""
+    """Draw r | S from its exact Beta(S + a, M - S + b) conditional, elementwise in S."""
     return rng.beta(S + a, M - S + b, size=size)
 
 

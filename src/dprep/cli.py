@@ -35,18 +35,18 @@ from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
 
-def _float_inf(text: str) -> float:
+def _number(text: str, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"cannot parse number {text!r}") from None
+        raise ConfigError(f"cannot parse {kind.__name__} {text!r}") from None
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_pair(text: str, what: str, kind=float) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return _float_inf(parts[0]), _float_inf(parts[1])
+    return _number(parts[0], kind), _number(parts[1], kind)
 
 
 def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
@@ -55,12 +55,12 @@ def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be lo:hi:count")
-        lo, hi, count = _float_inf(parts[0]), _float_inf(parts[1]), int(parts[2])
+        lo, hi, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
         if count < 1:
             raise ConfigError(f"grid count must be positive in {text!r}")
         grid = np.linspace(lo, hi, count)
     else:
-        grid = np.array([_float_inf(v) for v in text.split(",") if v.strip()])
+        grid = np.array([_number(v) for v in text.split(",") if v.strip()])
         if grid.size == 0:
             raise ConfigError(f"grid {text!r} is empty")
     return np.round(grid).astype(int) if integer else grid
@@ -81,7 +81,7 @@ def _resolve_seed(args) -> int:
 def _build_region(args, n_subset: int | None):
     spec = args.region
     if spec.startswith("inflate:"):
-        alpha = _float_inf(spec.split(":", 1)[1])
+        alpha = _number(spec.split(":", 1)[1])
         for name in ("gamma_o", "sigma_o", "n0"):
             if getattr(args, name, None) is None:
                 raise ConfigError(
@@ -93,7 +93,7 @@ def _build_region(args, n_subset: int | None):
     if ":" not in spec:
         raise ConfigError(f"--region must be lo:hi or inflate:ALPHA, got {spec!r}")
     lo, hi = spec.split(":", 1)
-    return build_fixed_region(_float_inf(lo), _float_inf(hi))
+    return build_fixed_region(_number(lo), _number(hi))
 
 
 def _check_out_paths(args) -> None:
@@ -142,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tolerance region lo:hi (inf allowed) or inflate:ALPHA")
     p.add_argument("--delta", type=float, default=None,
                    help="degree of certainty (default 0.5 fixed, 0.9*delta_star inflated)")
-    p.add_argument("--mcmc", default="500,1000", help="burn_in,keep (default 500,1000)")
+    p.add_argument("--mcmc", default="500,1000",
+                   help="burn_in,keep: keep posterior draws; burn_in is unused "
+                        "(default 500,1000)")
     p.add_argument("--gamma-o", type=float, default=None, help="published coefficient")
     p.add_argument("--sigma-o", type=float, default=None, help="published standard error")
     p.add_argument("--n0", type=int, default=None, help="original-study sample size")
@@ -230,13 +232,12 @@ def _cmd_ad_verify(args) -> int:
     _check_out_paths(args)
     dataset = read_table(args.input, args.schema, args.delimiter)
     seed = _resolve_seed(args)
-    burn_in, keep = (int(v) for v in args.mcmc.split(","))
     config = ADConfig(
         M=args.M,
         epsilon=args.epsilon,
         delta=args.delta,
         prior=_parse_pair(args.prior, "--prior"),
-        mcmc=(burn_in, keep),
+        mcmc=_parse_pair(args.mcmc, "--mcmc", int),
         seed=seed,
     )
     region = _build_region(args, dataset.n_rows // args.M)

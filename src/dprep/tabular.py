@@ -180,6 +180,7 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
     the per-cell path might treat differently, the table is re-read cell by
     cell (``encode_categoricals``), which words every error and also reads
     cells numpy refuses but ``float`` accepts (``1_000``, full-width digits).
+    Non-UTF-8 bytes and fields over csv's size limit raise IngestionError.
     """
     if not isinstance(schema, dict):
         schema = read_schema(schema)
@@ -188,11 +189,17 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
+            try:
+                return _read_columns(path, header, reader.line_num, schema, delimiter)
+            except (ValueError, TypeError, IngestionError):
+                pass  # numpy refuses the delimiter or a cell, or a check above failed
+            rows = [row for row in reader if row]
         except StopIteration:
             raise IngestionError(f"{path}: empty file, expected a header row") from None
-        try:
-            return _read_columns(path, header, reader.line_num, schema, delimiter)
-        except (ValueError, TypeError, IngestionError):
-            pass  # numpy refuses the delimiter or a cell, or a check above failed
-        rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise IngestionError(
+                f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})"
+            ) from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
     return encode_categoricals(header, rows, schema)

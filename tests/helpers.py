@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from dprep import Dataset, NoisyRelease
+from dprep import Dataset, NoisyRelease, RngStream
 
 
 def synth_dataset(
@@ -58,3 +59,43 @@ BAD_LEDGER_RECORDS = {
 }
 # a record torn inside a timestamp holding bytes that are not UTF-8
 TORN_NON_UTF8 = b'{"timestamp": "\xff\xfe'
+
+
+def s_conditional_logweights(s_noisy: float, M: int, eps: float, r: float) -> np.ndarray:
+    """Unnormalized log-weights of S | r, s_noisy over 0..M:
+    exp(-eps*|s_noisy - s|) * C(M, s) * r^s (1-r)^(M-s); xlogy keeps the
+    endpoints r = 0, 1 finite."""
+    s_grid = np.arange(M + 1)
+    log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
+    return (-eps * np.abs(s_noisy - s_grid) + log_binom
+            + xlogy(s_grid, r) + xlogy(M - s_grid, 1.0 - r))
+
+
+def gibbs_oracle(released, burn_in: int, keep: int, thin: int = 1):
+    """Reference two-block Gibbs sampler for (r, S) given the noisy count.
+
+    Alternates r | S ~ Beta(S + a, M - S + b) with S | r drawn from
+    ``s_conditional_logweights``, starting from S = round(clamp(s_noisy, 0,
+    M)).  With thin=1 it reproduces the draws of the Gibbs sampler dprep
+    used before the collapsed one; thin keeps every thin-th sweep after the
+    burn-in.  Returns (r_samples, s_samples).
+    """
+    config = released.config
+    M, eps, (a, b) = config.M, config.eps, config.prior
+    s_noisy = released.s_noisy
+    rng = RngStream(config.seed).child("ad-gibbs").generator
+    S = int(round(min(max(s_noisy, 0.0), float(M))))
+
+    r_samples = np.empty(keep)
+    s_samples = np.empty(keep, dtype=np.intp)
+    for t in range(burn_in + keep * thin):
+        r = rng.beta(S + a, M - S + b)
+        logw = s_conditional_logweights(s_noisy, M, eps, r)
+        logw -= logw.max()
+        cdf = np.cumsum(np.exp(logw))
+        S = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
+        kept, rest = divmod(t - burn_in, thin)
+        if t >= burn_in and rest == 0:
+            r_samples[kept] = r
+            s_samples[kept] = S
+    return r_samples, s_samples

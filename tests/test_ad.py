@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc
 
-from helpers import synth_dataset
+from helpers import gibbs_oracle, s_conditional_logweights, synth_dataset
 
 from dprep import (
     ADConfig,
@@ -26,7 +27,7 @@ from dprep import (
     robustness_contour,
     theta_hat,
 )
-from dprep.ad import ADReleased, beta_conditional, s_conditional_logweights
+from dprep.ad import ADReleased, beta_conditional, s_marginal_logweights
 
 
 def _released(s_noisy, M, eps=1.0, seed=0, prior=(1.0, 1.0), mcmc=(500, 1000)):
@@ -164,10 +165,18 @@ def test_r_conditional_is_exact_beta():
     assert ks < 0.03
 
 
+def _exact_s_pmf(s_noisy, M, eps, a=1.0, b=1.0):
+    """p(S | s_noisy) over 0..M from scipy's Beta-Binomial prior times the
+    Laplace likelihood, independent of the package's log-weights."""
+    s = np.arange(M + 1)
+    w = stats.betabinom.pmf(s, M, a, b) * np.exp(-eps * np.abs(s_noisy - s))
+    return w / w.sum()
+
+
 def test_s_conditional_two_point_oracle():
-    # M=1, eps=1, s_noisy=0.3, r=0.5:
-    # P(S=0) = e^{-0.3}*0.5 / (e^{-0.3}*0.5 + e^{-0.7}*0.5) = 1/(1+e^{-0.4})
-    logw = s_conditional_logweights(0.3, M=1, eps=1.0, r=0.5)
+    # M=1, eps=1, s_noisy=0.3, flat prior: B(1, 2) = B(2, 1) = 1/2, so
+    # P(S=0) = e^{-0.3} / (e^{-0.3} + e^{-0.7}) = 1/(1+e^{-0.4})
+    logw = s_marginal_logweights(0.3, M=1, eps=1.0, a=1.0, b=1.0)
     w = np.exp(logw - logw.max())
     w /= w.sum()
     assert w[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.4)), abs=1e-12)
@@ -175,9 +184,59 @@ def test_s_conditional_two_point_oracle():
 
 
 def test_s_conditional_handles_r_endpoints():
+    # the reference Gibbs sampler's S | r weights
     for r in (0.0, 1.0):
         logw = s_conditional_logweights(2.0, M=5, eps=1.0, r=r)
         assert np.isfinite(logw).sum() == 1  # all mass on S=0 (or S=M)
+
+
+EXACT_CASES = [(20, 1.0, 9.7), (200, 0.01, 120.0), (1000, 1.0, 512.3)]
+
+
+@pytest.mark.parametrize("M, eps, s_noisy", EXACT_CASES)
+def test_s_draws_match_exact_marginal(M, eps, s_noisy):
+    # chi-square goodness of fit of 20,000 S draws, bins with expected
+    # count below 5 pooled; fixed seed, tolerance p > 0.001
+    post = gibbs_posterior(_released(s_noisy, M, eps=eps, seed=3, mcmc=(0, 20_000)))
+    expected = 20_000 * _exact_s_pmf(s_noisy, M, eps)
+    observed = np.bincount(post.s_samples, minlength=M + 1)
+    big = expected >= 5
+    obs, exp = list(observed[big]), list(expected[big])
+    if not big.all():
+        obs.append(observed[~big].sum())
+        exp.append(expected[~big].sum())
+    assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("M, eps, s_noisy, delta",
+                         [case + (d,) for case in EXACT_CASES for d in (0.5, 0.51)])
+def test_theta_hat_matches_exact_value(M, eps, s_noisy, delta):
+    # exact theta = sum_S p(S | z) * P(r >= delta | S), r | S ~ Beta(S+1, M-S+1)
+    s = np.arange(M + 1)
+    exact = float(np.sum(_exact_s_pmf(s_noisy, M, eps) * (1 - betainc(s + 1, M - s + 1, delta))))
+    post = gibbs_posterior(_released(s_noisy, M, eps=eps, seed=4, mcmc=(0, 20_000)))
+    mc_sd = math.sqrt(exact * (1 - exact) / 20_000)
+    assert abs(theta_hat(post.r_samples, delta) - exact) <= 4 * mc_sd
+
+
+def test_theta_hat_spread_across_seeds_at_small_epsilon():
+    # eps=0.01, M=200: the Laplace likelihood is nearly flat, where a Gibbs
+    # chain of 500 + 1000 sweeps mixed poorly (sd 0.128 over 12 seeds);
+    # 1000 independent draws give sd about sqrt(0.58 * 0.42 / 1000) = 0.016
+    thetas = [gibbs_posterior(_released(120.0, M=200, eps=0.01, seed=seed)).theta_hat
+              for seed in range(20)]
+    assert np.std(thetas) <= 0.03
+
+
+@pytest.mark.parametrize("M, s_noisy", [(20, 9.7), (1000, 512.3)])
+def test_r_draws_match_reference_gibbs(M, s_noisy):
+    # at eps=1 the reference chain mixes within a few sweeps; thinned to
+    # every 10th sweep its 2,000 draws are close to independent.  Two-sample
+    # KS tolerance: p > 0.001
+    post = gibbs_posterior(_released(s_noisy, M, eps=1.0, seed=8, mcmc=(0, 20_000)))
+    reference, _ = gibbs_oracle(_released(s_noisy, M, eps=1.0, seed=9),
+                                burn_in=500, keep=2000, thin=10)
+    assert stats.ks_2samp(post.r_samples, reference).pvalue > 1e-3
 
 
 def test_gibbs_reproducible_and_in_range():

@@ -100,19 +100,28 @@ def test_dataset_invariants():
 # ------------------------------------------- bulk parse against the per-cell path
 
 def _per_cell(path, schema, delimiter=","):
-    """The oracle: ``encode_categoricals`` over ``csv.reader`` rows."""
+    """The oracle: ``encode_categoricals`` over ``csv.reader`` rows, with
+    undecodable bytes and csv's own errors (before Python 3.11 it refuses
+    NUL) worded as ``read_table`` words them."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        try:
+            header = next(reader)
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise IngestionError(
+                f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})"
+            ) from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
     return encode_categoricals(header, rows, schema)
 
 
 def _outcome(read, path, schema, delimiter=","):
-    """The Dataset read, or the error text (csv before Python 3.11 refuses NUL)."""
+    """The Dataset read, or the error text."""
     try:
         return read(path, schema, delimiter)
-    except (IngestionError, csv.Error, UnicodeDecodeError) as exc:
+    except IngestionError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -357,3 +357,48 @@ def test_cli_corrupt_ledger_exits_2(tmp_path, table, capsys, command, kind):
     assert f"{ledger}:2:" in capsys.readouterr().err
     assert ledger.read_bytes() == before
     assert not (tmp_path / "release.json").exists()
+
+
+# tables the per-cell path cannot read; each bad row sits past the first
+# block the header read decodes
+UNREADABLE_TABLES = {
+    "non-utf8": b"x1,x2,x3,y\n" + b"1,2,3,4\n" * 2000 + b"5,6,\xff,8\n",
+    "field-over-csv-limit": b"x1,x2,x3,y\n" + b"1,2,3,4\n" * 2000
+                            + b"5,6," + b"x" * 200_000 + b",8\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_TABLES))
+@pytest.mark.parametrize("command", ["fit", "ad-verify"])
+def test_cli_unreadable_table_exits_2(tmp_path, table, capsys, command, kind):
+    _, schema = table
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(UNREADABLE_TABLES[kind])
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n")
+    before = ledger.read_bytes()
+    if command == "fit":
+        args = ["fit", "--input", str(bad), "--schema", str(schema),
+                "--model", "y ~ x1 + x2 + x3"]
+    else:
+        args = _ad_args((bad, schema), tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "release.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("mcmc", "5"), ("mcmc", "a,b"), ("mcmc", "1,2,3"),
+                                         ("gamma-grid", "0:1:x")])
+def test_cli_malformed_numbers_exit_2(tmp_path, table, capsys, flag, value):
+    if flag == "mcmc":
+        args = _ad_args(table, tmp_path, mcmc=value)
+    else:
+        args = ["ad-mselect", f"--gamma-grid={value}", "--m-grid", "5,10",
+                "--sigma-o", "97", "--n0", "154442", "--N", "160364",
+                "--epsilon", "1", "--region", "500:inf", "--out", str(tmp_path / "grid.csv")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "ledger.ndjson").exists()
+    assert not (tmp_path / "release.json").exists()
+    assert not (tmp_path / "grid.csv").exists()
