@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -155,26 +156,32 @@ class NoisyRelease:
         )
 
 
-def _read_records(fh, path: str):
-    """Yield the records of an open ledger file.  A line that is not a valid
-    record (a torn write, a missing field) raises LedgerCorruptError naming
-    ``path:line``: skipping it would understate the budget spent.
+def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
+    """The records in ``data``, ledger bytes that start on a line boundary,
+    and the number of lines they span.  A line that is not a valid record
+    (a torn write, a missing field) raises LedgerCorruptError naming
+    ``path:line``, counting from ``first_line``: skipping it would
+    understate the budget spent.
 
-    The file is opened with ``errors="replace"``; records are written as
+    Lines split as in a text-mode read (``\\n``, ``\\r\\n`` or ``\\r``) and
+    bytes decode with ``errors="replace"``; records are written as
     ASCII-only JSON, so a U+FFFD in a line marks bytes that are not UTF-8.
     """
-    for lineno, line in enumerate(fh, start=1):
+    entries = []
+    lineno = first_line - 1
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+    for lineno, line in enumerate(text, start=first_line):
         if not line.strip():
             continue
         try:
             if "\ufffd" in line:
                 raise ValueError("bytes that are not UTF-8")
-            entry = NoisyRelease.from_record(line)
+            entries.append(NoisyRelease.from_record(line))
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise LedgerCorruptError(
                 f"{path}:{lineno}: unreadable ledger record ({exc!r})"
             ) from exc
-        yield entry
+    return entries, lineno - first_line + 1
 
 
 class BudgetLedger:
@@ -186,6 +193,14 @@ class BudgetLedger:
     accepted release is written through to it (under an advisory lock)
     before control returns, so a crash after sampling can never leave an
     unledgered release on disk next to a report.
+
+    Cost: opening validates every record of the file once.  The instance
+    keeps how far it has read (byte offset, line count, ε spent and a
+    SHA-256 of those bytes), so an append reads the file, hashes the bytes
+    already read and parses only the records written since.  When those
+    bytes changed or the file got shorter, the append re-reads and
+    re-validates the whole file instead.  Records other processes appended
+    are added to ``entries`` and ``spent`` when an append reads them.
     """
 
     def __init__(self, cap: float | None = None, path=None):
@@ -195,15 +210,43 @@ class BudgetLedger:
         self.path = os.fspath(path) if path is not None else None
         self._entries: list[NoisyRelease] = []
         self._spent = 0.0
-        if self.path is not None and os.path.exists(self.path):
-            with open(self.path, encoding="utf-8", errors="replace") as fh:
-                self._entries = list(_read_records(fh, self.path))
-            for entry in self._entries:
-                self._spent += entry.epsilon_spent
+        # the file's bytes read so far: their length, lines and hash
+        self._offset = 0
+        self._lines = 0
+        self._seen = hashlib.sha256()
+        if self.path is not None:
+            try:
+                with open(self.path, "rb") as fh:
+                    # a writer holds LOCK_EX while it appends a record
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+                    data = fh.read()
+            except FileNotFoundError:
+                data = b""
+            self._catch_up(data)
         if self.cap is not None and self.spent > self.cap + 1e-9:
             raise BudgetExceededError(
                 f"ledger already holds {self.spent} of budget, above cap {self.cap}"
             )
+
+    def _catch_up(self, data: bytes) -> None:
+        """Take in ``data``, the whole ledger file.  Only the bytes past the
+        offset are parsed when the bytes before it are unchanged and end a
+        line; otherwise the whole file is, from line 1.  A bad record raises
+        before the instance changes."""
+        offset = self._offset
+        prefix = memoryview(data)[:offset]
+        if len(prefix) < offset or prefix[offset - 1:] not in (b"", b"\n") \
+                or hashlib.sha256(prefix).digest() != self._seen.digest():
+            offset = 0
+        lines = self._lines if offset else 0
+        new, count = _parse_records(data[offset:], self.path, lines + 1)
+        if not offset:
+            self._entries, self._spent, self._seen = [], 0.0, hashlib.sha256()
+        for entry in new:  # a left fold in file order, as a fresh open sums
+            self._spent += entry.epsilon_spent
+        self._entries.extend(new)
+        self._seen.update(memoryview(data)[offset:])
+        self._offset, self._lines = len(data), lines + count
 
     @property
     def entries(self) -> tuple:
@@ -228,25 +271,26 @@ class BudgetLedger:
     def append(self, release: NoisyRelease) -> None:
         self.check(release.epsilon_spent)
         if self.path is not None:
-            # the file is the source of truth across processes: recheck the
-            # cap against its contents while holding the lock
-            with open(self.path, "a+", encoding="utf-8", errors="replace") as fh:
+            record = release.to_record().encode() + b"\n"
+            # the file is the source of truth across processes: take in what
+            # others wrote and recheck the cap while holding the lock
+            with open(self.path, "a+b") as fh:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 try:
                     fh.seek(0)
-                    on_disk = sum(e.epsilon_spent for e in _read_records(fh, self.path))
-                    if self.cap is not None and \
-                            on_disk + release.epsilon_spent > self.cap + 1e-9:
-                        raise BudgetExceededError(
-                            f"release of epsilon={release.epsilon_spent} refused: "
-                            f"ledger file already holds {on_disk} of cap {self.cap}"
-                        )
-                    fh.seek(0, os.SEEK_END)
-                    fh.write(release.to_record() + "\n")
+                    data = fh.read()
+                    self._catch_up(data)
+                    self.check(release.epsilon_spent)
+                    if data and not data.endswith(b"\n"):
+                        record = b"\n" + record  # end the last line first
+                    fh.write(record)
                     fh.flush()
                     os.fsync(fh.fileno())
                 finally:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+            self._seen.update(record)
+            self._offset += len(record)
+            self._lines += 1
         self._entries.append(release)
         self._spent += release.epsilon_spent
 

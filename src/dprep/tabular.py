@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import ConfigError, IngestionError
 
 COLUMN_KINDS = ("numeric", "categorical")
 _MISSING = {"", "na", "nan", "null"}
@@ -67,8 +67,14 @@ class Dataset:
 
 def read_schema(path) -> dict[str, str]:
     """Read a JSON schema file mapping column name to 'numeric'|'categorical'."""
-    with open(os.fspath(path), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    path = os.fspath(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or not raw:
         raise IngestionError("schema must be a non-empty JSON object")
     schema = {}
@@ -80,6 +86,11 @@ def read_schema(path) -> dict[str, str]:
             )
         schema[str(name)] = kind
     return schema
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> IngestionError:
+    return IngestionError(
+        f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})")
 
 
 def encode_categoricals(header, rows, schema) -> Dataset:
@@ -180,8 +191,11 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
     the per-cell path might treat differently, the table is re-read cell by
     cell (``encode_categoricals``), which words every error and also reads
     cells numpy refuses but ``float`` accepts (``1_000``, full-width digits).
-    Non-UTF-8 bytes and fields over csv's size limit raise IngestionError.
+    Non-UTF-8 bytes and fields over csv's size limit raise IngestionError;
+    a ``delimiter`` that is not one character raises ConfigError.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     if not isinstance(schema, dict):
         schema = read_schema(schema)
     path = os.fspath(path)
@@ -197,9 +211,7 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
         except StopIteration:
             raise IngestionError(f"{path}: empty file, expected a header row") from None
         except UnicodeDecodeError as exc:
-            raise IngestionError(
-                f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})"
-            ) from None
+            raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
     return encode_categoricals(header, rows, schema)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -219,3 +221,160 @@ def test_append_to_corrupt_ledger_file_writes_nothing(tmp_path):
         release_scalar(1.0, 1.0, PrivacyParams(0.5), ledger, stream)
     assert path.read_bytes() == before
     assert len(ledger.entries) == 1
+
+
+# ---------------------------------------------- appends read only the tail
+
+def _fresh(path):
+    ledger = BudgetLedger(path=path)
+    return ledger.entries, ledger.spent
+
+
+def test_append_takes_in_another_instances_records(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    stream = RngStream(32).child("tail")
+    first = BudgetLedger(cap=1.0, path=path)
+    release_scalar(0.0, 1.0, PrivacyParams(0.3), first, stream)
+    second = BudgetLedger(cap=1.0, path=path)
+    theirs = release_scalar(0.0, 1.0, PrivacyParams(0.4), second, stream)
+    mine = release_scalar(0.0, 1.0, PrivacyParams(0.2), first, stream)
+    assert first.entries[1:] == (theirs, mine)
+    assert (first.entries, first.spent) == _fresh(path)
+    # 0.9 spent: 0.2 more passes the cap, which only the file shows the
+    # second instance
+    release_scalar(0.0, 1.0, PrivacyParams(0.05), first, stream)
+    before = path.read_bytes()
+    with pytest.raises(BudgetExceededError):
+        release_scalar(0.0, 1.0, PrivacyParams(0.1), second, stream)
+    assert (second.entries, second.spent) == _fresh(path)
+    assert path.read_bytes() == before
+
+
+def test_spent_is_a_left_fold_in_file_order(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    stream = RngStream(33).child("fold")
+    ledgers = [BudgetLedger(cap=100.0, path=path) for _ in range(2)]
+    for i, eps in enumerate([0.1, 0.2, 0.3, 1e-3, 0.7, 1 / 3, 0.1, 2.9, 1e-5]):
+        ledger = ledgers[i % 3 % 2]
+        release_scalar(0.0, 1.0, PrivacyParams(eps), ledger, stream)
+        entries, spent = _fresh(path)
+        assert ledger.entries == entries
+        assert ledger.spent.hex() == spent.hex()
+
+
+def test_in_place_rewrite_of_a_read_record_is_caught(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text(LEDGER_RECORD + "\n" + LEDGER_RECORD + "\n")
+    ledger = BudgetLedger(cap=5.0, path=path)
+    inode = path.stat().st_ino
+    with open(path, "r+b") as fh:  # same length, same inode
+        fh.seek(len(LEDGER_RECORD) + 1)
+        fh.write(LEDGER_RECORD.replace('"value": 3.0', '"value": "x"').encode())
+    assert (path.stat().st_ino, path.stat().st_size) == \
+           (inode, 2 * (len(LEDGER_RECORD) + 1))
+    before = path.read_bytes()
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
+        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(34).child("x"))
+    assert path.read_bytes() == before
+    assert ledger.spent == 1.0
+
+
+def test_bad_tail_raises_at_its_line_and_changes_nothing(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    stream = RngStream(35).child("torn")
+    ledger = BudgetLedger(cap=5.0, path=path)
+    for _ in range(2):
+        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    entries, spent = ledger.entries, ledger.spent
+    with open(path, "a", encoding="utf-8") as fh:  # another writer, then a crash
+        fh.write(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS["torn"])
+    before = path.read_bytes()
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:4:")):
+        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    assert path.read_bytes() == before
+    assert (ledger.entries, ledger.spent) == (entries, spent)
+    # once the torn line is cut, the next append reads the valid record
+    path.write_bytes(before[:-len(BAD_LEDGER_RECORDS["torn"])])
+    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    assert len(ledger.entries) == 4
+    assert (ledger.entries, ledger.spent) == _fresh(path)
+
+
+def _replace_with_longer_file(path):
+    # the same length up to the old end, other values: a reader that trusted
+    # the length alone would keep the old records
+    text = path.read_text()
+    swapped = text.replace('"value": 3.0', '"value": 4.0')
+    assert len(swapped) == len(text) and swapped != text
+    tmp = path.with_suffix(".new")
+    tmp.write_text(swapped + LEDGER_RECORD + "\n")
+    os.replace(tmp, path)
+
+
+def _truncate(path):
+    path.write_text(LEDGER_RECORD + "\n")
+
+
+@pytest.mark.parametrize("change", [_replace_with_longer_file, _truncate],
+                         ids=["replaced", "truncated"])
+def test_changed_file_is_reread_from_the_start(tmp_path, change):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text((LEDGER_RECORD + "\n") * 3)
+    ledger = BudgetLedger(cap=5.0, path=path)
+    change(path)
+    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(36).child("re"))
+    assert (ledger.entries, ledger.spent) == _fresh(path)
+    assert len(ledger.entries) == len(path.read_text().splitlines())
+
+
+def test_append_after_a_record_without_newline(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text(LEDGER_RECORD + "\n" + LEDGER_RECORD)
+    ledger = BudgetLedger(cap=5.0, path=path)
+    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(37).child("nl"))
+    assert len(ledger.entries) == 3
+    assert (ledger.entries, ledger.spent) == _fresh(path)
+
+
+def test_record_glued_to_an_unterminated_line_is_caught(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text(LEDGER_RECORD + "\n" + LEDGER_RECORD)
+    ledger = BudgetLedger(cap=5.0, path=path)
+    with open(path, "a", encoding="utf-8") as fh:  # a writer that adds no newline
+        fh.write(LEDGER_RECORD + "\n")
+    with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
+        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(38).child("glue"))
+
+
+def _spend_concurrently(path, start, results):
+    ledger = BudgetLedger(cap=6.0, path=path)
+    stream = RngStream(os.getpid()).child("race")
+    start.wait()
+    accepted, refused_at = 0, []
+    for _ in range(40):
+        try:
+            release_scalar(0.0, 1.0, PrivacyParams(0.1), ledger, stream)
+            accepted += 1
+        except BudgetExceededError:
+            refused_at.append(ledger.spent)
+    results.put((accepted, refused_at))
+
+
+def test_two_processes_never_pass_the_cap(tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    ctx = multiprocessing.get_context("spawn")
+    start, results = ctx.Barrier(2), ctx.Queue()
+    workers = [ctx.Process(target=_spend_concurrently, args=(path, start, results))
+               for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    outcomes = [results.get(timeout=60) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+    assert sum(accepted for accepted, _ in outcomes) == 60
+    for _, refused_at in outcomes:
+        assert all(spent + 0.1 > 6.0 + 1e-9 for spent in refused_at)
+    entries, spent = _fresh(path)
+    assert len(entries) == len(path.read_text().splitlines()) == 60
+    assert spent <= 6.0 + 1e-9

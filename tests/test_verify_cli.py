@@ -402,3 +402,38 @@ def test_cli_malformed_numbers_exit_2(tmp_path, table, capsys, flag, value):
     assert not (tmp_path / "ledger.ndjson").exists()
     assert not (tmp_path / "release.json").exists()
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["ab", ""])
+def test_cli_delimiter_not_one_character_exits_2(tmp_path, table, capsys, value):
+    args = _ad_args(table, tmp_path, delimiter=value)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: delimiter must be one character")
+    assert not (tmp_path / "ledger.ndjson").exists()
+    assert not (tmp_path / "release.json").exists()
+
+
+UNREADABLE_SCHEMAS = {
+    "not-json": b'{"x1": numeric',
+    "non-utf8": b'{"x1": "numeric", "\xff": "numeric"}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_SCHEMAS))
+@pytest.mark.parametrize("command", ["fit", "ad-verify"])
+def test_cli_unreadable_schema_exits_2(tmp_path, table, capsys, command, kind):
+    tbl, _ = table
+    schema = tmp_path / "bad-schema.json"
+    schema.write_bytes(UNREADABLE_SCHEMAS[kind])
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n")
+    before = ledger.read_bytes()
+    if command == "fit":
+        args = ["fit", "--input", str(tbl), "--schema", str(schema),
+                "--model", "y ~ x1 + x2 + x3"]
+    else:
+        args = _ad_args((tbl, schema), tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {schema}: ")
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "release.json").exists()
