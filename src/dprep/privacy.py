@@ -156,7 +156,7 @@ class NoisyRelease:
         )
 
 
-def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
+def _parse_records(data, path: str, first_line: int) -> tuple[list, int]:
     """The records in ``data``, ledger bytes that start on a line boundary,
     and the number of lines they span.  A line that is not a valid record
     (a torn write, a missing field) raises LedgerCorruptError naming
@@ -234,18 +234,18 @@ class BudgetLedger:
         line; otherwise the whole file is, from line 1.  A bad record raises
         before the instance changes."""
         offset = self._offset
-        prefix = memoryview(data)[:offset]
-        if len(prefix) < offset or prefix[offset - 1:] not in (b"", b"\n") \
-                or hashlib.sha256(prefix).digest() != self._seen.digest():
+        view = memoryview(data)
+        if len(data) < offset or view[offset - 1:offset] not in (b"", b"\n") \
+                or hashlib.sha256(view[:offset]).digest() != self._seen.digest():
             offset = 0
         lines = self._lines if offset else 0
-        new, count = _parse_records(data[offset:], self.path, lines + 1)
+        new, count = _parse_records(view[offset:], self.path, lines + 1)
         if not offset:
             self._entries, self._spent, self._seen = [], 0.0, hashlib.sha256()
         for entry in new:  # a left fold in file order, as a fresh open sums
             self._spent += entry.epsilon_spent
         self._entries.extend(new)
-        self._seen.update(memoryview(data)[offset:])
+        self._seen.update(view[offset:])
         self._offset, self._lines = len(data), lines + count
 
     @property
