@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, gammaln, ndtr
 
-from .errors import ConfigError, InsufficientDataError, SingularFitError
-from .linmod import (
-    RANK_DEFICIENT,
-    ModelSpec,
-    coef_position,
-    design_with_response,
-    fit_stack,
-)
+from .errors import ConfigError, SingularFitError
+from .linmod import ModelSpec, coef_position, fit_subsets, subset_failure
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -169,26 +163,19 @@ def compute_indicator_count(
     region: ToleranceRegion,
     plan: PartitionPlan,
 ) -> IndicatorCount:
-    """Fit the model on every subset and count coefficients in the region.
+    """Fit the model on every subset (:func:`~dprep.linmod.fit_subsets`) and
+    count coefficients in the region.
 
-    A singular subset fit aborts the whole run (naming the subset) rather
-    than imputing W_l = 0: the count's sensitivity argument assumes all M
-    subsets produced an indicator.
+    A singular subset fit aborts the whole run (naming the first such
+    subset) rather than imputing W_l = 0: the count's sensitivity argument
+    assumes all M subsets produced an indicator.
     """
-    Xy, names = design_with_response(dataset, model)
+    fit, names = fit_subsets(dataset, model, plan)
     j = coef_position(names, coef)
-    estimates = np.empty(plan.M)
-    start = 0
-    for stack in plan.split(Xy):
-        try:
-            fit = fit_stack(stack)
-        except InsufficientDataError as exc:
-            raise SingularFitError(f"subset {start}: {exc}", subset=start) from exc
-        if fit.singular.any():
-            l = start + int(np.argmax(fit.singular))
-            raise SingularFitError(f"subset {l}: {RANK_DEFICIENT}", subset=l)
-        estimates[start:start + len(stack)] = fit.coefficients[:, j]
-        start += len(stack)
+    if fit.singular.any():
+        l = int(np.argmax(fit.singular))
+        raise SingularFitError(f"subset {l}: {subset_failure(fit, l)}", subset=l)
+    estimates = fit.coefficients[:, j]
     W = region.contains(estimates).astype(np.intp)
     return IndicatorCount(W=W, S=int(W.sum()), estimates=estimates)
 

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import ndtri, xlogy
+from scipy.special import ndtri, stdtrit, xlogy
 
-from .errors import (
-    ConfigError,
-    DegenerateIntervalError,
-    InsufficientDataError,
-    SingularFitError,
-)
-from .linmod import RANK_DEFICIENT, ZERO_SE, ConfidenceInterval, ModelSpec
-from .linmod import design_with_response, fit_stack, t_quantile
+from .errors import ConfigError, DegenerateIntervalError, SingularFitError
+from .linmod import ZERO_SE, ConfidenceInterval, ModelSpec, fit_subsets, subset_failure
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -40,6 +34,8 @@ Z975 = float(ndtri(0.975))  # 1.959964
 
 POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
 
+ZERO_LENGTH = "overlap requires intervals of positive length"
+
 
 def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
     """Symmetric length overlap of two intervals.
@@ -48,9 +44,15 @@ def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
     (c/len(i1) + c/len(i2)) / 2.  Both intervals must have positive length.
     """
     if i1.length <= 0 or i2.length <= 0:
-        raise DegenerateIntervalError("overlap requires intervals of positive length")
-    c = max(0.0, min(i1.upper, i2.upper) - max(i1.lower, i2.lower))
-    return 0.5 * (c / i1.length + c / i2.length)
+        raise DegenerateIntervalError(ZERO_LENGTH)
+    return float(_overlap(i1.lower, i1.upper, i2.lower, i2.upper))
+
+
+def _overlap(lower1, upper1, lower2, upper2):
+    """Elementwise (c/len1 + c/len2) / 2, with c the length of the
+    intersection of [lower1, upper1] and [lower2, upper2]."""
+    c = np.maximum(0.0, np.minimum(upper1, upper2) - np.maximum(lower1, lower2))
+    return 0.5 * (c / (upper1 - lower1) + c / (upper2 - lower2))
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,8 @@ def average_overlap(
     plan: PartitionPlan,
     level: float = 0.95,
 ) -> OverlapResult:
-    """Fit both models on every subset and average the CI overlaps.
+    """Fit both models on every subset (:func:`~dprep.linmod.fit_subsets`)
+    and average the CI overlaps.
 
     The coefficient of interest must appear untransformed in both models so
     that the two intervals live in the same units.  All 2M fits must
@@ -118,49 +121,32 @@ def average_overlap(
             )
     if not 0 < level < 1:
         raise ConfigError(f"level must be in (0, 1), got {level}")
-    designs, columns = [], []
-    for model in (model0, model1):
-        Xy, names = design_with_response(dataset, model)
-        designs.append(plan.split(Xy))
-        columns.append(names.index(coef))
-        del Xy  # the stacks hold a sorted copy; free this one before the next build
+    # model0 is fitted in full before model1's design is built, so only one
+    # design's sorted stacks are alive at a time
+    fits = [fit_subsets(dataset, model, plan) for model in (model0, model1)]
     lower = np.empty((2, plan.M))
     upper = np.empty((2, plan.M))
-    start = 0
-    for stack in zip(*designs):
-        stop = start + len(stack[0])
-        # a loop over subsets stops at the first subset with a failure, and
-        # within it meets them in this order: model0 fit, model0 interval,
-        # model1 fit, model1 interval, overlap
-        fails = np.zeros((5, stop - start), dtype=bool)
-        reasons = [RANK_DEFICIENT, ZERO_SE.format(coef), RANK_DEFICIENT,
-                   ZERO_SE.format(coef), "overlap requires intervals of positive length"]
-        for m, Xy_s in enumerate(stack):
-            try:
-                fit = fit_stack(Xy_s)
-            except InsufficientDataError as exc:
-                fails[2 * m, 0], reasons[2 * m] = True, str(exc)
-                break
-            center = fit.coefficients[:, columns[m]]
-            se = fit.stderrs[:, columns[m]]
-            half = t_quantile(fit.residual_df, (1 + level) / 2) * se
-            lower[m, start:stop] = center - half
-            upper[m, start:stop] = center + half
-            fails[2 * m] = fit.singular
-            fails[2 * m + 1] = se == 0.0
-        else:
-            fails[4] = np.any(upper[:, start:stop] - lower[:, start:stop] <= 0, axis=0)
-        if fails.any():
-            b, kind = divmod(int(np.argmax(fails.T)), 5)
-            l, tag = start + b, f"model{kind // 2}"
-            if kind in (0, 2):
-                raise SingularFitError(f"subset {l}, {tag}: {reasons[kind]}",
-                                       subset=l, model=tag)
-            raise DegenerateIntervalError(reasons[kind])
-        start = stop
-    length = upper - lower
-    c = np.maximum(0.0, np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1]))
-    nus = 0.5 * (c / length[0] + c / length[1])
+    # a loop over subsets would stop at the first subset with a failure, and
+    # within it meet them in this order: model0 fit, model0 interval, model1
+    # fit, model1 interval, overlap
+    fails = np.empty((5, plan.M), dtype=bool)
+    for m, (fit, names) in enumerate(fits):
+        j = names.index(coef)
+        center, se = fit.coefficients[:, j], fit.stderrs[:, j]
+        # the t quantile once per distinct residual df (a plan has at most two)
+        df, row = np.unique(fit.residual_df, return_inverse=True)
+        half = stdtrit(df, (1 + level) / 2)[row] * se
+        lower[m], upper[m] = center - half, center + half
+        fails[2 * m], fails[2 * m + 1] = fit.singular, se == 0.0
+    fails[4] = np.any(upper - lower <= 0, axis=0)
+    if fails.any():
+        l, kind = divmod(int(np.argmax(fails.T)), 5)
+        if kind in (0, 2):
+            tag, fit = f"model{kind // 2}", fits[kind // 2][0]
+            raise SingularFitError(f"subset {l}, {tag}: {subset_failure(fit, l)}",
+                                   subset=l, model=tag)
+        raise DegenerateIntervalError(ZERO_SE.format(coef) if kind < 4 else ZERO_LENGTH)
+    nus = _overlap(lower[0], upper[0], lower[1], upper[1])
     return OverlapResult(nus=nus, nu_bar=float(nus.mean()), lower=lower, upper=upper)
 
 

@@ -97,8 +97,15 @@ def _build_region(args, n_subset: int | None):
 
 
 def _check_out_paths(args) -> None:
-    if getattr(args, "unsafe_debug", None) and args.unsafe_debug == args.out:
-        raise ConfigError("--unsafe-debug path must differ from the release --out path")
+    """Refuse a release report, debug payload or ledger that share one file,
+    however the paths are spelled."""
+    seen = {}
+    for flag, path in (("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
+                       ("--ledger", args.ledger)):
+        if path:
+            clash = seen.setdefault(os.path.realpath(path), flag)
+            if clash != flag:
+                raise ConfigError(f"{flag} and {clash} name the same file {path!r}")
 
 
 def _add_io_args(p, alt_model: bool = False):

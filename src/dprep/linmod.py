@@ -7,7 +7,7 @@ results, and fitting it with permuted rows gives results equal to rounding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +20,7 @@ from .errors import (
     SingularFitError,
     TransformDomainError,
 )
+from .partition import PartitionPlan
 from .tabular import Dataset
 
 TRANSFORMS = ("identity", "log", "square")
@@ -216,16 +217,18 @@ def coef_position(names, which) -> int:
 def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
     """Fit the model on the whole dataset: a stack of one, see :func:`fit_stack`.
 
-    Raises SingularFitError when the design is rank deficient.
+    Raises InsufficientDataError when there are fewer rows than k + 1 and
+    SingularFitError when the design is rank deficient.
     """
     Xy, names = design_with_response(dataset, model)
     fit = fit_stack(Xy[None])
     if fit.singular[0]:
-        raise SingularFitError(RANK_DEFICIENT)
+        short = fit.residual_df[0] < 1
+        raise (InsufficientDataError if short else SingularFitError)(subset_failure(fit, 0))
     return FitResult(
         coefficients=fit.coefficients[0],
         stderrs=fit.stderrs[0],
-        residual_df=fit.residual_df,
+        residual_df=int(fit.residual_df[0]),
         sigma2_hat=float(fit.sigma2_hat[0]),
         coef_index={name: i for i, name in enumerate(names)},
     )
@@ -233,12 +236,12 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
 
 @dataclass(frozen=True)
 class StackFit:
-    """OLS fits of a stack of B equally sized blocks; row b of each array
-    belongs to block b.  The numbers of a ``singular`` block mean nothing."""
+    """OLS fits of B blocks; row b of each array belongs to block b.  The
+    numbers of a ``singular`` block mean nothing."""
 
     coefficients: np.ndarray
     stderrs: np.ndarray
-    residual_df: int
+    residual_df: np.ndarray
     sigma2_hat: np.ndarray
     singular: np.ndarray
 
@@ -258,20 +261,20 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
 
     One batched, unpivoted QR of the blocks [X | y] gives R (the first k
     columns) and Q^T y (the last), so Q is never formed; the estimates and
-    standard errors follow from R^-1.  Raises InsufficientDataError when
-    n < k + 1.  A block is flagged singular exactly when the pivoted rank
-    rule refuses it.  That rule runs only on blocks whose R does not
-    certify acceptance: the |r_ii| of any triangular factor of X lie in
-    [sigma_min, sigma_max], so the pivoted ratio min|r_ii| / max|r_ii| is
-    at least 1 / (||R||_F ||R^-1||_F).  A zero on the diagonal flags the
-    block singular at once: X is then singular to working precision, which
-    the pivoted rule refuses as well.
+    standard errors follow from R^-1.  When n < k + 1 every block is
+    flagged singular and its numbers are NaN.  Otherwise a block is flagged
+    singular exactly when the pivoted rank rule refuses it.  That rule runs
+    only on blocks whose R does not certify acceptance: the |r_ii| of any
+    triangular factor of X lie in [sigma_min, sigma_max], so the pivoted
+    ratio min|r_ii| / max|r_ii| is at least 1 / (||R||_F ||R^-1||_F).  A
+    zero on the diagonal flags the block singular at once: X is then
+    singular to working precision, which the pivoted rule refuses as well.
     """
-    n, k = Xy.shape[1], Xy.shape[2] - 1
+    B, n, k = Xy.shape[0], Xy.shape[1], Xy.shape[2] - 1
+    residual_df = np.full(B, n - k)
     if n < k + 1:
-        raise InsufficientDataError(
-            f"need at least {k + 1} rows to fit {k} coefficients, have {n}"
-        )
+        nan = np.full((B, k), np.nan)
+        return StackFit(nan, nan, residual_df, np.full(B, np.nan), np.ones(B, dtype=bool))
     X, y = Xy[..., :k], Xy[..., k]
     R_aug = np.linalg.qr(Xy, mode="r")
     R = R_aug[:, :k, :k].copy()
@@ -286,8 +289,7 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
 
     beta = (R_inv @ R_aug[:, :k, k:])[..., 0]
     residuals = y - (X @ beta[..., None])[..., 0]
-    residual_df = n - k
-    sigma2_hat = np.einsum("bn,bn->b", residuals, residuals) / residual_df
+    sigma2_hat = np.einsum("bn,bn->b", residuals, residuals) / (n - k)
     diag_xtx_inv = np.einsum("bij,bij->bi", R_inv, R_inv)
     return StackFit(
         coefficients=beta,
@@ -296,6 +298,29 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
         sigma2_hat=sigma2_hat,
         singular=singular,
     )
+
+
+def fit_subsets(
+    dataset: Dataset, model: ModelSpec, plan: PartitionPlan
+) -> tuple[StackFit, list[str]]:
+    """Fit the model on each of the plan's M subsets: row l of the result
+    is subset l.  The design is built once and cut by ``plan.split``; each
+    stack goes through :func:`fit_stack`.  Also returns the design's column
+    names."""
+    Xy, names = design_with_response(dataset, model)
+    stacks = plan.split(Xy)
+    del Xy  # the stacks hold a sorted copy; free this one before fitting
+    fits = [fit_stack(stack) for stack in stacks]
+    return StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
+                      for f in fields(StackFit))), names
+
+
+def subset_failure(fit: StackFit, l: int) -> str:
+    """Why row l of a fit is singular: too few rows, or rank deficiency."""
+    df, k = int(fit.residual_df[l]), fit.coefficients.shape[1]
+    if df < 1:
+        return f"need at least {k + 1} rows to fit {k} coefficients, have {df + k}"
+    return RANK_DEFICIENT
 
 
 @dataclass(frozen=True)

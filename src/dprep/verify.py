@@ -166,8 +166,10 @@ def am_verify(
 
     When an inversion assumption is supplied, the report also carries the
     credible interval for |beta - gamma| implied by the posterior overlap
-    interval at ``invert_mass``.
+    interval at ``invert_mass``, which is checked before any budget is spent.
     """
+    if inversion is not None and not 0 < invert_mass < 1:
+        raise ConfigError(f"mass must be in (0, 1), got {invert_mass}")
     plan = make_partition(dataset.n_rows, config.M, config.seed)
     overlap = average_overlap(dataset, model0, model1, coef, plan, config.level)
     released = release_overlap(overlap, config, ledger)

@@ -24,7 +24,14 @@ from dprep import (
     parse_formula,
 )
 from dprep import linmod
-from dprep.linmod import RANK_TOL, design_with_response, fit_stack
+from dprep.linmod import (
+    RANK_DEFICIENT,
+    RANK_TOL,
+    design_with_response,
+    fit_stack,
+    fit_subsets,
+    subset_failure,
+)
 
 
 def _subset_fits(ds, model, plan):
@@ -106,6 +113,58 @@ def test_design_is_built_before_any_fit():
         compute_indicator_count(ds, model, "x", build_fixed_region(0.0, 1.0), plan)
     with pytest.raises(TransformDomainError):
         average_overlap(ds, parse_formula("y ~ x"), model, "x", plan)
+
+
+# ------------------------------------------------- fit_subsets' contract
+
+@pytest.mark.parametrize("formula", MODELS)
+@pytest.mark.parametrize("M", [2, 7, 10])
+def test_fit_subsets_row_l_is_the_fit_of_subset_l(formula, M):
+    ds = _dataset()
+    plan = make_partition(ds.n_rows, M, seed=M)
+    model = parse_formula(formula)
+    fit, names = fit_subsets(ds, model, plan)
+    Xy, expected_names = design_with_response(ds, model)
+    assert names == expected_names
+    k = len(names)
+    assert fit.coefficients.shape == fit.stderrs.shape == (M, k)
+    for l in range(M):
+        rows = np.flatnonzero(plan.assignment == l)
+        alone = fit_stack(Xy[rows][None])
+        assert np.array_equal(fit.coefficients[l], alone.coefficients[0])
+        assert np.array_equal(fit.stderrs[l], alone.stderrs[0])
+        assert fit.sigma2_hat[l] == alone.sigma2_hat[0]
+        assert fit.residual_df[l] == len(rows) - k
+        assert not fit.singular[l]
+
+
+def test_fit_subsets_marks_short_subsets_singular():
+    # 203 rows in 10 subsets: three of 21 rows, then seven of 20; the model
+    # has 20 coefficients, so only the smaller subsets lack a residual df
+    rng = np.random.default_rng(9)
+    ds = Dataset({f"c{i}": rng.normal(size=203) for i in range(20)})
+    model = parse_formula("c19 ~ " + " + ".join(f"c{i}" for i in range(19)))
+    plan = make_partition(ds.n_rows, 10, seed=4)
+    fit, _ = fit_subsets(ds, model, plan)
+    assert fit.singular.tolist() == [False] * 3 + [True] * 7
+    assert fit.residual_df.tolist() == [1] * 3 + [0] * 7
+    assert np.all(np.isnan(fit.coefficients[3:])) and np.all(np.isnan(fit.stderrs[3:]))
+    assert np.all(np.isfinite(fit.coefficients[:3]))
+    for l in range(3, 10):
+        assert subset_failure(fit, l) == "need at least 21 rows to fit 20 coefficients, have 20"
+    with pytest.raises(SingularFitError, match="subset 3: need at least 21 rows"):
+        compute_indicator_count(ds, model, "c0", build_fixed_region(0.0, 1.0), plan)
+
+
+def test_subset_failure_words_a_rank_deficient_subset():
+    plan = make_partition(40, 4, seed=2)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=40)
+    x[plan.assignment == 2] = 1.5  # collinear with the intercept on subset 2
+    fit, _ = fit_subsets(Dataset({"x": x, "y": rng.normal(size=40)}),
+                         parse_formula("y ~ x"), plan)
+    assert fit.singular.tolist() == [False, False, True, False]
+    assert subset_failure(fit, 2) == RANK_DEFICIENT
 
 
 # ------------------------------------------------ the per-block pivoted fit

@@ -9,6 +9,7 @@ from dprep import (
     ADConfig,
     AMConfig,
     BudgetLedger,
+    ConfigError,
     InversionAssumption,
     TransformDomainError,
     ad_verify,
@@ -150,6 +151,29 @@ def test_pre_release_failure_spends_no_epsilon(tmp_path, framework):
     assert budget.spent == 0.5
 
 
+def test_bad_invert_mass_spends_no_epsilon(tmp_path, table):
+    # the inversion's mass is checked before the release, in the library
+    # and from the command line: the ledger file is left byte-identical
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n")
+    before = ledger.read_bytes()
+    budget = BudgetLedger(cap=2.0, path=ledger)
+    with pytest.raises(ConfigError, match=r"mass must be in \(0, 1\), got 1.5"):
+        am_verify(synth_dataset(120, seed=2), parse_formula("y ~ x1 + x2 + x3"),
+                  parse_formula("y ~ x1 + x3"), "x1", AMConfig(M=4, epsilon=1.0, seed=5),
+                  budget, inversion=InversionAssumption(2.0, 1.0), invert_mass=1.5)
+    assert budget.spent == 0.5
+    tbl, schema = table
+    rc = main(["am-verify", "--input", str(tbl), "--schema", str(schema),
+               "--model", "y ~ x1 + x2 + x3", "--model-alt", "y ~ x1 + x3",
+               "--coef", "x1", "--epsilon", "1", "--M", "4", "--ledger", str(ledger),
+               "--out", str(tmp_path / "am.json"),
+               "--invert", "--l1", "2", "--l2", "1", "--invert-mass", "1.5"])
+    assert rc == 2
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "am.json").exists()
+
+
 def test_ledger_append_precedes_report_emission(tmp_path, table):
     # report path in a missing directory: the run fails, but the spend is
     # already on disk
@@ -245,6 +269,28 @@ def test_cli_unsafe_debug(tmp_path, table):
     clash = _ad_args(table, tmp_path, out="same.json")
     clash += ["--unsafe-debug", str(tmp_path / "same.json")]
     assert main(clash) == 2
+
+
+@pytest.mark.parametrize("out, flag, other", [
+    ("r2.json", "--unsafe-debug", "./r2.json"),
+    ("./ledger.ndjson", "--ledger", "ledger.ndjson"),
+])
+def test_cli_one_file_named_twice_exits_2(tmp_path, table, monkeypatch, capsys,
+                                          out, flag, other):
+    # the report would share a file with the debug payload or the ledger;
+    # the paths are compared after resolving them, before the table is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledger.ndjson").write_text(LEDGER_RECORD + "\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    args = _ad_args(table, tmp_path)
+    args[args.index("--out") + 1] = out
+    if flag == "--ledger":
+        args[args.index("--ledger") + 1] = other
+    else:
+        args += [flag, other]
+    assert main(args) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_cli_inflated_region_and_delta(tmp_path, table):
