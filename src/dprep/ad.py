@@ -170,7 +170,7 @@ def compute_indicator_count(
     subset) rather than imputing W_l = 0: the count's sensitivity argument
     assumes all M subsets produced an indicator.
     """
-    fit, names = fit_subsets(dataset, model, plan)
+    [(fit, names)] = fit_subsets(dataset, [model], plan)
     j = coef_position(names, coef)
     if fit.singular.any():
         l = int(np.argmax(fit.singular))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtri, stdtrit, xlogy
 
 from .errors import ConfigError, DegenerateIntervalError, SingularFitError
@@ -107,8 +106,9 @@ def average_overlap(
     plan: PartitionPlan,
     level: float = 0.95,
 ) -> OverlapResult:
-    """Fit both models on every subset (:func:`~dprep.linmod.fit_subsets`)
-    and average the CI overlaps.
+    """Fit both models on every subset and average the CI overlaps.  One
+    :func:`~dprep.linmod.fit_subsets` call builds one design for both
+    models and sorts its rows once.
 
     The coefficient of interest must appear untransformed in both models so
     that the two intervals live in the same units.  All 2M fits must
@@ -121,9 +121,7 @@ def average_overlap(
             )
     if not 0 < level < 1:
         raise ConfigError(f"level must be in (0, 1), got {level}")
-    # model0 is fitted in full before model1's design is built, so only one
-    # design's sorted stacks are alive at a time
-    fits = [fit_subsets(dataset, model, plan) for model in (model0, model1)]
+    fits = fit_subsets(dataset, [model0, model1], plan)
     lower = np.empty((2, plan.M))
     upper = np.empty((2, plan.M))
     # a loop over subsets would stop at the first subset with a failure, and
@@ -221,7 +219,9 @@ def posterior_nu(released: AMReleased) -> AMPosterior:
     pdf = np.exp(logpdf - logpdf.max())
     norm = np.trapezoid(pdf, grid)
     density = pdf / norm
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(density, grid)])
+    # the cumulative trapezoid rule, in scipy's cumulative_trapezoid's arithmetic
+    steps = np.diff(grid) * (density[1:] + density[:-1]) / 2.0
+    cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf /= cdf[-1]
     rng = RngStream(config.seed).child("am-posterior").generator
     samples = np.interp(rng.random(POSTERIOR_SAMPLES), cdf, grid)

@@ -96,11 +96,13 @@ def _build_region(args, n_subset: int | None):
     return build_fixed_region(_number(lo), _number(hi))
 
 
-def _check_out_paths(args) -> None:
-    """Refuse a release report, debug payload or ledger that share one file,
-    however the paths are spelled."""
+def _check_distinct_paths(args) -> None:
+    """Refuse a table, schema, release report, debug payload or ledger that
+    share one file, however the paths are spelled: a report written over
+    the table it was computed from would destroy the custodian's data."""
     seen = {}
-    for flag, path in (("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
+    for flag, path in (("--input", args.input), ("--schema", args.schema),
+                       ("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
                        ("--ledger", args.ledger)):
         if path:
             clash = seen.setdefault(os.path.realpath(path), flag)
@@ -236,7 +238,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ad_verify(args) -> int:
-    _check_out_paths(args)
+    _check_distinct_paths(args)
     dataset = read_table(args.input, args.schema, args.delimiter)
     seed = _resolve_seed(args)
     config = ADConfig(
@@ -285,7 +287,7 @@ def _cmd_ad_mselect(args) -> int:
 
 
 def _cmd_am_verify(args) -> int:
-    _check_out_paths(args)
+    _check_distinct_paths(args)
     dataset = read_table(args.input, args.schema, args.delimiter)
     seed = _resolve_seed(args)
     config = AMConfig(

@@ -30,6 +30,9 @@ RANK_TOL = 1e-10
 # a fit skips the pivoted rank check only when its unpivoted R bounds the
 # pivoted diagonal ratio above RANK_TOL by at least this factor
 CERTIFICATE_MARGIN = 1e3
+# fit_subsets hands fit_stack whole blocks of at most about this many rows
+# in all, so the copies a fit makes (column gather, the QR's own) stay small
+FIT_CHUNK_ROWS = 1 << 16
 
 RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
 ZERO_SE = "coefficient {!r} has zero standard error; its interval would be a single point"
@@ -157,25 +160,45 @@ def _transform_column(values: np.ndarray, column: str, transform: str) -> np.nda
     return np.log(values)
 
 
+def _design_buffer(
+    dataset: Dataset, models
+) -> tuple[np.ndarray, list[list[int]], list[list[str]]]:
+    """One float64 array holding each distinct column the models need once,
+    in order of first use: the intercept, then every model's terms and its
+    response (a response is the same column as the plain term of its name).
+    Also returns, per model, the buffer columns of its design with the
+    response last (the layout :func:`fit_stack` takes), and its design
+    names."""
+    keys: dict = {"intercept": 0} if any(model.intercept for model in models) else {}
+    layouts, names = [], []
+    for model in models:
+        cols = [0] if model.intercept else []
+        for term in model.terms + (Term.plain(model.response),):
+            cols.append(keys.setdefault(term.factors, len(keys)))
+        layouts.append(cols)
+        names.append((["intercept"] if model.intercept else []) + list(model.term_names))
+    buffer = np.empty((dataset.n_rows, len(keys)))
+    for key, c in keys.items():
+        if key == "intercept":
+            buffer[:, c] = 1.0
+            continue
+        # a term is the product of its transformed factors, in factor order
+        for i, (column, transform) in enumerate(key):
+            values = _transform_column(dataset.column(column), column, transform)
+            if i == 0:
+                buffer[:, c] = values
+            else:
+                buffer[:, c] *= values
+    return buffer, layouts, names
+
+
 def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list[str]]:
     """Design matrix with the response appended as its last column (the
     layout :func:`fit_stack` takes), and the names of the design columns:
     the all-ones ``intercept`` column first iff the intercept is on, then
     term columns in specification order."""
-    n = dataset.n_rows
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    if model.intercept:
-        cols.append(np.ones(n))
-        names.append("intercept")
-    for term in model.terms:
-        col = np.ones(n)
-        for column, transform in term.factors:
-            col = col * _transform_column(dataset.column(column), column, transform)
-        cols.append(col)
-        names.append(term.name)
-    cols.append(dataset.column(model.response))
-    return np.column_stack(cols), names
+    buffer, _, names = _design_buffer(dataset, [model])
+    return buffer, names[0]
 
 
 @dataclass(frozen=True)
@@ -254,46 +277,74 @@ def _pivoted_rank_deficient(X: np.ndarray) -> bool:
     return bool(diag.min() <= RANK_TOL * diag.max())
 
 
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """U = R^-1 for upper-triangular R with a nonzero diagonal, blocks along
+    the last axis (shape (k, k, B)), by back substitution over the rows:
+    U[i] = (e_i - sum_{m>i} r_im U[m]) / r_ii, where U[m] is zero left of m."""
+    k = R.shape[0]
+    U = np.zeros_like(R)
+    # a tiny pivot may overflow; the rank rule, not a warning, judges the block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k - 1, -1, -1):
+            row = U[i]
+            row[i] = 1.0
+            for m in range(i + 1, k):
+                row[m:] -= R[i, m] * U[m, m:]
+            row[i:] /= R[i, i]
+    return U
+
+
 def fit_stack(Xy: np.ndarray) -> StackFit:
     """Fit y on the design X by ordinary least squares for every block of a
     stack Xy of shape (B, n, k + 1): block b is X = Xy[b, :, :k] and
     y = Xy[b, :, k].
 
-    One batched, unpivoted QR of the blocks [X | y] gives R (the first k
-    columns) and Q^T y (the last), so Q is never formed; the estimates and
-    standard errors follow from R^-1.  When n < k + 1 every block is
-    flagged singular and its numbers are NaN.  Otherwise a block is flagged
-    singular exactly when the pivoted rank rule refuses it.  That rule runs
-    only on blocks whose R does not certify acceptance: the |r_ii| of any
-    triangular factor of X lie in [sigma_min, sigma_max], so the pivoted
-    ratio min|r_ii| / max|r_ii| is at least 1 / (||R||_F ||R^-1||_F).  A
-    zero on the diagonal flags the block singular at once: X is then
-    singular to working precision, which the pivoted rule refuses as well.
+    One batched, unpivoted QR of the blocks [X | y] gives everything: its
+    leading k x k block is R, the rest of its last column is Q^T y, and its
+    last diagonal entry is the norm of the residual vector, so neither Q nor
+    the residuals are formed.  R^-1 comes by back substitution; the
+    estimates are R^-1 Q^T y, the squared standard errors are sigma2_hat
+    times the row sums of (R^-1)^2, and sigma2_hat = r_{k+1,k+1}^2 / (n - k).
+    Past the QR every step is elementwise over the blocks, so a block's
+    numbers do not depend on the stack it is fitted in.
+
+    When n < k + 1 every block is flagged singular and its numbers are NaN.
+    Otherwise a block is flagged singular exactly when the pivoted rank
+    rule refuses it.  That rule runs only on blocks whose R does not
+    certify acceptance: the |r_ii| of any triangular factor of X lie in
+    [sigma_min, sigma_max], so the pivoted ratio min|r_ii| / max|r_ii| is
+    at least 1 / (||R||_F ||R^-1||_F).  A zero on the diagonal flags the
+    block singular at once: X is then singular to working precision, which
+    the pivoted rule refuses as well.
     """
     B, n, k = Xy.shape[0], Xy.shape[1], Xy.shape[2] - 1
     residual_df = np.full(B, n - k)
     if n < k + 1:
         nan = np.full((B, k), np.nan)
         return StackFit(nan, nan, residual_df, np.full(B, np.nan), np.ones(B, dtype=bool))
-    X, y = Xy[..., :k], Xy[..., k]
-    R_aug = np.linalg.qr(Xy, mode="r")
-    R = R_aug[:, :k, :k].copy()
-    zero_diag = np.any(np.diagonal(R, axis1=1, axis2=2) == 0, axis=1)
-    R[zero_diag] = np.eye(k)  # keeps inv from failing on the whole stack
-    R_inv = np.linalg.inv(R)
-    cond_bound = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+    # blocks along the last axis from here on
+    R_aug = np.ascontiguousarray(np.moveaxis(np.linalg.qr(Xy, mode="r"), 0, -1))
+    R, qty = R_aug[:k, :k], R_aug[:k, k]
+    zero_diag = np.any(np.diagonal(R) == 0, axis=1)
+    if zero_diag.any():
+        R = R.copy()
+        R[..., zero_diag] = np.eye(k)[..., None]  # keeps the back substitution finite
+    R_inv = _triangular_inverse(R)
+    beta = np.zeros((k, B))
+    diag_xtx_inv = np.zeros((k, B))
+    for j in range(k):
+        beta += R_inv[:, j] * qty[j]
+        diag_xtx_inv += R_inv[:, j] * R_inv[:, j]
+    cond_bound = np.sqrt(np.sum(R * R, axis=(0, 1)) * diag_xtx_inv.sum(axis=0))
     certified = cond_bound * (RANK_TOL * CERTIFICATE_MARGIN) < 1  # False on nan
     singular = zero_diag.copy()
     for b in np.flatnonzero(~(certified | zero_diag)):
-        singular[b] = _pivoted_rank_deficient(X[b])
+        singular[b] = _pivoted_rank_deficient(Xy[b, :, :k])
 
-    beta = (R_inv @ R_aug[:, :k, k:])[..., 0]
-    residuals = y - (X @ beta[..., None])[..., 0]
-    sigma2_hat = np.einsum("bn,bn->b", residuals, residuals) / (n - k)
-    diag_xtx_inv = np.einsum("bij,bij->bi", R_inv, R_inv)
+    sigma2_hat = R_aug[k, k] ** 2 / (n - k)
     return StackFit(
-        coefficients=beta,
-        stderrs=np.sqrt(sigma2_hat[:, None] * diag_xtx_inv),
+        coefficients=beta.T,
+        stderrs=np.sqrt(sigma2_hat * diag_xtx_inv).T,
         residual_df=residual_df,
         sigma2_hat=sigma2_hat,
         singular=singular,
@@ -301,18 +352,34 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
 
 
 def fit_subsets(
-    dataset: Dataset, model: ModelSpec, plan: PartitionPlan
-) -> tuple[StackFit, list[str]]:
-    """Fit the model on each of the plan's M subsets: row l of the result
-    is subset l.  The design is built once and cut by ``plan.split``; each
-    stack goes through :func:`fit_stack`.  Also returns the design's column
-    names."""
-    Xy, names = design_with_response(dataset, model)
-    stacks = plan.split(Xy)
-    del Xy  # the stacks hold a sorted copy; free this one before fitting
-    fits = [fit_stack(stack) for stack in stacks]
-    return StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
-                      for f in fields(StackFit))), names
+    dataset: Dataset, models, plan: PartitionPlan
+) -> list[tuple[StackFit, list[str]]]:
+    """Fit each model on each of the plan's M subsets: row l of a model's
+    fit is subset l.  Returns one (fit, design column names) per model.
+
+    All models share one design buffer (each distinct column once), which
+    ``plan.split`` sorts into subset order once.  A model's stacks are its
+    columns of the sorted buffer, as views when they are a contiguous run
+    of it.  They go through :func:`fit_stack` about ``FIT_CHUNK_ROWS``
+    rows at a time; a block's fit does not depend on the blocks fitted
+    with it."""
+    buffer, layouts, names = _design_buffer(dataset, models)
+    stacks = plan.split(buffer)
+    del buffer  # the stacks hold a sorted copy; free this one before fitting
+    out = []
+    for cols, model_names in zip(layouts, names):
+        if cols == list(range(cols[0], cols[0] + len(cols))):
+            columns = slice(cols[0], cols[-1] + 1)
+        else:
+            columns = cols
+        fits = []
+        for stack in stacks:
+            step = max(1, FIT_CHUNK_ROWS // stack.shape[1])
+            fits += [fit_stack(stack[start:start + step, :, columns])
+                     for start in range(0, len(stack), step)]
+        out.append((StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
+                               for f in fields(StackFit))), model_names))
+    return out
 
 
 def subset_failure(fit: StackFit, l: int) -> str:

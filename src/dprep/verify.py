@@ -4,7 +4,9 @@ This layer owns the privacy boundary.  A release report contains only the
 noised scalar, a configuration echo, posterior summaries, and provenance;
 raw subset statistics (the true count, per-subset indicators, coefficients,
 overlaps, interval pairs) live in a separate custodian-only debug payload
-that is written nowhere unless explicitly requested.
+that is written nowhere unless explicitly requested.  The payload keeps its
+per-subset values as numpy arrays; :func:`write_json` turns them into lists
+only when the payload is written.
 
 Ledger appends happen inside the release step, before any report is
 assembled or written: an unrecorded release would be a privacy accounting
@@ -145,8 +147,8 @@ def ad_verify(
     }
     debug = {
         "true_count": indicators.S,
-        "indicators": [int(w) for w in indicators.W],
-        "subset_estimates": [float(v) for v in indicators.estimates],
+        "indicators": indicators.W,
+        "subset_estimates": indicators.estimates,
         "plan": json.loads(plan.to_record()),
     }
     return report, debug
@@ -219,8 +221,8 @@ def am_verify(
     pairs = np.stack((overlap.lower, overlap.upper), axis=-1).transpose(1, 0, 2)
     debug = {
         "nu_bar": overlap.nu_bar,
-        "nu_per_subset": [float(v) for v in overlap.nus],
-        "interval_pairs": pairs.tolist(),
+        "nu_per_subset": overlap.nus,
+        "interval_pairs": pairs,
         "plan": json.loads(plan.to_record()),
     }
     return report, debug
@@ -260,9 +262,18 @@ def audit_release_report(text: str) -> list[str]:
     return [name for name in FORBIDDEN_RELEASE_FIELDS if f'"{name}"' in text]
 
 
+def _array_to_list(value):
+    """``json.dump``'s hook for the numpy arrays of a debug payload."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; numpy arrays
+    (a debug payload keeps its per-subset values as arrays) become lists."""
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_array_to_list)
         fh.write("\n")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from dprep import Dataset, NoisyRelease, RngStream
+from dprep import linmod
 
 
 def synth_dataset(
@@ -99,3 +100,41 @@ def gibbs_oracle(released, burn_in: int, keep: int, thin: int = 1):
             r_samples[kept] = r
             s_samples[kept] = S
     return r_samples, s_samples
+
+
+def reference_fit_stack(Xy: np.ndarray) -> linmod.StackFit:
+    """Reference fit core: the one dprep used before the triangular inverse.
+
+    The same batched QR of [X | y] and the same rank decisions as
+    ``linmod.fit_stack``, but R^-1 comes from an LU ``np.linalg.inv`` and
+    sigma2_hat from an explicit pass over the residuals y - X beta.
+    """
+    B, n, k = Xy.shape[0], Xy.shape[1], Xy.shape[2] - 1
+    residual_df = np.full(B, n - k)
+    if n < k + 1:
+        nan = np.full((B, k), np.nan)
+        return linmod.StackFit(nan, nan, residual_df, np.full(B, np.nan),
+                               np.ones(B, dtype=bool))
+    X, y = Xy[..., :k], Xy[..., k]
+    R_aug = np.linalg.qr(Xy, mode="r")
+    R = R_aug[:, :k, :k].copy()
+    zero_diag = np.any(np.diagonal(R, axis1=1, axis2=2) == 0, axis=1)
+    R[zero_diag] = np.eye(k)  # keeps inv from failing on the whole stack
+    R_inv = np.linalg.inv(R)
+    cond_bound = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+    certified = cond_bound * (linmod.RANK_TOL * linmod.CERTIFICATE_MARGIN) < 1
+    singular = zero_diag.copy()
+    for b in np.flatnonzero(~(certified | zero_diag)):
+        singular[b] = linmod._pivoted_rank_deficient(X[b])
+
+    beta = (R_inv @ R_aug[:, :k, k:])[..., 0]
+    residuals = y - (X @ beta[..., None])[..., 0]
+    sigma2_hat = np.einsum("bn,bn->b", residuals, residuals) / (n - k)
+    diag_xtx_inv = np.einsum("bij,bij->bi", R_inv, R_inv)
+    return linmod.StackFit(
+        coefficients=beta,
+        stderrs=np.sqrt(sigma2_hat[:, None] * diag_xtx_inv),
+        residual_df=residual_df,
+        sigma2_hat=sigma2_hat,
+        singular=singular,
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import synth_dataset
+from helpers import reference_fit_stack, synth_dataset
 
 from dprep import (
     ConfigError,
@@ -123,7 +123,7 @@ def test_fit_subsets_row_l_is_the_fit_of_subset_l(formula, M):
     ds = _dataset()
     plan = make_partition(ds.n_rows, M, seed=M)
     model = parse_formula(formula)
-    fit, names = fit_subsets(ds, model, plan)
+    fit, names = fit_subsets(ds, [model], plan)[0]
     Xy, expected_names = design_with_response(ds, model)
     assert names == expected_names
     k = len(names)
@@ -138,6 +138,23 @@ def test_fit_subsets_row_l_is_the_fit_of_subset_l(formula, M):
         assert not fit.singular[l]
 
 
+@pytest.mark.parametrize("specs", [
+    [(MODELS[0], True), (MODELS[1], True)],
+    [("y ~ x1 + log(x2) + x1:x3", True), ("z ~ x1 + sq(x2)", True)],
+    [("y ~ x1 + z", True), ("z ~ x1 + y", False)],  # each response a term of the other
+    [("y ~ x1 + x2", False), ("y ~ x2 + x1", True), ("y ~ x1 + x2", True)],
+])
+def test_one_design_for_several_models_fits_each_as_alone(specs):
+    ds = _dataset()
+    plan = make_partition(ds.n_rows, 7, seed=3)
+    models = [parse_formula(formula, intercept=intercept) for formula, intercept in specs]
+    for model, (fit, names) in zip(models, fit_subsets(ds, models, plan)):
+        alone, alone_names = fit_subsets(ds, [model], plan)[0]
+        assert names == alone_names
+        for name in ("coefficients", "stderrs", "residual_df", "sigma2_hat", "singular"):
+            assert np.array_equal(getattr(fit, name), getattr(alone, name))
+
+
 def test_fit_subsets_marks_short_subsets_singular():
     # 203 rows in 10 subsets: three of 21 rows, then seven of 20; the model
     # has 20 coefficients, so only the smaller subsets lack a residual df
@@ -145,7 +162,7 @@ def test_fit_subsets_marks_short_subsets_singular():
     ds = Dataset({f"c{i}": rng.normal(size=203) for i in range(20)})
     model = parse_formula("c19 ~ " + " + ".join(f"c{i}" for i in range(19)))
     plan = make_partition(ds.n_rows, 10, seed=4)
-    fit, _ = fit_subsets(ds, model, plan)
+    fit, _ = fit_subsets(ds, [model], plan)[0]
     assert fit.singular.tolist() == [False] * 3 + [True] * 7
     assert fit.residual_df.tolist() == [1] * 3 + [0] * 7
     assert np.all(np.isnan(fit.coefficients[3:])) and np.all(np.isnan(fit.stderrs[3:]))
@@ -162,7 +179,7 @@ def test_subset_failure_words_a_rank_deficient_subset():
     x = rng.normal(size=40)
     x[plan.assignment == 2] = 1.5  # collinear with the intercept on subset 2
     fit, _ = fit_subsets(Dataset({"x": x, "y": rng.normal(size=40)}),
-                         parse_formula("y ~ x"), plan)
+                         [parse_formula("y ~ x")], plan)[0]
     assert fit.singular.tolist() == [False, False, True, False]
     assert subset_failure(fit, 2) == RANK_DEFICIENT
 
@@ -236,6 +253,77 @@ def test_rank_decisions_match_pivoted_rule_across_conditioning():
         expected = [_pivoted_fit(X[b], y[b]) is None for b in range(len(X))]
         assert fit.singular.tolist() == expected
         assert 0 < sum(expected) < len(X)
+
+
+# ----------------------------------------- the fit core against its reference
+
+def _conditioning_stacks():
+    """The binary and ladder stacks of
+    test_rank_decisions_match_pivoted_rule_across_conditioning, each with
+    its response appended, drawn in the same order from the same seed."""
+    rng = np.random.default_rng(8)
+    binary = np.concatenate([np.ones((400, 3, 1)),
+                             rng.integers(0, 2, (400, 3, 2)).astype(float)], axis=2)
+    binary = np.concatenate([binary, rng.normal(size=(400, 1, 3))], axis=1)
+    x = rng.normal(size=(65, 30, 2))
+    lean = 10.0 ** -np.linspace(0, 16, 65)[:, None, None]
+    ladder = np.concatenate([x, x[:, :, :1] + lean * rng.normal(size=(65, 30, 1))], axis=2)
+    return [np.concatenate([X, rng.normal(size=X.shape[:2])[..., None]], axis=2)
+            for X in (binary, ladder)]
+
+
+def _assert_matches_reference(stack):
+    """Same rank decisions as the reference; the same numbers to rtol 1e-10,
+    or to 10 kappa eps on a block whose condition number kappa makes that
+    larger: there the residual pass and r_{k+1,k+1} are both only that
+    accurate (against a 60-digit evaluation), so they differ by up to
+    ~2e-8 at kappa = 7e8."""
+    fit, ref = fit_stack(stack), reference_fit_stack(stack)
+    assert np.array_equal(fit.singular, ref.singular)
+    ok = ~fit.singular
+    kappa = np.linalg.cond(stack[ok, :, :-1])
+    rtol = np.maximum(1e-10, 10 * kappa * np.finfo(float).eps)
+    for name in ("coefficients", "stderrs", "sigma2_hat"):
+        got, want = getattr(fit, name)[ok], getattr(ref, name)[ok]
+        tol = rtol.reshape(-1, *[1] * (want.ndim - 1)) * np.abs(want)
+        assert np.all(np.abs(got - want) <= tol), name
+
+
+@pytest.mark.parametrize("formula", MODELS + ["z ~ x1 + sq(x2)"])
+@pytest.mark.parametrize("M", [2, 7, 10])
+def test_fit_core_matches_lu_reference(formula, M):
+    ds = _dataset()
+    Xy, _ = design_with_response(ds, parse_formula(formula))
+    for stack in make_partition(ds.n_rows, M, seed=M).split(Xy):
+        _assert_matches_reference(stack)
+
+
+@pytest.mark.parametrize("M", [25, 1000, 5000])
+def test_fit_core_matches_lu_reference_at_paper_scale(paper_scale, M):
+    model = parse_formula("y ~ x1 + sq(x2) + x1:x3 + log(x1)")
+    Xy, _ = design_with_response(paper_scale, model)
+    for stack in make_partition(paper_scale.n_rows, M, seed=M + 3).split(Xy):
+        _assert_matches_reference(stack)
+
+
+@pytest.mark.parametrize("M", [25, 5000])
+def test_fit_subsets_in_chunks_equals_whole_stack_fits(paper_scale, M):
+    # fit_subsets hands fit_stack a few blocks at a time; the fits are the
+    # ones of the whole stacks, bit for bit
+    model = parse_formula("y ~ x1 + sq(x2) + x1:x3 + log(x1)")
+    plan = make_partition(paper_scale.n_rows, M, seed=M)
+    fit, _ = fit_subsets(paper_scale, [model], plan)[0]
+    assert paper_scale.n_rows > linmod.FIT_CHUNK_ROWS  # more than one chunk
+    Xy, _ = design_with_response(paper_scale, model)
+    whole = [fit_stack(stack) for stack in plan.split(Xy)]
+    for name in ("coefficients", "stderrs", "sigma2_hat", "singular"):
+        assert np.array_equal(getattr(fit, name),
+                              np.concatenate([getattr(w, name) for w in whole]))
+
+
+def test_fit_core_matches_lu_reference_across_conditioning():
+    for stack in _conditioning_stacks():
+        _assert_matches_reference(stack)
 
 
 # ------------------------------------------- the certificate and its limits

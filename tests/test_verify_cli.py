@@ -1,5 +1,9 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +22,7 @@ from dprep import (
     parse_formula,
 )
 from dprep.cli import main
+from dprep.tabular import read_table
 from dprep.verify import (
     audit_release_report,
     load_json,
@@ -483,3 +488,89 @@ def test_cli_unreadable_schema_exits_2(tmp_path, table, capsys, command, kind):
     assert capsys.readouterr().err.startswith(f"error: {schema}: ")
     assert ledger.read_bytes() == before
     assert not (tmp_path / "release.json").exists()
+
+
+def _am_args(table, tmp_path):
+    tbl, schema = table
+    return ["am-verify", "--input", str(tbl), "--schema", str(schema),
+            "--model", "y ~ x1 + x2 + x3", "--model-alt", "y ~ x1 + x3",
+            "--coef", "x1", "--epsilon", "1", "--M", "4", "--seed", "3",
+            "--ledger", str(tmp_path / "ledger.ndjson"), "--out", str(tmp_path / "am.json")]
+
+
+@pytest.mark.parametrize("framework", ["ad", "am"])
+@pytest.mark.parametrize("flag, target", [
+    ("--out", "./data.csv"),
+    ("--out", "schema.json"),
+    ("--unsafe-debug", "./data.csv"),
+    ("--ledger", "./schema.json"),
+])
+def test_cli_output_onto_an_input_exits_2(tmp_path, table, monkeypatch, capsys,
+                                          framework, flag, target):
+    # a report, debug payload or ledger over the table or the schema is
+    # refused before the table is read: no file changes, no ε is spent
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledger.ndjson").write_text(LEDGER_RECORD + "\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    args = _ad_args(table, tmp_path) if framework == "ad" else _am_args(table, tmp_path)
+    if flag in args:
+        args[args.index(flag) + 1] = target
+    else:
+        args += [flag, target]
+    assert main(args) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_unsafe_debug_files_keep_their_lists(tmp_path, table):
+    # the debug payload holds numpy arrays; its file is the JSON of the
+    # plain lists it held before, byte for byte
+    tbl, schema = table
+    ds = read_table(tbl, schema)
+    assert main(_ad_args(table, tmp_path) + ["--unsafe-debug", str(tmp_path / "ad.json")]) == 0
+    _, debug = ad_verify(ds, parse_formula("y ~ x1 + x2 + x3"), "x2",
+                         build_fixed_region(0.0, math.inf),
+                         ADConfig(M=4, epsilon=1.0, seed=7), BudgetLedger(cap=1.0))
+    assert debug["indicators"].shape == debug["subset_estimates"].shape == (4,)
+    lists = {"true_count": debug["true_count"],
+             "indicators": [int(w) for w in debug["indicators"]],
+             "subset_estimates": [float(v) for v in debug["subset_estimates"]],
+             "plan": debug["plan"]}
+    text = (tmp_path / "ad.json").read_text()
+    assert text == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+
+    assert main(_am_args(table, tmp_path) + ["--unsafe-debug", str(tmp_path / "am.dbg")]) == 0
+    _, debug = am_verify(ds, parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3"),
+                         "x1", AMConfig(M=4, epsilon=1.0, seed=3), BudgetLedger(cap=1.0))
+    assert debug["nu_per_subset"].shape == (4,)
+    assert debug["interval_pairs"].shape == (4, 2, 2)  # subset, model, [lower, upper]
+    lists = {"nu_bar": debug["nu_bar"],
+             "nu_per_subset": [float(v) for v in debug["nu_per_subset"]],
+             "interval_pairs": [[[float(v) for v in ci] for ci in pair]
+                                for pair in debug["interval_pairs"]],
+             "plan": debug["plan"]}
+    text = (tmp_path / "am.dbg").read_text()
+    assert text == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+
+
+def test_am_verify_at_paper_scale_allocates_no_per_subset_objects():
+    # the per-subset values stay in arrays: a verification with M = 5000
+    # does not fill the garbage collector's youngest generation
+    ds = synth_dataset(160_000, seed=5)
+    models = parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x2")
+    config = AMConfig(M=5000, epsilon=1.0, seed=1)
+    am_verify(ds, *models, "x1", config, BudgetLedger(cap=10.0))
+    assert gc.isenabled()
+    before = gc.get_stats()[0]["collections"]
+    am_verify(ds, *models, "x1", config, BudgetLedger(cap=10.0))
+    assert gc.get_stats()[0]["collections"] - before <= 1
+
+
+def test_cli_import_loads_no_scipy_integrate_or_stats():
+    code = ("import sys, dprep.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
+            "'scipy.stats'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
