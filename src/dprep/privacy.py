@@ -13,9 +13,10 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -124,6 +125,8 @@ class NoisyRelease:
             raise ConfigError("sensitivity must be positive and finite")
         if not (isinstance(self.mechanism, str) and isinstance(self.timestamp, str)):
             raise ConfigError("mechanism and timestamp must be strings")
+        # checked last, so a record refused for another reason keeps its message
+        is_bool = isinstance(self.epsilon_spent, bool) or isinstance(self.sensitivity, bool)
         try:  # an int too large for a float would overflow the ledger's sum
             object.__setattr__(self, "value", float(value))
             object.__setattr__(self, "epsilon_spent", float(self.epsilon_spent))
@@ -132,6 +135,8 @@ class NoisyRelease:
             raise ConfigError(
                 "value, epsilon_spent and sensitivity must fit in a float"
             ) from None
+        if is_bool:
+            raise ConfigError("epsilon_spent and sensitivity must be numbers, not booleans")
 
     def to_record(self) -> str:
         return json.dumps(
@@ -156,18 +161,57 @@ class NoisyRelease:
         )
 
 
-def _parse_records(data, path: str, first_line: int) -> tuple[list, int]:
+# a record's keys in the order of NoisyRelease's fields
+_FIELDS = operator.itemgetter("value", "epsilon", "sensitivity", "mechanism", "timestamp")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _record_fields(line: str) -> tuple:
+    record, end = _DECODE(line)  # where this returns, json.loads(line) == record
+    if end != len(line):
+        raise ValueError("trailing text")
+    return _FIELDS(record)
+
+
+def _bulk_records(data: bytes) -> tuple[list, int] | None:
+    """``_parse_records`` in one pass, or None where it does not accept
+    ``data``: bytes that are not ASCII, hold a ``\\r`` or do not end with
+    ``\\n`` (they might split otherwise than a text-mode read), or a record
+    that fails ``NoisyRelease``'s checks, applied here column by column."""
+    if not (data.isascii() and data.endswith(b"\n")) or b"\r" in data:
+        return None
+    lines = data.decode("ascii").split("\n")[:-1]
+    try:  # each dict is dropped as soon as its fields are taken
+        values, epsilons, sensitivities, mechanisms, stamps = zip(*map(_record_fields, lines))
+        numbers = values + epsilons + sensitivities
+        if set(map(type, numbers)) - {int, float} or set(map(type, mechanisms + stamps)) != {str}:
+            return None
+        numbers = list(map(float, numbers))
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return None
+    n = len(lines)
+    if not all(map(math.isfinite, numbers)) or min(numbers[n:]) <= 0:
+        return None
+    return list(zip(numbers[:n], numbers[n:2 * n], numbers[2 * n:], mechanisms, stamps)), n
+
+
+def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
     """The records in ``data``, ledger bytes that start on a line boundary,
-    and the number of lines they span.  A line that is not a valid record
+    as ``(value, epsilon, sensitivity, mechanism, timestamp)`` tuples, and
+    the number of lines they span.  A line that is not a valid record
     (a torn write, a missing field) raises LedgerCorruptError naming
     ``path:line``, counting from ``first_line``: skipping it would
-    understate the budget spent.
+    understate the budget spent.  The per-line loop below decides (and
+    words) whatever ``_bulk_records`` does not accept.
 
     Lines split as in a text-mode read (``\\n``, ``\\r\\n`` or ``\\r``) and
     bytes decode with ``errors="replace"``; records are written as
     ASCII-only JSON, so a U+FFFD in a line marks bytes that are not UTF-8.
     """
-    entries = []
+    bulk = _bulk_records(data)
+    if bulk is not None:
+        return bulk
+    records = []
     lineno = first_line - 1
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
     for lineno, line in enumerate(text, start=first_line):
@@ -176,12 +220,12 @@ def _parse_records(data, path: str, first_line: int) -> tuple[list, int]:
         try:
             if "\ufffd" in line:
                 raise ValueError("bytes that are not UTF-8")
-            entries.append(NoisyRelease.from_record(line))
+            records.append(astuple(NoisyRelease.from_record(line)))
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise LedgerCorruptError(
                 f"{path}:{lineno}: unreadable ledger record ({exc!r})"
             ) from exc
-    return entries, lineno - first_line + 1
+    return records, lineno - first_line + 1
 
 
 class BudgetLedger:
@@ -194,11 +238,13 @@ class BudgetLedger:
     before control returns, so a crash after sampling can never leave an
     unledgered release on disk next to a report.
 
-    Cost: opening validates every record of the file once.  The instance
-    keeps how far it has read (byte offset, line count, ε spent and a
-    SHA-256 of those bytes), so an append reads the file, hashes the bytes
-    already read and parses only the records written since.  When those
-    bytes changed or the file got shorter, the append re-reads and
+    Cost: opening validates every record of the file once, in one bulk
+    pass, or line by line where that pass does not accept the file; each
+    read of ``entries`` builds its ``NoisyRelease`` objects anew.  The
+    instance keeps how far it has read (byte offset, line count, ε spent
+    and a SHA-256 of those bytes), so an append reads the file, hashes the
+    bytes already read and parses only the records written since.  When
+    those bytes changed or the file got shorter, the append re-reads and
     re-validates the whole file instead.  Records other processes appended
     are added to ``entries`` and ``spent`` when an append reads them.
     """
@@ -208,7 +254,7 @@ class BudgetLedger:
             raise ConfigError(f"budget cap must be positive, got {cap}")
         self.cap = cap
         self.path = os.fspath(path) if path is not None else None
-        self._entries: list[NoisyRelease] = []
+        self._records: list[tuple] = []  # NoisyRelease fields per release
         self._spent = 0.0
         # the file's bytes read so far: their length, lines and hash
         self._offset = 0
@@ -239,18 +285,18 @@ class BudgetLedger:
                 or hashlib.sha256(view[:offset]).digest() != self._seen.digest():
             offset = 0
         lines = self._lines if offset else 0
-        new, count = _parse_records(view[offset:], self.path, lines + 1)
+        new, count = _parse_records(data[offset:], self.path, lines + 1)
         if not offset:
-            self._entries, self._spent, self._seen = [], 0.0, hashlib.sha256()
-        for entry in new:  # a left fold in file order, as a fresh open sums
-            self._spent += entry.epsilon_spent
-        self._entries.extend(new)
+            self._records, self._spent, self._seen = [], 0.0, hashlib.sha256()
+        for record in new:  # a left fold in file order, as a fresh open sums
+            self._spent += record[1]
+        self._records.extend(new)
         self._seen.update(view[offset:])
         self._offset, self._lines = len(data), lines + count
 
     @property
     def entries(self) -> tuple:
-        return tuple(self._entries)
+        return tuple(NoisyRelease(*record) for record in self._records)
 
     @property
     def spent(self) -> float:
@@ -291,7 +337,7 @@ class BudgetLedger:
             self._seen.update(record)
             self._offset += len(record)
             self._lines += 1
-        self._entries.append(release)
+        self._records.append(astuple(release))
         self._spent += release.epsilon_spent
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from dprep import Dataset, NoisyRelease, RngStream
+from dprep import ConfigError, Dataset, LedgerCorruptError, NoisyRelease, RngStream
 from dprep import linmod
 
 
@@ -57,9 +58,34 @@ BAD_LEDGER_RECORDS = {
     # finite as a Python int, too large for a float
     "huge-int-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": 1' + "0" * 400),
     "huge-int-value": LEDGER_RECORD.replace('"value": 3.0', '"value": 1' + "0" * 400),
+    "bool-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": true'),
+    "bool-sensitivity": LEDGER_RECORD.replace('"sensitivity": 1.0', '"sensitivity": true'),
 }
 # a record torn inside a timestamp holding bytes that are not UTF-8
 TORN_NON_UTF8 = b'{"timestamp": "\xff\xfe'
+
+
+def parse_records_oracle(data, path: str, first_line: int) -> tuple[list, int]:
+    """Reference ledger parser: the per-line loop dprep used before the bulk
+    pass.  Returns the NoisyRelease of every record in ``data`` and the
+    number of lines they span, or raises LedgerCorruptError naming
+    ``path:line``.
+    """
+    entries = []
+    lineno = first_line - 1
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+    for lineno, line in enumerate(text, start=first_line):
+        if not line.strip():
+            continue
+        try:
+            if "\ufffd" in line:
+                raise ValueError("bytes that are not UTF-8")
+            entries.append(NoisyRelease.from_record(line))
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise LedgerCorruptError(
+                f"{path}:{lineno}: unreadable ledger record ({exc!r})"
+            ) from exc
+    return entries, lineno - first_line + 1
 
 
 def s_conditional_logweights(s_noisy: float, M: int, eps: float, r: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8
+from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, parse_records_oracle
 
 from dprep import (
     BudgetExceededError,
@@ -149,7 +149,8 @@ def test_invalid_parameters():
         NoisyRelease(value=0.0, epsilon_spent=1.0, sensitivity=0.0)
     for bad in ({"value": "abc"}, {"value": True}, {"value": math.nan},
                 {"value": math.inf}, {"mechanism": 5}, {"timestamp": None},
-                {"epsilon_spent": math.inf}, {"sensitivity": math.inf}):
+                {"epsilon_spent": math.inf}, {"sensitivity": math.inf},
+                {"epsilon_spent": True}, {"sensitivity": True}):
         with pytest.raises(ConfigError):
             NoisyRelease(**{"value": 0.0, "epsilon_spent": 1.0, "sensitivity": 1.0,
                             **bad})
@@ -344,6 +345,171 @@ def test_record_glued_to_an_unterminated_line_is_caught(tmp_path):
         fh.write(LEDGER_RECORD + "\n")
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
         release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(38).child("glue"))
+
+
+# ------------------------------------ bulk open against the per-line oracle
+
+def _record(**raw):
+    """A record line; ``raw`` replaces fields by their JSON text."""
+    fields = {"timestamp": '"2026-01-01T00:00:00+00:00"', "mechanism": '"laplace"',
+              "sensitivity": "1.0", "epsilon": "0.25", "value": "12.5", **raw}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+
+
+def _ledger_corpus(seed: int = 1207) -> dict:
+    rng = np.random.default_rng(seed)
+    # the bench's seeded ledger: 2,000 records at epsilon 0.01
+    bench = "".join(
+        NoisyRelease(value=float(v), epsilon_spent=0.01, sensitivity=1.0,
+                     timestamp=f"2026-01-01T00:00:{i % 60:02d}+00:00").to_record() + "\n"
+        for i, v in enumerate(rng.uniform(0.0, 200.0, 2000)))
+    good = [NoisyRelease(value=float(rng.normal(0.0, 1e3)),
+                         epsilon_spent=float(rng.choice([0.01, 0.1, 1 / 3, 1.0, 2.5e-3])),
+                         sensitivity=float(rng.choice([1.0, 1 / 50, 1 / 1000])),
+                         timestamp=f"2026-01-01T00:{i:02d}:00+00:00").to_record()
+            for i in range(40)]
+
+    def among(line, end="\n"):  # ``line`` as the fourth of six lines
+        return "\n".join(good[:3] + [line] + good[3:5]) + end
+
+    lines = {
+        "leading-spaces": "   " + _record(),
+        "trailing-spaces": _record() + " \t ",
+        "extra-keys": _record(run_id='"q-17"', M="50"),
+        "reordered-keys": "{" + ", ".join(reversed(_record()[1:-1].split(", "))) + "}",
+        "duplicate-key": _record()[:-1] + ', "epsilon": 0.75}',
+        "duplicate-key-bad": _record()[:-1] + ', "epsilon": 0}',
+        "int-fields": _record(value="-12", epsilon="1", sensitivity="2"),
+        "negative-zero": _record(value="-0.0"),
+        "true-value": _record(value="true"),
+        "true-epsilon": _record(epsilon="true"),
+        "true-sensitivity": _record(sensitivity="true"),
+        "false-epsilon": _record(epsilon="false"),
+        "null-value": _record(value="null"),
+        "nan-value": _record(value="NaN"),
+        "nan-epsilon": _record(epsilon="NaN"),
+        "infinity-value": _record(value="Infinity"),
+        "minus-infinity-value": _record(value="-Infinity"),
+        "infinity-sensitivity": _record(sensitivity="Infinity"),
+        "1e400-value": _record(value="1e400"),
+        "1e-400-epsilon": _record(epsilon="1e-400"),
+        "huge-int-value": _record(value="1" + "0" * 400),
+        "huge-int-epsilon": _record(epsilon="1" + "0" * 400),
+        "huge-int-sensitivity": _record(sensitivity="1" + "0" * 400),
+        "string-epsilon": _record(epsilon='"0.25"'),
+        "nested-value": _record(value='{"a": 1}'),
+        "nested-timestamp": _record(timestamp='{"a": [1, 2]}'),
+        "list-mechanism": _record(mechanism='["laplace"]'),
+        "deeply-nested-value": _record(value="[" * 100_000 + "]" * 100_000),
+        "missing-key": _record()[:_record().index(', "value"')] + "}",
+        "not-an-object": "[0.5]",
+        "a-number": "12",
+        "null": "null",
+        "two-records-on-a-line": _record() + " " + _record(),
+        "control-character": _record(timestamp='"a\tb"'),
+        "escaped-surrogate": _record(timestamp=r'"\ud800"'),
+        "escaped-u2028": _record(timestamp=r'"a\u2028b"'),
+        "form-feed-before": "\x0c" + _record(),
+        "cr-between-tokens": _record().replace(", ", ",\r "),
+        "crlf-between-tokens": _record().replace(", ", ",\r\n "),
+        "torn-middle": _record()[:30],
+    }
+    corpus = {name: among(line).encode() for name, line in lines.items()}
+    corpus.update({
+        "bench-2000": bench.encode(),
+        "bench-2000-bad-line-1500": bench.replace(
+            bench.splitlines()[1499], _record(epsilon="true")).encode(),
+        "mixed-40": ("\n".join(good) + "\n").encode(),
+        "empty": b"",
+        "one-newline": b"\n",
+        "crlf": ("\r\n".join(good) + "\r\n").encode(),
+        "cr-only": ("\r".join(good) + "\r").encode(),
+        "mixed-endings": (good[0] + "\r\n" + good[1] + "\r" + good[2] + "\n").encode(),
+        "no-final-newline": "\n".join(good).encode(),
+        "blank-lines": ("\n" + "\n\n".join(good[:6]) + "\n\n").encode(),
+        "whitespace-lines": ("\n \t \n".join(good[:6]) + "\n\x0b\x0c\n  \n").encode(),
+        "non-ascii-timestamp": among(_record(timestamp='"2026-01-01T00:00:00 Zürich"')).encode(),
+        "raw-u2028-timestamp": among(_record(timestamp='"a\u2028b"')).encode(),
+        "u+fffd-timestamp": among(_record(timestamp='"\ufffd"')).encode(),
+        "invalid-utf8-timestamp": among(_record(timestamp='"X"')).encode().replace(b"X", b"\xff"),
+        "utf8-bom": ("\ufeff" + "\n".join(good[:5]) + "\n").encode(),
+        "torn-last-line": ("\n".join(good[:5]) + "\n" + _record()[:40]).encode(),
+        "torn-last-line-non-utf8": ("\n".join(good[:5]) + "\n").encode() + TORN_NON_UTF8,
+    })
+    # valid variants mixed at seeded positions, so both paths fold one file
+    variants = [lines[k] for k in ("leading-spaces", "trailing-spaces", "extra-keys",
+                                   "reordered-keys", "duplicate-key", "int-fields")]
+    mixed = good + [variants[i] for i in rng.integers(0, len(variants), 30)] + [""] * 5
+    corpus["mixed-variants"] = ("\n".join(rng.permutation(mixed)) + "\n").encode()
+    return corpus
+
+
+LEDGER_CORPUS = _ledger_corpus()
+
+
+def _fold(entries) -> float:
+    spent = 0.0
+    for entry in entries:
+        spent += entry.epsilon_spent
+    return spent
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CORPUS))
+def test_open_matches_per_line_oracle(tmp_path, name):
+    path, data = tmp_path / "ledger.ndjson", LEDGER_CORPUS[name]
+    path.write_bytes(data)
+    try:
+        entries, count = parse_records_oracle(data, str(path), 1)
+    except (LedgerCorruptError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            BudgetLedger(path=path)
+        assert str(raised.value) == str(exc)
+        return
+    ledger = BudgetLedger(path=path)
+    assert ledger.entries == tuple(entries)
+    assert ledger.spent.hex() == _fold(entries).hex()
+    assert (ledger._lines, ledger._offset) == (count, len(data))
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CORPUS))
+def test_tail_catch_up_matches_per_line_oracle(tmp_path, name):
+    path, data = tmp_path / "ledger.ndjson", LEDGER_CORPUS[name]
+    path.write_text(LEDGER_RECORD + "\n" + " \n" + LEDGER_RECORD + "\n")
+    ledger = BudgetLedger(path=path)
+    head = ledger.entries
+    with open(path, "ab") as fh:  # another writer
+        fh.write(data)
+    before = path.read_bytes()
+    release = NoisyRelease(value=1.0, epsilon_spent=0.5, sensitivity=1.0)
+    try:
+        tail, count = parse_records_oracle(data, str(path), 4)
+    except (LedgerCorruptError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            ledger.append(release)
+        assert str(raised.value) == str(exc)
+        assert (path.read_bytes(), ledger.entries) == (before, head)
+        return
+    ledger.append(release)
+    expected = head + tuple(tail) + (release,)
+    assert ledger.entries == expected
+    assert ledger.spent.hex() == _fold(expected).hex()
+    assert (ledger._lines, ledger._offset) == (3 + count + 1, path.stat().st_size)
+
+
+def test_open_builds_no_release_objects(tmp_path, monkeypatch):
+    path, data = tmp_path / "ledger.ndjson", LEDGER_CORPUS["bench-2000"]
+    path.write_bytes(data)
+    built = []
+    post_init = NoisyRelease.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(NoisyRelease, "__post_init__", counted)
+    ledger = BudgetLedger(path=path)
+    assert len(built) == 0
+    assert ledger.entries == tuple(parse_records_oracle(data, str(path), 1)[0])
 
 
 def _spend_concurrently(path, start, results):
