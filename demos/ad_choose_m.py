@@ -1,7 +1,7 @@
 """Walkthrough: choosing the number of subsets M before spending any budget.
 
-The robustness statistic T is simulated from published quantities only
-(estimate, standard error, sample sizes).  T = 0 marks (gamma, M) cells where
+The robustness statistic T is computed exactly from published quantities
+only (estimate, standard error, sample sizes).  T = 0 marks (gamma, M) cells where
 a single verification could land on either side of 1/2; larger T means a
 stable verdict.  A good M makes T grow quickly as the hypothetical truth
 moves away from the region boundary.
@@ -28,8 +28,6 @@ def main():
         N=160_364,
         epsilon=1.0,
         region=region,
-        K=750,
-        seed=2021,
     )
 
     print("robustness T by hypothetical truth (rows) and M (columns)")

@@ -1,4 +1,4 @@
-"""Walkthrough: reading overlap values through a simulated reference contour.
+"""Walkthrough: reading overlap values through an exact reference contour.
 
 A released average overlap is hard to interpret on its own.  This reference,
 built entirely from published quantities, shows what mean overlap to expect
@@ -28,7 +28,7 @@ def main():
     for corr in (0.0, 0.95):
         grid = reference_contour(
             gamma=1010.0, sigma_gamma=790.0, corr=corr,
-            diff_grid=diffs, ratio_grid=ratios, K=500, seed=2022,
+            diff_grid=diffs, ratio_grid=ratios,
         )
         show(grid, f"mean overlap, corr = {corr} "
                    f"({'worst case' if corr == 0 else 'typical in practice'})")

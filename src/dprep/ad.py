@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr
+from scipy.special import betaln, gammaln, ndtr, xlogy
 
 from .errors import ConfigError, SingularFitError
 from .linmod import ModelSpec, coef_position, fit_subsets, subset_failure
@@ -25,10 +25,12 @@ from .privacy import (
     NoisyRelease,
     PrivacyParams,
     RngStream,
-    laplace_sample,
     release_scalar,
 )
 from .tabular import Dataset
+
+# halvings of a unit bracket: below the spacing of doubles near 1/2
+QUANTILE_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,6 @@ class RobustnessGrid:
     gamma_axis: np.ndarray
     M_axis: np.ndarray
     T: np.ndarray
-    K: int
 
     def to_csv(self) -> str:
         lines = ["gamma\\M," + ",".join(str(int(m)) for m in self.M_axis)]
@@ -319,28 +320,25 @@ def robustness_contour(
     N: int,
     epsilon,
     region: ToleranceRegion,
-    K: int = 750,
-    seed: int = 0,
 ) -> RobustnessGrid:
-    """Simulate the noisy-count fraction to guide the choice of M.
+    """Exact robustness of the noisy-count fraction, to guide the choice of M.
 
-    Per cell (gamma, M): draw M coefficients from Normal(gamma,
-    (n0/n)*sigma_hat_o^2) with n = floor(N/M), count the in-region ones,
-    add Laplace(0, 1/epsilon), and form r_obs = (S + eta)/M; repeat K
-    times.  T is zero when 0.5 sits inside the empirical [q10, q90] of
-    r_obs and the distance from 0.5 to that interval otherwise, so T > 0
-    marks (gamma, M) cells where a single verification is robust.
+    Per cell (gamma, M), with n = floor(N/M) and sd = sigma_hat_o*sqrt(n0/n),
+    S ~ Binomial(M, p) with p = Phi((hi - gamma)/sd) - Phi((lo - gamma)/sd),
+    and r_obs = (S + eta)/M with eta ~ Laplace(0, 1/epsilon).  The CDF of
+    r_obs, sum_s P(S = s) * F_eta(M*x - s), is bisected for q10 and q90.
+    T = max(q10 - 0.5, 0.5 - q90, 0), so T > 0 marks (gamma, M) cells where
+    a single verification is robust.
 
-    Uses only published quantities: no confidential data is touched and no
-    privacy budget is spent.  Cells draw from independent streams keyed by
-    their index, so parallel and serial evaluation give identical grids.
+    Uses only published quantities: no confidential data is touched, no
+    privacy budget is spent and no randomness is drawn.
     """
     gamma_axis = np.atleast_1d(np.asarray(gamma_grid, dtype=float))
     M_axis = np.atleast_1d(np.asarray(M_grid, dtype=int))
     if gamma_axis.size == 0 or M_axis.size == 0:
         raise ConfigError("gamma and M grids must be nonempty")
-    if K < 100:
-        raise ConfigError(f"K must be at least 100, got {K}")
+    if not np.all(np.isfinite(gamma_axis)):
+        raise ConfigError("gamma grid values must be finite")
     if not sigma_hat_o > 0:
         raise ConfigError(f"sigma_hat_o must be positive, got {sigma_hat_o}")
     eps = epsilon.epsilon if isinstance(epsilon, PrivacyParams) else float(epsilon)
@@ -349,21 +347,26 @@ def robustness_contour(
     if np.any(M_axis < 1) or np.any(M_axis > N):
         raise ConfigError("every M must satisfy 1 <= M <= N")
 
-    root = RngStream(seed)
+    q = np.array([0.1, 0.9])
+    eta_q = -np.sign(q - 0.5) * np.log(1 - np.abs(2 * q - 1)) / eps  # Laplace quantiles
     T = np.empty((gamma_axis.size, M_axis.size))
-    for i, gamma in enumerate(gamma_axis):
-        for j, M in enumerate(M_axis):
-            M = int(M)
-            n = N // M
-            sd = sigma_hat_o * math.sqrt(n0 / n)
-            stream = root.child("ad-contour", i * M_axis.size + j)
-            coefs = stream.generator.normal(gamma, sd, size=(K, M))
-            S = region.contains(coefs).sum(axis=1)
-            eta = laplace_sample(stream, 1.0 / eps, size=K)
-            r_obs = (S + eta) / M
-            q10, q90 = np.quantile(r_obs, [0.1, 0.9])
-            if q10 <= 0.5 <= q90:
-                T[i, j] = 0.0
-            else:
-                T[i, j] = q10 - 0.5 if q10 > 0.5 else 0.5 - q90
-    return RobustnessGrid(gamma_axis=gamma_axis, M_axis=M_axis, T=T, K=K)
+    for j, M in enumerate(M_axis):
+        M = int(M)
+        sd = sigma_hat_o * math.sqrt(n0 / (N // M))
+        p = ndtr((gamma_axis - region.lower) / sd) - ndtr((gamma_axis - region.upper) / sd)
+        s = np.arange(M + 1)
+        pmf = np.exp(gammaln(M + 1) - gammaln(s + 1) - gammaln(M - s + 1)
+                     + xlogy(s, p[:, None]) + xlogy(M - s, 1.0 - p[:, None]))
+        # S lies in [0, M], so each quantile lies in [eta_q/M, 1 + eta_q/M]
+        lo = np.broadcast_to(eta_q / M, (gamma_axis.size, 2))
+        hi = lo + 1.0
+        for _ in range(QUANTILE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            t = M * mid[..., None] - s
+            tail = 0.5 * np.exp(-eps * np.abs(t))
+            cdf = np.einsum("gs,gqs->gq", pmf, np.where(t < 0, tail, 1.0 - tail))
+            below = cdf < q
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        q10, q90 = (0.5 * (lo + hi)).T
+        T[:, j] = np.maximum(np.maximum(q10 - 0.5, 0.5 - q90), 0.0)
+    return RobustnessGrid(gamma_axis=gamma_axis, M_axis=M_axis, T=T)

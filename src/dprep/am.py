@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, stdtrit, xlogy
+from scipy.special import ndtr, ndtri, stdtrit, xlogy
 
 from .errors import ConfigError, DegenerateIntervalError, SingularFitError
 from .linmod import ZERO_SE, ConfidenceInterval, ModelSpec, fit_subsets, subset_failure
@@ -262,7 +262,6 @@ class ContourGrid:
     ratio_axis: np.ndarray
     values: np.ndarray
     corr: float
-    K: int
 
     def to_csv(self) -> str:
         lines = ["diff\\ratio," + ",".join(f"{r:.10g}" for r in self.ratio_axis)]
@@ -277,19 +276,21 @@ def reference_contour(
     corr: float,
     diff_grid,
     ratio_grid,
-    K: int = 500,
-    seed: int = 0,
 ) -> ContourGrid:
-    """Simulated mean overlap against |gamma-beta|/|gamma| and sd ratio.
+    """Exact mean overlap against |gamma-beta|/|gamma| and sd ratio.
 
-    Per cell, K coefficient pairs are drawn from the bivariate normal with
-    means (gamma, beta), standard deviations (sigma_gamma,
-    ratio*sigma_gamma), and the given correlation; 95% normal CIs
-    (half-width 1.959964*sd) are overlapped and averaged.  sigma_gamma is
+    The estimates have means (gamma, beta), standard deviations
+    (sigma_gamma, ratio*sigma_gamma) and the given correlation, and 95%
+    normal CIs of half-widths h = 1.959964*sd.  Their intersection length
+    c = clip(min(h1 + h2 - |D|, 2*min(h1, h2)), 0) depends only on
+    D = gamma_hat - beta_hat ~ N(diff*|gamma|, s^2), with s^2 = sigma_gamma^2
+    + sigma_beta^2 - 2*corr*sigma_gamma*sigma_beta, so E[c] =
+    E[(h1 + h2 - |D|)+] - E[(|h1 - h2| - |D|)+] in Phi and phi terms, and
+    the mean overlap is (E[c]/(2*h1) + E[c]/(2*h2)) / 2.  sigma_gamma is
     the subset-scale standard error.  The correlation must be supplied by
     the analyst -- estimating it from confidential data would cost budget
     far beyond its worth (its sensitivity is bounded only by 2).  No
-    budget is spent here.
+    budget is spent and no randomness is drawn.
     """
     if not sigma_gamma > 0:
         raise ConfigError(f"sigma_gamma must be positive, got {sigma_gamma}")
@@ -305,31 +306,29 @@ def reference_contour(
         raise ConfigError("relative differences must be nonnegative")
     if np.any(ratio_axis <= 0):
         raise ConfigError("sd ratios must be positive")
-    if K < 1:
-        raise ConfigError(f"K must be positive, got {K}")
 
-    root = RngStream(seed)
-    tail = math.sqrt(max(0.0, 1.0 - corr * corr))
-    values = np.empty((diff_axis.size, ratio_axis.size))
-    for i, diff in enumerate(diff_axis):
-        beta = gamma - diff * abs(gamma)
-        for j, ratio in enumerate(ratio_axis):
-            sigma_beta = ratio * sigma_gamma
-            stream = root.child("am-contour", i * ratio_axis.size + j)
-            z = stream.generator.standard_normal((K, 2))
-            gamma_hat = gamma + sigma_gamma * z[:, 0]
-            beta_hat = beta + sigma_beta * (corr * z[:, 0] + tail * z[:, 1])
-            hw1 = Z975 * sigma_gamma
-            hw2 = Z975 * sigma_beta
-            c = np.minimum(gamma_hat + hw1, beta_hat + hw2) - np.maximum(
-                gamma_hat - hw1, beta_hat - hw2
-            )
-            c = np.clip(c, 0.0, None)
-            nu = 0.5 * (c / (2 * hw1) + c / (2 * hw2))
-            values[i, j] = float(nu.mean())
-    return ContourGrid(
-        diff_axis=diff_axis, ratio_axis=ratio_axis, values=values, corr=corr, K=K
-    )
+    sigma_beta = ratio_axis * sigma_gamma
+    # s^2 as a sum of squares: exactly 0 at corr = 1, ratio = 1, and never < 0
+    s = np.hypot(sigma_gamma - corr * sigma_beta,
+                 sigma_beta * math.sqrt((1.0 - corr) * (1.0 + corr)))
+    h1, h2 = Z975 * sigma_gamma, Z975 * sigma_beta
+    m = diff_axis[:, None] * abs(gamma)
+    mean_c = _mean_tent(h1 + h2, m, s) - _mean_tent(np.abs(h1 - h2), m, s)
+    values = 0.5 * (mean_c / (2 * h1) + mean_c / (2 * h2))
+    return ContourGrid(diff_axis=diff_axis, ratio_axis=ratio_axis, values=values, corr=corr)
+
+
+def _mean_tent(a, m, s):
+    """E[(a - |D|)+] for D ~ N(m, s^2), elementwise, with a, m >= 0; s = 0
+    gives (a - m)+.  It sums the integrals of (a - x) over [0, a] against
+    the densities of D and -D, each written in the normal tails that keep
+    it exact far from the mean."""
+    safe = np.where(s > 0, s, 1.0)
+    u0, up, um = m / safe, (a - m) / safe, (a + m) / safe
+    phi0, phip, phim = np.exp(-0.5 * np.square([u0, up, um])) / math.sqrt(2 * math.pi)
+    mean = ((a - m) * (ndtr(up) - ndtr(-u0)) + (a + m) * (ndtr(-u0) - ndtr(-um))
+            + safe * (phip + phim - 2 * phi0))
+    return np.where(s > 0, mean, np.maximum(a - m, 0.0))
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="replication data sample size")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--region", required=True, help="fixed tolerance region lo:hi")
-    p.add_argument("--K", type=int, default=750, help="replications per cell (default 750)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="contour CSV path")
 
     p = sub.add_parser("am-verify", help="compare two model specifications")
@@ -192,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assumed corr of the two estimators (default 0.95, never estimated)")
     p.add_argument("--diff-grid", required=True, help="relative-difference grid")
     p.add_argument("--ratio-grid", required=True, help="sd-ratio grid")
-    p.add_argument("--K", type=int, default=500, help="draws per cell (default 500)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="contour CSV path")
 
     p = sub.add_parser("invert", help="map an overlap credible interval to |beta-gamma|")
@@ -277,8 +273,6 @@ def _cmd_ad_mselect(args) -> int:
         N=args.N,
         epsilon=args.epsilon,
         region=region,
-        K=args.K,
-        seed=_resolve_seed(args),
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(grid.to_csv())
@@ -330,8 +324,6 @@ def _cmd_am_contour(args) -> int:
         corr=args.corr,
         diff_grid=_parse_grid(args.diff_grid),
         ratio_grid=_parse_grid(args.ratio_grid),
-        K=args.K,
-        seed=_resolve_seed(args),
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(grid.to_csv())
@@ -360,7 +352,7 @@ def _cmd_budget_status(args) -> int:
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     print(json.dumps({
         "ledger": args.ledger,
-        "entries": len(ledger.entries),
+        "entries": len(ledger),
         "epsilon_spent": ledger.spent,
         "cap": ledger.cap,
         "remaining": ledger.remaining,

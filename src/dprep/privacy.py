@@ -2,8 +2,8 @@
 
 Every stochastic component of the package draws from an :class:`RngStream`
 so that a whole run is reproducible from one root seed while independent
-sub-streams can be handed to parallel work (contour cells, repeated
-verifications) without any shared state.
+sub-streams can be handed to parallel work (repeated verifications)
+without any shared state.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
             if "\ufffd" in line:
                 raise ValueError("bytes that are not UTF-8")
             records.append(astuple(NoisyRelease.from_record(line)))
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
             raise LedgerCorruptError(
                 f"{path}:{lineno}: unreadable ledger record ({exc!r})"
             ) from exc
@@ -297,6 +297,10 @@ class BudgetLedger:
     @property
     def entries(self) -> tuple:
         return tuple(NoisyRelease(*record) for record in self._records)
+
+    def __len__(self) -> int:
+        """The number of releases, without building ``entries``."""
+        return len(self._records)
 
     @property
     def spent(self) -> float:

@@ -8,8 +8,16 @@ import json
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from dprep import ConfigError, Dataset, LedgerCorruptError, NoisyRelease, RngStream
-from dprep import linmod
+from dprep import (
+    ConfigError,
+    Dataset,
+    LedgerCorruptError,
+    NoisyRelease,
+    RngStream,
+    laplace_sample,
+    linmod,
+)
+from dprep.am import Z975
 
 
 def synth_dataset(
@@ -81,7 +89,7 @@ def parse_records_oracle(data, path: str, first_line: int) -> tuple[list, int]:
             if "\ufffd" in line:
                 raise ValueError("bytes that are not UTF-8")
             entries.append(NoisyRelease.from_record(line))
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
             raise LedgerCorruptError(
                 f"{path}:{lineno}: unreadable ledger record ({exc!r})"
             ) from exc
@@ -164,3 +172,39 @@ def reference_fit_stack(Xy: np.ndarray) -> linmod.StackFit:
         sigma2_hat=sigma2_hat,
         singular=singular,
     )
+
+
+def robustness_cell_oracle(gamma, M, sigma_hat_o, n0, N, eps, region, K, stream,
+                           chunk=50_000):
+    """Reference simulation of one robustness-contour cell: the Monte Carlo
+    dprep ran before the exact CDF.  Returns K draws of r_obs = (S + eta)/M,
+    S counting in-region draws among M Normal(gamma, (n0/n)*sigma_hat_o^2)
+    coefficients with n = floor(N/M), eta ~ Laplace(0, 1/eps).  Draws come
+    ``chunk`` replicates at a time to bound memory."""
+    sd = sigma_hat_o * np.sqrt(n0 / (N // M))
+    r_obs = np.empty(K)
+    for start in range(0, K, chunk):
+        k = min(chunk, K - start)
+        coefs = stream.generator.normal(gamma, sd, size=(k, M))
+        S = region.contains(coefs).sum(axis=1)
+        r_obs[start:start + k] = (S + laplace_sample(stream, 1.0 / eps, size=k)) / M
+    return r_obs
+
+
+def reference_cell_oracle(gamma, sigma_gamma, corr, diff, ratio, K, stream):
+    """Reference simulation of one reference-contour cell: the Monte Carlo
+    dprep ran before the closed form.  Returns K overlaps of the 95% normal
+    CIs of (gamma_hat, beta_hat) drawn from the bivariate normal with means
+    (gamma, gamma - diff*|gamma|), sds (sigma_gamma, ratio*sigma_gamma)
+    and the given correlation."""
+    beta = gamma - diff * abs(gamma)
+    sigma_beta = ratio * sigma_gamma
+    tail = np.sqrt(max(0.0, 1.0 - corr * corr))
+    z = stream.generator.standard_normal((K, 2))
+    gamma_hat = gamma + sigma_gamma * z[:, 0]
+    beta_hat = beta + sigma_beta * (corr * z[:, 0] + tail * z[:, 1])
+    hw1, hw2 = Z975 * sigma_gamma, Z975 * sigma_beta
+    c = np.minimum(gamma_hat + hw1, beta_hat + hw2) - np.maximum(gamma_hat - hw1,
+                                                                 beta_hat - hw2)
+    c = np.clip(c, 0.0, None)
+    return 0.5 * (c / (2 * hw1) + c / (2 * hw2))

@@ -5,7 +5,12 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from helpers import gibbs_oracle, s_conditional_logweights, synth_dataset
+from helpers import (
+    gibbs_oracle,
+    robustness_cell_oracle,
+    s_conditional_logweights,
+    synth_dataset,
+)
 
 from dprep import (
     ADConfig,
@@ -323,7 +328,7 @@ def test_consistency_with_clearly_separated_truth():
 def test_contour_boundary_cell_is_ambiguous():
     region = build_fixed_region(500.0, math.inf)
     grid = robustness_contour([500.0], [20], sigma_hat_o=97.0, n0=154_442,
-                              N=160_364, epsilon=1.0, region=region, K=750, seed=0)
+                              N=160_364, epsilon=1.0, region=region)
     assert grid.T[0, 0] == 0.0
 
 
@@ -334,7 +339,7 @@ def test_contour_far_cell_matches_direct_monte_carlo():
     sd = sigma * math.sqrt(n0 / n)
     gamma = 500.0 + 10.0 * sd
 
-    grid = robustness_contour([gamma], [M], sigma, n0, N, 1.0, region, K=750, seed=3)
+    grid = robustness_contour([gamma], [M], sigma, n0, N, 1.0, region)
     t_pkg = grid.T[0, 0]
 
     # oracle: the same statistic from a direct 10^5-rep simulation
@@ -348,46 +353,48 @@ def test_contour_far_cell_matches_direct_monte_carlo():
     assert t_pkg == pytest.approx(t_oracle, abs=0.05)
 
 
-def test_contour_cells_use_independent_keyed_streams():
-    region = build_fixed_region(0.0, math.inf)
-    grid = robustness_contour([0.0, 1.0], [5, 10], 1.0, 1000, 1000, 1.0,
-                              region, K=200, seed=12)
-    # rebuild cell (1, 1) by hand from its keyed stream
-    i, j = 1, 1
-    M = 10
-    n = 1000 // M
-    sd = 1.0 * math.sqrt(1000 / n)
-    stream = RngStream(12).child("ad-contour", i * 2 + j)
-    coefs = stream.generator.normal(1.0, sd, size=(200, M))
-    S = ((coefs >= 0.0) & (coefs <= math.inf)).sum(axis=1)
-    r_obs = (S + laplace_sample(stream, 1.0, size=200)) / M
-    q10, q90 = np.quantile(r_obs, [0.1, 0.9])
-    expected = 0.0 if q10 <= 0.5 <= q90 else (q10 - 0.5 if q10 > 0.5 else 0.5 - q90)
-    assert grid.T[i, j] == pytest.approx(expected, abs=1e-15)
-
-    again = robustness_contour([0.0, 1.0], [5, 10], 1.0, 1000, 1000, 1.0,
-                               region, K=200, seed=12)
-    assert np.array_equal(grid.T, again.T)
+def test_contour_quantiles_match_simulation_oracle():
+    """T at the two cells that set the Monte Carlo noise, pinned to 4
+    decimals.  Above the region T = q10 - 0.5, and at the mirror cell below
+    it T = 0.5 - q90; in 10^6 simulated replicates the fraction of r_obs at
+    or below each exact quantile q lies within 3 standard errors of q."""
+    region = build_fixed_region(500.0, math.inf)
+    K = 1_000_000
+    cells = [(1010.0, 20, 0.2565, 0.1), (750.0, 35, 0.0569, 0.1), (-10.0, 20, 0.2565, 0.9)]
+    for i, (gamma, M, pinned, q) in enumerate(cells):
+        T = robustness_contour([gamma], [M], 97.0, 154_442, 160_364, 1.0, region).T[0, 0]
+        assert T == pytest.approx(pinned, abs=5e-5)
+        quantile = 0.5 + T if q < 0.5 else 0.5 - T
+        r_obs = robustness_cell_oracle(gamma, M, 97.0, 154_442, 160_364, 1.0, region, K,
+                                       RngStream(12).child("ad-contour-oracle", i))
+        assert abs(np.mean(r_obs <= quantile) - q) <= 3 * math.sqrt(q * (1 - q) / K)
 
 
 def test_contour_csv_layout():
     region = build_fixed_region(0.0, math.inf)
-    grid = robustness_contour([0.0, 2.0], [4, 8], 1.0, 100, 100, 1.0,
-                              region, K=100, seed=1)
+    # far below and far above the region, p is exactly 0 and 1
+    grid = robustness_contour([0.0, 2.0, -1e9, 1e9], [4, 8], 1.0, 100, 100, 1.0, region)
     lines = grid.to_csv().strip().splitlines()
     assert lines[0] == "gamma\\M,4,8"
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert lines[1].startswith("0,")
+    # S is then 0 or M, r_obs is Laplace(0, 1/M) about 0 or 1, and
+    # T = 1/2 - ln(5)/M; the same holds when the region is the whole line
+    point_mass = 0.5 - math.log(5) / np.array([4, 8])
+    whole_line = robustness_contour([0.0], [4, 8], 1.0, 100, 100, 1.0,
+                                    build_fixed_region(-math.inf, math.inf))
+    for row in (grid.T[2], grid.T[3], whole_line.T[0]):
+        assert row == pytest.approx(point_mass, abs=1e-12)
 
 
 def test_contour_validation():
     region = build_fixed_region(0.0, math.inf)
     with pytest.raises(ConfigError):
-        robustness_contour([0.0], [5], 1.0, 100, 100, 1.0, region, K=10)
+        robustness_contour([math.inf], [5], 1.0, 100, 100, 1.0, region)
     with pytest.raises(ConfigError):
-        robustness_contour([0.0], [200], 1.0, 100, 100, 1.0, region, K=100)
+        robustness_contour([0.0], [200], 1.0, 100, 100, 1.0, region)
     with pytest.raises(ConfigError):
-        robustness_contour([], [5], 1.0, 100, 100, 1.0, region, K=100)
+        robustness_contour([], [5], 1.0, 100, 100, 1.0, region)
 
 
 def test_ad_config_validation():

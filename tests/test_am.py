@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import synth_dataset
+from helpers import reference_cell_oracle, synth_dataset
 
 from dprep import (
     AMConfig,
@@ -32,7 +32,7 @@ from dprep import (
     reference_contour,
     release_overlap,
 )
-from dprep.am import AMReleased, OverlapResult
+from dprep.am import Z975, AMReleased, OverlapResult
 
 
 def _ci(lo, hi, level=0.95):
@@ -259,14 +259,17 @@ def test_error_bound_values():
 # ------------------------------------------------------ reference contour
 
 def test_contour_perfectly_coupled_case():
-    grid = reference_contour(5.0, 0.5, corr=1.0, diff_grid=[0.0],
-                             ratio_grid=[1.0], K=200, seed=0)
-    assert grid.values[0, 0] == 1.0  # identical intervals on every draw
+    # corr = 1 and ratio = 1: D = gamma_hat - beta_hat is the constant
+    # diff*|gamma|, so at diff 0.1 the overlap is 1 - 0.5/(2*1.959964*0.5)
+    grid = reference_contour(5.0, 0.5, corr=1.0, diff_grid=[0.0, 0.1],
+                             ratio_grid=[1.0])
+    assert grid.values[0, 0] == 1.0  # identical intervals
+    assert grid.values[1, 0] == pytest.approx(1 - 0.5 / (2 * Z975 * 0.5), abs=1e-15)
 
 
 def test_contour_scale_invariance():
     kwargs = dict(corr=0.95, diff_grid=np.linspace(0, 1.5, 4),
-                  ratio_grid=[0.5, 1.0, 2.0], K=300, seed=42)
+                  ratio_grid=[0.5, 1.0, 2.0])
     a = reference_contour(5.0, 0.5, **kwargs)
     b = reference_contour(10.0, 1.0, **kwargs)
     assert np.max(np.abs(a.values - b.values)) < 1e-9
@@ -275,20 +278,31 @@ def test_contour_scale_invariance():
 def test_contour_decreasing_along_difference_axis():
     grid = reference_contour(5.0, 1.0, corr=0.9,
                              diff_grid=np.linspace(0, 2, 9),
-                             ratio_grid=[1.0], K=2000, seed=7)
+                             ratio_grid=[1.0])
     vals = grid.values[:, 0]
-    mc_sd = 0.5 / math.sqrt(2000)
-    assert all(nxt <= cur + 2 * mc_sd * math.sqrt(2)
-               for cur, nxt in zip(vals, vals[1:]))
+    assert all(nxt <= cur for cur, nxt in zip(vals, vals[1:]))
 
 
-def test_contour_csv_and_determinism():
-    grid = reference_contour(5.0, 0.5, 0.95, [0.0, 0.5], [1.0, 2.0], K=100, seed=3)
-    again = reference_contour(5.0, 0.5, 0.95, [0.0, 0.5], [1.0, 2.0], K=100, seed=3)
-    assert np.array_equal(grid.values, again.values)
-    lines = grid.to_csv().strip().splitlines()
-    assert lines[0] == "diff\\ratio,1,2"
-    assert len(lines) == 3
+def test_contour_matches_simulation_oracle():
+    """The closed-form mean overlap lies within 3 standard errors of the
+    mean of 10^6 simulated overlaps, cell by cell."""
+    K = 1_000_000
+    cells = [(0.95, 0.0, 1.0), (0.95, 0.75, 0.8), (0.95, 1.5, 1.25),
+             (0.0, 0.5, 1.0), (0.0, 1.5, 0.8), (-0.5, 1.0, 1.25)]
+    for i, (corr, diff, ratio) in enumerate(cells):
+        exact = reference_contour(1010.0, 790.0, corr, [diff], [ratio]).values[0, 0]
+        nu = reference_cell_oracle(1010.0, 790.0, corr, diff, ratio, K,
+                                   RngStream(21).child("am-contour-oracle", i))
+        assert abs(exact - nu.mean()) <= 3 * nu.std() / math.sqrt(K)
+
+
+def test_contour_csv_layout():
+    # corr = 1 with ratio = 1 makes s = 0, with ratio = 2 it does not
+    for corr in (0.95, 1.0):
+        grid = reference_contour(5.0, 0.5, corr, [0.0, 0.5], [1.0, 2.0])
+        lines = grid.to_csv().strip().splitlines()
+        assert lines[0] == "diff\\ratio,1,2"
+        assert len(lines) == 3
 
 
 def test_contour_validation():

@@ -15,6 +15,7 @@ from dprep import (
     BudgetLedger,
     ConfigError,
     InversionAssumption,
+    NoisyRelease,
     TransformDomainError,
     ad_verify,
     am_verify,
@@ -326,8 +327,7 @@ def test_cli_ad_mselect_csv(tmp_path, capsys):
     rc = main([
         "ad-mselect", "--gamma-grid=-500:1500:5", "--m-grid", "5,10,20",
         "--sigma-o", "97", "--n0", "154442", "--N", "160364",
-        "--epsilon", "1", "--region", "500:inf", "--K", "200",
-        "--seed", "0", "--out", str(out),
+        "--epsilon", "1", "--region", "500:inf", "--out", str(out),
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
@@ -360,7 +360,7 @@ def test_cli_am_contour_csv(tmp_path):
     rc = main([
         "am-contour", "--gamma", "1010", "--sigma", "790", "--corr", "0.95",
         "--diff-grid", "0:1.5:4", "--ratio-grid", "0.8,1.0,1.2",
-        "--K", "200", "--seed", "1", "--out", str(out),
+        "--out", str(out),
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
@@ -378,12 +378,21 @@ def test_cli_invert_matches_library(capsys):
     assert hi == pytest.approx(423.2, abs=2.0)
 
 
-def test_cli_budget_status(tmp_path, table, capsys):
+def test_cli_budget_status(tmp_path, table, capsys, monkeypatch):
     assert main(_ad_args(table, tmp_path) + ["--budget-cap", "2.0"]) == 0
     capsys.readouterr()
+    built = []
+    post_init = NoisyRelease.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(NoisyRelease, "__post_init__", counted)
     rc = main(["budget-status", "--ledger", str(tmp_path / "ledger.ndjson"),
                "--budget-cap", "2.0"])
     assert rc == 0
+    assert built == []  # counting the records builds no release objects
     status = json.loads(capsys.readouterr().out)
     assert status["entries"] == 1
     assert status["epsilon_spent"] == pytest.approx(1.0)
@@ -569,7 +578,7 @@ def test_am_verify_at_paper_scale_allocates_no_per_subset_objects():
 def test_cli_import_loads_no_scipy_integrate_or_stats():
     code = ("import sys, dprep.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
-            "'scipy.stats'))))")
+            "'scipy.optimize', 'scipy.stats'))))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
