@@ -358,7 +358,7 @@ def fit_subsets(
     fit is subset l.  Returns one (fit, design column names) per model.
 
     All models share one design buffer (each distinct column once), which
-    ``plan.split`` sorts into subset order once.  A model's stacks are its
+    ``plan.split`` gathers into subset order once.  A model's stacks are its
     columns of the sorted buffer, as views when they are a contiguous run
     of it.  They go through :func:`fit_stack` about ``FIT_CHUNK_ROWS``
     rows at a time; a block's fit does not depend on the blocks fitted

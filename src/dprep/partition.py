@@ -1,4 +1,8 @@
-"""Random, even, disjoint partitioning of a dataset, reproducible from a seed."""
+"""Random, even, disjoint partitioning of a dataset, reproducible from a seed.
+
+A plan is one row order: a seeded permutation of the N rows, cut into M
+consecutive blocks (the subsets) and sorted within each block.
+"""
 
 from __future__ import annotations
 
@@ -12,68 +16,69 @@ from .errors import ConfigError
 from .privacy import RngStream
 
 
-def _block_sizes(N: int, M: int) -> np.ndarray:
-    """Sizes of M blocks of N rows: the first N mod M get one extra row."""
-    base, extra = divmod(N, M)
-    return base + (np.arange(M) < extra)
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Assignment of every row to one of M subsets.
+    """M disjoint subsets of N rows, held as one read-only row order.
 
-    Subset sizes differ by at most one; the remainder rows go to the
-    lowest-indexed subsets.  The assignment is a pure function of
-    (n_rows, M, seed), so serialized plans store only those three values.
+    ``order`` lists subset 0's rows, then subset 1's, and so on, each block
+    in ascending row order.  It is ``permutation(n_rows)`` of the seed's
+    "partition" stream, cut into blocks whose sizes differ by at most one,
+    the remainder rows going to the lowest-indexed subsets.  The order is
+    a pure function of (n_rows, M, seed): plans compare and hash by those
+    three values, and serialized plans store only them.
     """
 
     n_rows: int
     M: int
     seed: int
-    assignment: np.ndarray = field(repr=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.assignment, dtype=np.intp).copy()
-        if arr.shape != (self.n_rows,):
-            raise ConfigError("assignment length must equal n_rows")
-        if not (1 <= self.M <= self.n_rows and 0 <= arr.min() and arr.max() < self.M
-                and np.array_equal(np.bincount(arr, minlength=self.M), self.sizes)):
+        if self.M < 1:
+            raise ConfigError(f"M must be at least 1, got {self.M}")
+        if self.M > self.n_rows:
             raise ConfigError(
-                "assignment must cut the rows into M subsets whose sizes differ "
-                "by at most one, the larger ones first"
+                f"M ({self.M}) may not exceed the number of rows N ({self.n_rows})"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "assignment", arr)
+        order = RngStream(self.seed).child("partition").generator.permutation(self.n_rows)
+        for stack in self._cut(order):
+            stack.sort(axis=1)  # in place: the stacks are views of order
+        order.setflags(write=False)
+        object.__setattr__(self, "order", order)
 
     @property
     def sizes(self) -> np.ndarray:
-        return _block_sizes(self.n_rows, self.M)
+        """Subset sizes: the first N mod M subsets get one extra row."""
+        base, extra = divmod(self.n_rows, self.M)
+        return base + (np.arange(self.M) < extra)
 
     @cached_property
-    def _order(self) -> np.ndarray:
-        """Rows sorted by subset, computed once per plan.  Stable, so each
-        block keeps row order; narrow keys let numpy radix-sort."""
-        keys = self.assignment.astype(np.min_scalar_type(self.M - 1))
-        order = np.argsort(keys, kind="stable")
-        order.setflags(write=False)
-        return order
+    def assignment(self) -> np.ndarray:
+        """The subset of every row (read-only)."""
+        assignment = np.empty(self.n_rows, dtype=np.intp)
+        assignment[self.order] = np.repeat(np.arange(self.M), self.sizes)
+        assignment.setflags(write=False)
+        return assignment
 
-    def split(self, values) -> list[np.ndarray]:
-        """``values`` (indexed by row along its first axis) cut into at most
-        two stacks of equally sized subset blocks, in subset order: shape
-        (N mod M, ceil(N/M), ...) for the first subsets, then
-        (M - N mod M, floor(N/M), ...) for the rest.  Each block keeps the
-        original row order; the stacks are views of one sorted copy."""
-        if len(values) != self.n_rows:
-            raise ConfigError(
-                f"plan covers {self.n_rows} rows but the data has {len(values)}"
-            )
-        ordered = np.take(values, self._order, axis=0)
+    def _cut(self, ordered: np.ndarray) -> list[np.ndarray]:
+        """``ordered`` (rows in plan order along its first axis) reshaped into
+        at most two stacks of equally sized blocks: (N mod M, ceil(N/M), ...)
+        for the first subsets, then (M - N mod M, floor(N/M), ...)."""
         base, extra = divmod(self.n_rows, self.M)
         cut = extra * (base + 1)
         stacks = [ordered[:cut].reshape(extra, base + 1, *ordered.shape[1:]),
                   ordered[cut:].reshape(self.M - extra, base, *ordered.shape[1:])]
         return [stack for stack in stacks if len(stack)]
+
+    def split(self, values) -> list[np.ndarray]:
+        """``values`` (indexed by row along its first axis) cut into the
+        plan's subset blocks, stacked as in ``_cut``.  Each block keeps the
+        original row order; the stacks are views of one gathered copy."""
+        if len(values) != self.n_rows:
+            raise ConfigError(
+                f"plan covers {self.n_rows} rows but the data has {len(values)}"
+            )
+        return self._cut(np.take(values, self.order, axis=0))
 
     def to_record(self) -> str:
         return json.dumps({"n_rows": self.n_rows, "M": self.M, "seed": self.seed})
@@ -81,20 +86,10 @@ class PartitionPlan:
     @classmethod
     def from_record(cls, record: str) -> "PartitionPlan":
         rec = json.loads(record)
-        return make_partition(rec["n_rows"], rec["M"], rec["seed"])
+        return cls(rec["n_rows"], rec["M"], rec["seed"])
 
 
 def make_partition(N: int, M: int, seed: int) -> PartitionPlan:
-    """Cut a uniformly random permutation of N rows into M blocks.
-
-    The first N mod M blocks receive one extra row.  Deterministic for a
-    given (N, M, seed).
-    """
-    if M < 1:
-        raise ConfigError(f"M must be at least 1, got {M}")
-    if M > N:
-        raise ConfigError(f"M ({M}) may not exceed the number of rows N ({N})")
-    perm = RngStream(seed).child("partition").generator.permutation(N)
-    assignment = np.empty(N, dtype=np.intp)
-    assignment[perm] = np.repeat(np.arange(M), _block_sizes(N, M))
-    return PartitionPlan(n_rows=N, M=M, seed=seed, assignment=assignment)
+    """The plan that cuts N rows into M subsets for ``seed``; deterministic
+    for a given (N, M, seed)."""
+    return PartitionPlan(N, M, seed)

@@ -16,7 +16,7 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -163,6 +163,8 @@ class NoisyRelease:
 
 # a record's keys in the order of NoisyRelease's fields
 _FIELDS = operator.itemgetter("value", "epsilon", "sensitivity", "mechanism", "timestamp")
+# NoisyRelease's fields as a tuple, without astuple's deep copy
+_ATTRS = operator.attrgetter("value", "epsilon_spent", "sensitivity", "mechanism", "timestamp")
 _DECODE = json.JSONDecoder().raw_decode
 
 
@@ -220,7 +222,7 @@ def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
         try:
             if "\ufffd" in line:
                 raise ValueError("bytes that are not UTF-8")
-            records.append(astuple(NoisyRelease.from_record(line)))
+            records.append(_ATTRS(NoisyRelease.from_record(line)))
         except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
             raise LedgerCorruptError(
                 f"{path}:{lineno}: unreadable ledger record ({exc!r})"
@@ -341,7 +343,7 @@ class BudgetLedger:
             self._seen.update(record)
             self._offset += len(record)
             self._lines += 1
-        self._records.append(astuple(release))
+        self._records.append(_ATTRS(release))
         self._spent += release.epsilon_spent
 
 

@@ -267,19 +267,13 @@ def test_09_contour_boundary_behavior():
     M=20."""
     region = build_fixed_region(500.0, math.inf)
     M_axis = list(range(5, 91, 5))
-    boundary_zero = np.zeros(len(M_axis), dtype=int)
-    far_positive = 0
-    for _ in range(20):
-        grid = robustness_contour([500.0], M_axis, 97.0, 154_442, 160_364,
-                                  1.0, region)
-        boundary_zero += grid.T[0] == 0.0
-        far = robustness_contour([1010.0], [20], 97.0, 154_442, 160_364,
-                                 1.0, region)
-        far_positive += far.T[0, 0] > 0.0
-    ok = bool(np.all(boundary_zero >= 19) and far_positive >= 19)
+    # the contour is exact, so one call per cell settles it
+    grid = robustness_contour([500.0], M_axis, 97.0, 154_442, 160_364, 1.0, region)
+    far = robustness_contour([1010.0], [20], 97.0, 154_442, 160_364, 1.0, region)
+    ok = bool(np.all(grid.T[0] == 0.0) and far.T[0, 0] > 0.0)
     _check(9, "contour boundary behaviour",
-           ok, f"boundary T=0 in {boundary_zero.min()}..{boundary_zero.max()}/20 "
-               f"repeats per M, far-cell T>0 in {far_positive}/20")
+           ok, f"boundary T=0 at {int(np.sum(grid.T[0] == 0.0))}/{len(M_axis)} M, "
+               f"far-cell T = {far.T[0, 0]:.4g}")
 
 
 def test_10_boundary_calibration():

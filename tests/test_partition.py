@@ -37,6 +37,10 @@ def test_argument_errors():
         make_partition(4, 5, seed=0)
     with pytest.raises(ConfigError):
         make_partition(4, 0, seed=0)
+    with pytest.raises(ConfigError, match="exceed"):
+        PartitionPlan(4, 5, 0)
+    with pytest.raises(ConfigError, match="exceed"):
+        PartitionPlan.from_record('{"n_rows": 4, "M": 5, "seed": 0}')
 
 
 def test_reproducible_and_seed_sensitive():
@@ -64,6 +68,7 @@ def test_record_round_trip():
     assert '"assignment"' not in record  # assignment is recomputable, never stored
     clone = PartitionPlan.from_record(record)
     assert np.array_equal(clone.assignment, plan.assignment)
+    assert clone == plan and hash(clone) == hash(plan)
 
 
 def test_split_order_and_mismatch():
@@ -96,28 +101,26 @@ def test_split_stacks_blocks_by_size():
 
 
 def test_split_sorts_once_per_plan(monkeypatch):
-    plan = make_partition(11, 4, seed=2)
-    X = np.arange(22.0).reshape(11, 2)
+    # the plan sorts its blocks once, when it is made; neither making it
+    # nor splitting with it runs an argsort
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    plan = make_partition(11, 4, seed=2)
+    X = np.arange(22.0).reshape(11, 2)
     first, second = plan.split(X), plan.split(X)
-    assert len(sorts) == 1
+    assert not sorts
     assert len(first) == len(second) == 2
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-def test_plan_refuses_sizes_split_cannot_stack():
-    for assignment in ([0, 1, 1, 1], [1, 0, 0, 0], [0, 0, 2, 1], [0, -1, 1, 0]):
-        with pytest.raises(ConfigError, match="sizes differ"):
-            PartitionPlan(n_rows=4, M=2, seed=0, assignment=assignment)
-    PartitionPlan(n_rows=5, M=2, seed=0, assignment=[1, 0, 0, 1, 0])
-
-
-def test_assignment_cuts_the_permutation_into_blocks():
-    # the first N mod M blocks of the seeded permutation get one extra row
+@pytest.mark.parametrize("N, M", [(103, 7), (100, 10), (6, 1), (9, 9),
+                                  (160_000, 5000), (160_000, 1000)])
+def test_assignment_cuts_the_permutation_into_blocks(N, M):
+    # the first N mod M blocks of the seeded permutation get one extra row;
+    # the order is the stable argsort of that scatter
     from dprep.privacy import RngStream
-    N, M, seed = 103, 7, 12
+    seed = 12
     perm = RngStream(seed).child("partition").generator.permutation(N)
     expected = np.empty(N, dtype=np.intp)
     start = 0
@@ -125,7 +128,9 @@ def test_assignment_cuts_the_permutation_into_blocks():
         size = N // M + (1 if l < N % M else 0)
         expected[perm[start:start + size]] = l
         start += size
-    assert np.array_equal(make_partition(N, M, seed).assignment, expected)
+    plan = make_partition(N, M, seed)
+    assert np.array_equal(plan.order, np.argsort(expected, kind="stable"))
+    assert np.array_equal(plan.assignment, expected)
 
 
 def test_appending_a_row_redraws_the_partition():
