@@ -12,6 +12,7 @@ ever cross the privacy boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .privacy import (
     NoisyRelease,
     PrivacyParams,
     RngStream,
+    RunConfig,
     release_scalar,
 )
 from .tabular import Dataset
@@ -32,16 +34,34 @@ from .tabular import Dataset
 # halvings of a unit bracket: below the spacing of doubles near 1/2
 QUANTILE_BISECTIONS = 60
 
+# most posterior draws a run keeps: every draw is written into the report
+MAX_DRAWS = 10**6
+
 
 @dataclass(frozen=True)
 class InflationProvenance:
-    """Published quantities an inflated region was built from."""
+    """Published quantities an inflated region is built from, checked here
+    for :func:`build_inflated_region` and :func:`delta_star` alike.
+    Deflation (n > n0) is refused: shrinking a region centered at the
+    published estimate would amplify its bias, so choose M to make the
+    subset size n close to n0 instead."""
 
     gamma_hat_o: float
     sigma_hat_o: float
     alpha: float
     n0: int
     n: int
+
+    def __post_init__(self):
+        if not 0 < self.sigma_hat_o < math.inf:
+            raise ConfigError(f"sigma_hat_o must be positive and finite, got {self.sigma_hat_o}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 1 <= self.n <= self.n0:
+            raise ConfigError(
+                f"sample sizes must satisfy 1 <= n <= n0, got n={self.n}, n0={self.n0}; "
+                "a region is never deflated -- choose M so that n is close to n0"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,65 +107,41 @@ def build_inflated_region(
     """Region gamma_hat_o +/- alpha*sqrt(n0/n)*sigma_hat_o.
 
     Inflation widens a published-uncertainty region to the subset scale,
-    where estimates are noisier.  Deflation (n > n0) is refused: shrinking
-    a region centered at the published estimate would amplify its bias, so
-    choose M to make the subset size n close to n0 instead.
+    where estimates are noisier; :class:`InflationProvenance` refuses
+    deflation (n > n0).
     """
-    if not sigma_hat_o > 0:
-        raise ConfigError(f"sigma_hat_o must be positive, got {sigma_hat_o}")
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    if n0 < 1 or n < 1:
-        raise ConfigError("sample sizes must be positive")
-    if n > n0:
-        raise ConfigError(
-            f"subset size n={n} exceeds the original sample size n0={n0}; "
-            "refusing to deflate the region -- choose M so that n is close to n0"
-        )
+    provenance = InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)
     half = alpha * math.sqrt(n0 / n) * sigma_hat_o
     return ToleranceRegion(
         lower=gamma_hat_o - half,
         upper=gamma_hat_o + half,
         kind="inflated",
-        provenance=InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n),
+        provenance=provenance,
     )
 
 
-@dataclass(frozen=True)
-class ADConfig:
-    """Knobs for one verification run.
+@dataclass(frozen=True, kw_only=True)
+class ADConfig(RunConfig):
+    """Knobs for one verification run, on top of :class:`~dprep.privacy.RunConfig`.
 
     delta=None resolves to 0.5 for fixed regions and to 0.9 * delta_star
     for inflated ones at verification time; set it explicitly to override.
-    mcmc=(burn_in, keep): keep is the number of posterior draws; burn_in is
-    validated and echoed in the report but unused, since the draws are
-    exact and independent.
+    mcmc=(burn_in, keep): keep, at most MAX_DRAWS, is the number of
+    posterior draws; burn_in is validated and echoed in the report but
+    unused, since the draws are exact and independent.
     """
 
-    M: int
-    epsilon: PrivacyParams
     delta: float | None = None
-    prior: tuple[float, float] = (1.0, 1.0)
     mcmc: tuple[int, int] = (500, 1000)
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, PrivacyParams):
-            object.__setattr__(self, "epsilon", PrivacyParams(float(self.epsilon)))
-        if self.M < 2:
-            raise ConfigError(f"M must be at least 2, got {self.M}")
+        super().__post_init__()
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        a, b = self.prior
-        if not (a > 0 and b > 0):
-            raise ConfigError(f"prior hyperparameters must be positive, got {self.prior}")
         burn_in, keep = self.mcmc
-        if burn_in < 0 or keep < 1:
-            raise ConfigError(f"mcmc=(burn_in, keep) invalid: {self.mcmc}")
-
-    @property
-    def eps(self) -> float:
-        return self.epsilon.epsilon
+        if burn_in < 0 or not (isinstance(keep, numbers.Integral) and 1 <= keep <= MAX_DRAWS):
+            raise ConfigError(f"mcmc=(burn_in, keep) invalid: {self.mcmc}; "
+                              f"keep must be an integer in 1..{MAX_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -284,15 +280,7 @@ def delta_star(
     both edges give the same value by symmetry.  A conservative default
     degree of certainty is 0.9 * delta_star.
     """
-    if not sigma_hat_o > 0:
-        raise ConfigError(f"sigma_hat_o must be positive, got {sigma_hat_o}")
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    if n > n0:
-        raise ConfigError(
-            f"subset size n={n} exceeds the original sample size n0={n0}; "
-            "refusing to deflate -- choose M so that n is close to n0"
-        )
+    InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)  # checks the inputs
     s = math.sqrt(n0 / n)
     return float(ndtr(alpha * (1 + 1 / s)) - ndtr(alpha * (1 / s - 1)))
 
@@ -339,11 +327,11 @@ def robustness_contour(
         raise ConfigError("gamma and M grids must be nonempty")
     if not np.all(np.isfinite(gamma_axis)):
         raise ConfigError("gamma grid values must be finite")
-    if not sigma_hat_o > 0:
-        raise ConfigError(f"sigma_hat_o must be positive, got {sigma_hat_o}")
-    eps = epsilon.epsilon if isinstance(epsilon, PrivacyParams) else float(epsilon)
-    if not eps > 0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
+    if not 0 < sigma_hat_o < math.inf:
+        raise ConfigError(f"sigma_hat_o must be positive and finite, got {sigma_hat_o}")
+    if n0 < 1:
+        raise ConfigError(f"n0 must be positive, got {n0}")
+    eps = PrivacyParams.of(epsilon).epsilon
     if np.any(M_axis < 1) or np.any(M_axis > N):
         raise ConfigError("every M must satisfy 1 <= M <= N")
 

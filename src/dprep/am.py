@@ -12,6 +12,7 @@ difference under an assumption on the two interval lengths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .privacy import (
     NoisyRelease,
     PrivacyParams,
     RngStream,
+    RunConfig,
     release_scalar,
 )
 from .tabular import Dataset
@@ -32,6 +34,8 @@ from .tabular import Dataset
 Z975 = float(ndtri(0.975))  # 1.959964
 
 POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
+
+MAX_GRID_POINTS = 10**7  # about 80 MB per float64 posterior array
 
 ZERO_LENGTH = "overlap requires intervals of positive length"
 
@@ -54,33 +58,20 @@ def _overlap(lower1, upper1, lower2, upper2):
     return 0.5 * (c / (upper1 - lower1) + c / (upper2 - lower2))
 
 
-@dataclass(frozen=True)
-class AMConfig:
-    """Knobs for one dual-model comparison run."""
+@dataclass(frozen=True, kw_only=True)
+class AMConfig(RunConfig):
+    """Knobs for one dual-model comparison run, on top of :class:`~dprep.privacy.RunConfig`."""
 
-    M: int
-    epsilon: PrivacyParams
     level: float = 0.95
-    prior: tuple[float, float] = (1.0, 1.0)
     grid_points: int = 10001
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, PrivacyParams):
-            object.__setattr__(self, "epsilon", PrivacyParams(float(self.epsilon)))
-        if self.M < 2:
-            raise ConfigError(f"M must be at least 2, got {self.M}")
+        super().__post_init__()
         if not 0 < self.level < 1:
             raise ConfigError(f"level must be in (0, 1), got {self.level}")
-        a, b = self.prior
-        if not (a > 0 and b > 0):
-            raise ConfigError(f"prior hyperparameters must be positive, got {self.prior}")
-        if self.grid_points < 101:
-            raise ConfigError(f"grid_points must be at least 101, got {self.grid_points}")
-
-    @property
-    def eps(self) -> float:
-        return self.epsilon.epsilon
+        G = self.grid_points
+        if not (isinstance(G, numbers.Integral) and 101 <= G <= MAX_GRID_POINTS):
+            raise ConfigError(f"grid_points must be an integer in 101..{MAX_GRID_POINTS}, got {G}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +238,7 @@ def error_bound(
     """
     if M < 1:
         raise ConfigError(f"M must be positive, got {M}")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    epsilon = PrivacyParams.of(epsilon).epsilon
     if not omega > 0:
         raise ConfigError(f"omega must be positive, got {omega}")
     return (variance_cap / M + 2.0 / (M**2 * epsilon**2)) / omega**2
@@ -292,20 +282,20 @@ def reference_contour(
     far beyond its worth (its sensitivity is bounded only by 2).  No
     budget is spent and no randomness is drawn.
     """
-    if not sigma_gamma > 0:
-        raise ConfigError(f"sigma_gamma must be positive, got {sigma_gamma}")
-    if gamma == 0:
-        raise ConfigError("gamma must be nonzero (the difference axis is relative)")
+    if not 0 < sigma_gamma < math.inf:
+        raise ConfigError(f"sigma_gamma must be positive and finite, got {sigma_gamma}")
+    if not (math.isfinite(gamma) and gamma != 0):
+        raise ConfigError("gamma must be finite and nonzero (the difference axis is relative)")
     if not -1.0 <= corr <= 1.0:
         raise ConfigError(f"corr must be in [-1, 1], got {corr}")
     diff_axis = np.atleast_1d(np.asarray(diff_grid, dtype=float))
     ratio_axis = np.atleast_1d(np.asarray(ratio_grid, dtype=float))
     if diff_axis.size == 0 or ratio_axis.size == 0:
         raise ConfigError("diff and ratio grids must be nonempty")
-    if np.any(diff_axis < 0):
-        raise ConfigError("relative differences must be nonnegative")
-    if np.any(ratio_axis <= 0):
-        raise ConfigError("sd ratios must be positive")
+    if not np.all((diff_axis >= 0) & (diff_axis < np.inf)):
+        raise ConfigError("relative differences must be nonnegative and finite")
+    if not np.all((ratio_axis > 0) & (ratio_axis < np.inf)):
+        raise ConfigError("sd ratios must be positive and finite")
 
     sigma_beta = ratio_axis * sigma_gamma
     # s^2 as a sum of squares: exactly 0 at corr = 1, ratio = 1, and never < 0
@@ -333,16 +323,15 @@ def _mean_tent(a, m, s):
 
 @dataclass(frozen=True)
 class InversionAssumption:
-    """Assumed lengths of the two confidence intervals, wider first."""
+    """Assumed lengths of the two confidence intervals, wider first:
+    0 < l2 <= l1 < inf."""
 
     l1: float
     l2: float
 
     def __post_init__(self):
-        if not self.l2 > 0:
-            raise ConfigError(f"interval lengths must be positive, got l2={self.l2}")
-        if self.l1 < self.l2:
-            raise ConfigError(f"l1 ({self.l1}) must be at least l2 ({self.l2})")
+        if not 0 < self.l2 <= self.l1 < math.inf:
+            raise ConfigError(f"need 0 < l2 <= l1 < inf, got l1={self.l1}, l2={self.l2}")
 
     @property
     def nu_max(self) -> float:

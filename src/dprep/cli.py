@@ -99,15 +99,20 @@ def _build_region(args, n_subset: int | None):
 def _check_distinct_paths(args) -> None:
     """Refuse a table, schema, release report, debug payload or ledger that
     share one file, however the paths are spelled: a report written over
-    the table it was computed from would destroy the custodian's data."""
+    the table it was computed from would destroy the custodian's data.
+    Refuse too a report or debug payload in a directory that does not
+    exist, whose write would fail only after the release."""
     seen = {}
     for flag, path in (("--input", args.input), ("--schema", args.schema),
                        ("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
                        ("--ledger", args.ledger)):
         if path:
-            clash = seen.setdefault(os.path.realpath(path), flag)
+            real = os.path.realpath(path)
+            clash = seen.setdefault(real, flag)
             if clash != flag:
                 raise ConfigError(f"{flag} and {clash} name the same file {path!r}")
+            if flag in ("--out", "--unsafe-debug") and not os.path.isdir(os.path.dirname(real)):
+                raise ConfigError(f"{flag} {path!r} is in a directory that does not exist")
 
 
 def _add_io_args(p, alt_model: bool = False):
@@ -235,16 +240,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_ad_verify(args) -> int:
     _check_distinct_paths(args)
-    dataset = read_table(args.input, args.schema, args.delimiter)
-    seed = _resolve_seed(args)
     config = ADConfig(
         M=args.M,
         epsilon=args.epsilon,
         delta=args.delta,
         prior=_parse_pair(args.prior, "--prior"),
         mcmc=_parse_pair(args.mcmc, "--mcmc", int),
-        seed=seed,
+        seed=_resolve_seed(args),
     )
+    dataset = read_table(args.input, args.schema, args.delimiter)
     region = _build_region(args, dataset.n_rows // args.M)
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     report, debug = ad_verify(dataset, parse_formula(args.model), args.coef,
@@ -282,16 +286,15 @@ def _cmd_ad_mselect(args) -> int:
 
 def _cmd_am_verify(args) -> int:
     _check_distinct_paths(args)
-    dataset = read_table(args.input, args.schema, args.delimiter)
-    seed = _resolve_seed(args)
     config = AMConfig(
         M=args.M,
         epsilon=args.epsilon,
         level=args.level,
         prior=_parse_pair(args.prior, "--prior"),
         grid_points=args.grid_points,
-        seed=seed,
+        seed=_resolve_seed(args),
     )
+    dataset = read_table(args.input, args.schema, args.delimiter)
     inversion = None
     if args.invert:
         inversion = _inversion_from_args(args, dataset.n_rows // args.M)

@@ -95,13 +95,41 @@ def laplace_sample(stream: RngStream, scale: float, size=None):
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget spent per release."""
+    """Privacy budget spent per release: 0 < epsilon < inf."""
 
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+
+    @classmethod
+    def of(cls, epsilon) -> "PrivacyParams":
+        """``epsilon`` itself if it is a PrivacyParams, else one holding float(epsilon)."""
+        return epsilon if isinstance(epsilon, cls) else cls(float(epsilon))
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """Keyword-only settings every verification run shares, checked once
+    here; each framework's config adds and checks only its own fields."""
+
+    M: int
+    epsilon: PrivacyParams
+    prior: tuple[float, float] = (1.0, 1.0)
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", PrivacyParams.of(self.epsilon))
+        if self.M < 2:
+            raise ConfigError(f"M must be at least 2, got {self.M}")
+        a, b = self.prior
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise ConfigError(f"prior values must be positive and finite, got {self.prior}")
+
+    @property
+    def eps(self) -> float:
+        return self.epsilon.epsilon
 
 
 @dataclass(frozen=True)
@@ -243,25 +271,23 @@ class BudgetLedger:
     Cost: opening validates every record of the file once, in one bulk
     pass, or line by line where that pass does not accept the file; each
     read of ``entries`` builds its ``NoisyRelease`` objects anew.  The
-    instance keeps how far it has read (byte offset, line count, ε spent
-    and a SHA-256 of those bytes), so an append reads the file, hashes the
-    bytes already read and parses only the records written since.  When
-    those bytes changed or the file got shorter, the append re-reads and
-    re-validates the whole file instead.  Records other processes appended
+    instance keeps the bytes it has validated, their line count and the ε
+    they spend, so an append reads the file, compares its head with those
+    bytes and parses only the records written since.  When those bytes
+    changed or the file got shorter, the append re-reads and re-validates
+    the whole file instead.  Records other processes appended
     are added to ``entries`` and ``spent`` when an append reads them.
     """
 
     def __init__(self, cap: float | None = None, path=None):
-        if cap is not None and not cap > 0:
-            raise ConfigError(f"budget cap must be positive, got {cap}")
+        if cap is not None and not 0 < cap < math.inf:
+            raise ConfigError(f"budget cap must be positive and finite, got {cap}")
         self.cap = cap
         self.path = os.fspath(path) if path is not None else None
         self._records: list[tuple] = []  # NoisyRelease fields per release
         self._spent = 0.0
-        # the file's bytes read so far: their length, lines and hash
-        self._offset = 0
-        self._lines = 0
-        self._seen = hashlib.sha256()
+        self._read = b""  # the file's bytes validated so far
+        self._lines = 0  # the lines they span
         if self.path is not None:
             try:
                 with open(self.path, "rb") as fh:
@@ -277,24 +303,21 @@ class BudgetLedger:
             )
 
     def _catch_up(self, data: bytes) -> None:
-        """Take in ``data``, the whole ledger file.  Only the bytes past the
-        offset are parsed when the bytes before it are unchanged and end a
+        """Take in ``data``, the whole ledger file.  Only the bytes past those
+        already read are parsed when ``data`` starts with them and they end a
         line; otherwise the whole file is, from line 1.  A bad record raises
         before the instance changes."""
-        offset = self._offset
-        view = memoryview(data)
-        if len(data) < offset or view[offset - 1:offset] not in (b"", b"\n") \
-                or hashlib.sha256(view[:offset]).digest() != self._seen.digest():
-            offset = 0
-        lines = self._lines if offset else 0
-        new, count = _parse_records(data[offset:], self.path, lines + 1)
-        if not offset:
-            self._records, self._spent, self._seen = [], 0.0, hashlib.sha256()
+        read = self._read
+        if not (data.startswith(read) and read[-1:] in (b"", b"\n")):
+            read = b""
+        lines = self._lines if read else 0
+        new, count = _parse_records(data[len(read):], self.path, lines + 1)
+        if not read:
+            self._records, self._spent = [], 0.0
         for record in new:  # a left fold in file order, as a fresh open sums
             self._spent += record[1]
         self._records.extend(new)
-        self._seen.update(view[offset:])
-        self._offset, self._lines = len(data), lines + count
+        self._read, self._lines = data, lines + count
 
     @property
     def entries(self) -> tuple:
@@ -340,8 +363,7 @@ class BudgetLedger:
                     os.fsync(fh.fileno())
                 finally:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-            self._seen.update(record)
-            self._offset += len(record)
+            self._read = data + record
             self._lines += 1
         self._records.append(_ATTRS(release))
         self._spent += release.epsilon_spent

@@ -10,7 +10,10 @@ only when the payload is written.
 
 Ledger appends happen inside the release step, before any report is
 assembled or written: an unrecorded release would be a privacy accounting
-failure, while a recorded-but-unemitted one merely wastes budget.
+failure, while a recorded-but-unemitted one spends budget for nothing.
+Every run setting, and the directory of each CLI output path, is checked
+before the release, so only a write that fails itself (a full disk, say)
+can leave one.
 """
 
 from __future__ import annotations

@@ -77,6 +77,9 @@ def test_inflated_region_scaling():
 def test_inflated_region_refuses_deflation():
     with pytest.raises(ConfigError, match="choose M"):
         build_inflated_region(0.0, 1.0, alpha=2.0, n0=100, n=200)
+    for sigma, alpha, n0, n in ((1.0, 1.0, 0, 1), (1.0, math.inf, 10, 5), (math.inf, 1.0, 10, 5)):
+        with pytest.raises(ConfigError):
+            build_inflated_region(0.0, sigma, alpha, n0, n)
 
 
 def test_delta_star_values():
@@ -95,6 +98,9 @@ def test_delta_star_values():
 
     with pytest.raises(ConfigError):
         delta_star(0.0, 1.0, 1.0, n0=10, n=20)
+    for sigma, alpha, n in ((1.0, 1.0, 0), (math.inf, 1.0, 5), (1.0, math.nan, 5)):
+        with pytest.raises(ConfigError):  # n = 0 was a ZeroDivisionError
+            delta_star(0.0, sigma, alpha, n0=10, n=n)
 
 
 # ------------------------------------------------------- indicator counts
@@ -395,6 +401,9 @@ def test_contour_validation():
         robustness_contour([0.0], [200], 1.0, 100, 100, 1.0, region)
     with pytest.raises(ConfigError):
         robustness_contour([], [5], 1.0, 100, 100, 1.0, region)
+    for sigma, n0, eps in ((1.0, 0, 1.0), (math.inf, 10, 1.0), (1.0, 10, math.inf)):
+        with pytest.raises(ConfigError):
+            robustness_contour([0.0], [5], sigma, n0, 100, eps, region)
 
 
 def test_ad_config_validation():
@@ -408,3 +417,11 @@ def test_ad_config_validation():
         ADConfig(M=2, epsilon=1.0, prior=(0.0, 1.0))
     with pytest.raises(ConfigError):
         ADConfig(M=2, epsilon=1.0, mcmc=(10, 0))
+    for bad in ({"epsilon": math.inf}, {"prior": (math.inf, 1.0)}, {"prior": (1.0, math.nan)},
+                {"mcmc": (0, 10**6 + 1)},
+                {"mcmc": (0, 100.0)}):  # numpy refused it after the release
+        with pytest.raises(ConfigError):
+            ADConfig(**{"M": 2, "epsilon": 1.0, **bad})
+    with pytest.raises(TypeError):
+        ADConfig(2, 1.0)  # keyword-only
+    assert ADConfig(M=2, epsilon=1.0, mcmc=(0, 10**6)).mcmc == (0, 10**6)

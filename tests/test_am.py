@@ -254,6 +254,9 @@ def test_error_bound_values():
     assert error_bound(10**9, 1.0, 0.2) < 1e-8
     with pytest.raises(ConfigError):
         error_bound(0, 1.0, 0.2)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            error_bound(25, eps, 0.2)
 
 
 # ------------------------------------------------------ reference contour
@@ -314,6 +317,12 @@ def test_contour_validation():
         reference_contour(1.0, 1.0, 0.5, [0.0], [0.0])
     with pytest.raises(ConfigError):
         reference_contour(1.0, -1.0, 0.5, [0.0], [1.0])
+    for gamma, sigma, diff, ratio in ((math.nan, 1.0, 0.0, 1.0), (math.inf, 1.0, 0.0, 1.0),
+                                      (1.0, math.nan, 0.0, 1.0), (1.0, math.inf, 0.0, 1.0),
+                                      (1.0, 1.0, math.nan, 1.0), (1.0, 1.0, math.inf, 1.0),
+                                      (1.0, 1.0, 0.0, math.nan), (1.0, 1.0, 0.0, math.inf)):
+        with pytest.raises(ConfigError):
+            reference_contour(gamma, sigma, 0.5, [diff], [ratio])
 
 
 # ---------------------------------------------------------------- inversion
@@ -348,6 +357,12 @@ def test_invert_boundary_conventions():
         invert_overlap(1.2, a)
     with pytest.raises(ConfigError):
         InversionAssumption(1.0, 2.0)
+    for l1, l2 in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (math.inf, math.inf),
+                   (1.0, 0.0)):
+        with pytest.raises(ConfigError):
+            InversionAssumption(l1, l2)
+    with pytest.raises(ConfigError):  # once l1 = l2 = inf
+        null_assumption_lengths(math.inf, 10, 10)
 
 
 def test_invert_round_trips_the_geometric_overlap():
@@ -408,3 +423,10 @@ def test_am_config_validation():
         AMConfig(M=2, epsilon=1.0, grid_points=10)
     with pytest.raises(ConfigError):
         AMConfig(M=2, epsilon=1.0, prior=(1.0, -1.0))
+    for bad in ({"epsilon": math.inf}, {"prior": (1.0, math.inf)}, {"grid_points": 10**7 + 1},
+                {"grid_points": 1001.0}):  # numpy refused it after the release
+        with pytest.raises(ConfigError):
+            AMConfig(**{"M": 2, "epsilon": 1.0, **bad})
+    with pytest.raises(TypeError):
+        AMConfig(2, 1.0)  # keyword-only
+    assert AMConfig(M=2, epsilon=1.0, grid_points=10**7).grid_points == 10**7

@@ -158,6 +158,14 @@ def test_invalid_parameters():
         release_scalar(0.0, -1.0, PrivacyParams(1.0), BudgetLedger(), RngStream(0))
     with pytest.raises(ConfigError):
         BudgetLedger(cap=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            PrivacyParams(bad)
+        with pytest.raises(ConfigError):
+            BudgetLedger(cap=bad)
+    params = PrivacyParams(0.5)
+    assert PrivacyParams.of(params) is params
+    assert PrivacyParams.of(2) == PrivacyParams(2.0)
 
 
 # ------------------------------------------------------------ ledger file
@@ -468,7 +476,7 @@ def test_open_matches_per_line_oracle(tmp_path, name):
     ledger = BudgetLedger(path=path)
     assert ledger.entries == tuple(entries)
     assert ledger.spent.hex() == _fold(entries).hex()
-    assert (ledger._lines, ledger._offset) == (count, len(data))
+    assert (ledger._lines, len(ledger._read)) == (count, len(data))
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_CORPUS))
@@ -493,7 +501,7 @@ def test_tail_catch_up_matches_per_line_oracle(tmp_path, name):
     expected = head + tuple(tail) + (release,)
     assert ledger.entries == expected
     assert ledger.spent.hex() == _fold(expected).hex()
-    assert (ledger._lines, ledger._offset) == (3 + count + 1, path.stat().st_size)
+    assert (ledger._lines, len(ledger._read)) == (3 + count + 1, path.stat().st_size)
 
 
 def test_open_builds_no_release_objects(tmp_path, monkeypatch):

@@ -180,13 +180,18 @@ def test_bad_invert_mass_spends_no_epsilon(tmp_path, table):
     assert not (tmp_path / "am.json").exists()
 
 
-def test_ledger_append_precedes_report_emission(tmp_path, table):
-    # report path in a missing directory: the run fails, but the spend is
-    # already on disk
+def test_ledger_append_precedes_report_emission(tmp_path, table, monkeypatch):
+    # the report write fails (a full disk, say): the run fails, but the
+    # spend is already on disk
+    def full_disk(path, payload):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("dprep.cli.write_json", full_disk)
     ledger_path = tmp_path / "ledger.ndjson"
-    args = _ad_args(table, tmp_path, out="no-such-dir/release.json")
+    args = _ad_args(table, tmp_path)
     rc = main(args)
     assert rc != 0
+    assert not (tmp_path / "release.json").exists()
     assert ledger_path.exists()
     assert len(ledger_path.read_text().strip().splitlines()) == 1
 
@@ -529,6 +534,37 @@ def test_cli_output_onto_an_input_exits_2(tmp_path, table, monkeypatch, capsys,
     assert main(args) == 2
     assert "name the same file" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+# settings that would fail, or write NaN into the report, only after the
+# release: each is refused before it
+PRE_RELEASE_REFUSALS = {
+    "ad-prior-inf": ("ad", ["--prior", "inf,1"], "prior"),
+    "am-prior-inf": ("am", ["--prior", "inf,1"], "prior"),
+    "epsilon-inf": ("ad", ["--epsilon", "inf"], "epsilon"),
+    "l1-nan": ("am", ["--invert", "--l1", "nan", "--l2", "1"], "l2 <= l1"),
+    "sigma-o-inf": ("am", ["--invert", "--sigma-o", "inf", "--n0", "120"], "l2 <= l1"),
+    "cap-inf": ("ad", ["--budget-cap", "inf"], "budget cap"),
+    "draws-oversized": ("ad", ["--mcmc", "0,100000000000"], "mcmc"),
+    "grid-oversized": ("am", ["--grid-points", "100000000000"], "grid_points"),
+    "out-dir-missing": ("ad", ["--out", "no-such-dir/release.json"], "--out"),
+    "debug-dir-missing": ("am", ["--unsafe-debug", "no-such-dir/am.dbg"], "--unsafe-debug"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRE_RELEASE_REFUSALS))
+def test_cli_bad_setting_exits_2_before_release(tmp_path, table, monkeypatch, capsys, case):
+    framework, extra, named = PRE_RELEASE_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text(LEDGER_RECORD + "\n")
+    before = ledger.read_bytes()
+    args = _ad_args(table, tmp_path) if framework == "ad" else _am_args(table, tmp_path)
+    assert main(args + extra) == 2  # a repeated option's last value wins
+    assert named in capsys.readouterr().err
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "release.json").exists() and not (tmp_path / "am.json").exists()
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 def test_unsafe_debug_files_keep_their_lists(tmp_path, table):
