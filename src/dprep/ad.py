@@ -3,8 +3,9 @@ counts, and the exact posterior for the fraction of in-region subsets.
 
 The pipeline is: partition the confidential data, fit the published model on
 each subset, count how many subset coefficients land in the tolerance region
-(S, custodian-only), release S + Laplace(0, 1/epsilon), and draw (r, S)
-exactly from their posterior given the noisy count; the ``burn_in`` of
+(S, custodian-only; a subset whose fit fails counts 0), release
+S + Laplace(0, 1/epsilon), and draw (r, S) exactly from their posterior
+given the noisy count; the ``burn_in`` of
 ``ADConfig.mcmc`` is unused.  Only the noisy count and posterior summaries
 ever cross the privacy boundary.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, gammaln, ndtr, xlogy
 
-from .errors import ConfigError, SingularFitError
-from .linmod import ModelSpec, coef_position, fit_subsets, subset_failure
+from .errors import ConfigError
+from .linmod import ModelSpec, coef_position, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -164,17 +165,14 @@ def compute_indicator_count(
     """Fit the model on every subset (:func:`~dprep.linmod.fit_subsets`) and
     count coefficients in the region.
 
-    A singular subset fit aborts the whole run (naming the first such
-    subset) rather than imputing W_l = 0: the count's sensitivity argument
-    assumes all M subsets produced an indicator.
+    A subset whose fit fails (singular, too few rows, or a design cell that
+    is not finite) gets W_l = 0 and a NaN estimate.  W_l is still a
+    function of subset l's rows alone, so the count's sensitivity stays 1,
+    and whether a subset fails never stops the run.
     """
     [(fit, names)] = fit_subsets(dataset, [model], plan)
-    j = coef_position(names, coef)
-    if fit.singular.any():
-        l = int(np.argmax(fit.singular))
-        raise SingularFitError(f"subset {l}: {subset_failure(fit, l)}", subset=l)
-    estimates = fit.coefficients[:, j]
-    W = region.contains(estimates).astype(np.intp)
+    estimates = fit.coefficients[:, coef_position(names, coef)]
+    W = (region.contains(estimates) & ~fit.singular).astype(np.intp)
     return IndicatorCount(W=W, S=int(W.sum()), estimates=estimates)
 
 

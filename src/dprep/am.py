@@ -2,11 +2,11 @@
 
 Per subset, both models are fit and the equal-tailed CIs of the shared
 coefficient are compared with the length-overlap measure nu in [0, 1]
-(1 = identical intervals, 0 = disjoint).  The subset average nu_bar is
-released with Laplace(0, 1/(epsilon*M)) noise, its one-dimensional
-posterior is computed by grid quadrature, and the posterior credible
-interval can be inverted into a bound on the absolute coefficient
-difference under an assumption on the two interval lengths.
+(1 = identical intervals, 0 = disjoint or a failed fit).  The subset
+average nu_bar is released with Laplace(0, 1/(epsilon*M)) noise, its
+one-dimensional posterior is computed by grid quadrature, and the
+posterior credible interval can be inverted into a bound on the absolute
+coefficient difference under an assumption on the two interval lengths.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtrit, xlogy
 
-from .errors import ConfigError, DegenerateIntervalError, SingularFitError
-from .linmod import ZERO_SE, ConfidenceInterval, ModelSpec, fit_subsets, subset_failure
+from .errors import ConfigError, DegenerateIntervalError
+from .linmod import ConfidenceInterval, ModelSpec, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
@@ -37,8 +37,6 @@ POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
 
 MAX_GRID_POINTS = 10**7  # about 80 MB per float64 posterior array
 
-ZERO_LENGTH = "overlap requires intervals of positive length"
-
 
 def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
     """Symmetric length overlap of two intervals.
@@ -47,7 +45,7 @@ def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
     (c/len(i1) + c/len(i2)) / 2.  Both intervals must have positive length.
     """
     if i1.length <= 0 or i2.length <= 0:
-        raise DegenerateIntervalError(ZERO_LENGTH)
+        raise DegenerateIntervalError("overlap requires intervals of positive length")
     return float(_overlap(i1.lower, i1.upper, i2.lower, i2.upper))
 
 
@@ -102,8 +100,12 @@ def average_overlap(
     models and sorts its rows once.
 
     The coefficient of interest must appear untransformed in both models so
-    that the two intervals live in the same units.  All 2M fits must
-    succeed; a singular fit aborts with the subset and model identified.
+    that the two intervals live in the same units.  A subset fails when
+    either model's fit fails (singular, too few rows, or a design cell that
+    is not finite; its bounds are NaN) or either interval's width is zero
+    or not finite; it gets nu_l = 0.  nu_l is still a function of subset
+    l's rows alone, so the average's sensitivity stays 1/M, and whether a
+    subset fails never stops the run.
     """
     for tag, model in (("model0", model0), ("model1", model1)):
         if not _has_plain_term(model, coef):
@@ -115,10 +117,6 @@ def average_overlap(
     fits = fit_subsets(dataset, [model0, model1], plan)
     lower = np.empty((2, plan.M))
     upper = np.empty((2, plan.M))
-    # a loop over subsets would stop at the first subset with a failure, and
-    # within it meet them in this order: model0 fit, model0 interval, model1
-    # fit, model1 interval, overlap
-    fails = np.empty((5, plan.M), dtype=bool)
     for m, (fit, names) in enumerate(fits):
         j = names.index(coef)
         center, se = fit.coefficients[:, j], fit.stderrs[:, j]
@@ -126,16 +124,10 @@ def average_overlap(
         df, row = np.unique(fit.residual_df, return_inverse=True)
         half = stdtrit(df, (1 + level) / 2)[row] * se
         lower[m], upper[m] = center - half, center + half
-        fails[2 * m], fails[2 * m + 1] = fit.singular, se == 0.0
-    fails[4] = np.any(upper - lower <= 0, axis=0)
-    if fails.any():
-        l, kind = divmod(int(np.argmax(fails.T)), 5)
-        if kind in (0, 2):
-            tag, fit = f"model{kind // 2}", fits[kind // 2][0]
-            raise SingularFitError(f"subset {l}, {tag}: {subset_failure(fit, l)}",
-                                   subset=l, model=tag)
-        raise DegenerateIntervalError(ZERO_SE.format(coef) if kind < 4 else ZERO_LENGTH)
-    nus = _overlap(lower[0], upper[0], lower[1], upper[1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed subsets only
+        width = upper - lower
+        failed = ~np.all((width > 0) & (width < np.inf), axis=0)  # NaN compares False
+        nus = np.where(failed, 0.0, _overlap(lower[0], upper[0], lower[1], upper[1]))
     return OverlapResult(nus=nus, nu_bar=float(nus.mean()), lower=lower, upper=upper)
 
 

@@ -1,8 +1,10 @@
 """Command-line surface for data custodians.
 
 Exit codes: 0 success, 2 configuration or input error, 3 budget refusal,
-4 singular or degenerate fit.  The seed falls back to the DPREP_SEED
-environment variable when --seed is not given.
+4 singular fit (``fit`` only).  ``ad-verify`` and ``am-verify`` check the
+budget before they read the table, so with the cap spent every run is exit
+3, and impute a subset whose fit fails instead of stopping.  The seed falls
+back to the DPREP_SEED environment variable when --seed is not given.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from .am import (
     null_assumption_lengths,
     reference_contour,
 )
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    DegenerateIntervalError,
-    DprepError,
-    SingularFitError,
-)
+from .errors import BudgetExceededError, ConfigError, DprepError, SingularFitError
 from .linmod import ConfidenceInterval, parse_formula
 from .privacy import BudgetLedger
 from .tabular import read_table
@@ -78,7 +74,9 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _build_region(args, n_subset: int | None):
+def _region_of(args):
+    """Parse --region without the data: returns a function of the subset
+    size n that builds the region (only an inflated region needs n)."""
     spec = args.region
     if spec.startswith("inflate:"):
         alpha = _number(spec.split(":", 1)[1])
@@ -87,13 +85,12 @@ def _build_region(args, n_subset: int | None):
                 raise ConfigError(
                     f"--region inflate:ALPHA requires --{name.replace('_', '-')}"
                 )
-        if n_subset is None:
-            raise ConfigError("inflated regions need a dataset and M to fix the subset size")
-        return build_inflated_region(args.gamma_o, args.sigma_o, alpha, args.n0, n_subset)
+        return lambda n: build_inflated_region(args.gamma_o, args.sigma_o, alpha, args.n0, n)
     if ":" not in spec:
         raise ConfigError(f"--region must be lo:hi or inflate:ALPHA, got {spec!r}")
     lo, hi = spec.split(":", 1)
-    return build_fixed_region(_number(lo), _number(hi))
+    region = build_fixed_region(_number(lo), _number(hi))
+    return lambda n: region
 
 
 def _check_distinct_paths(args) -> None:
@@ -248,11 +245,13 @@ def _cmd_ad_verify(args) -> int:
         mcmc=_parse_pair(args.mcmc, "--mcmc", int),
         seed=_resolve_seed(args),
     )
-    dataset = read_table(args.input, args.schema, args.delimiter)
-    region = _build_region(args, dataset.n_rows // args.M)
+    model = parse_formula(args.model)
+    region_of = _region_of(args)
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
-    report, debug = ad_verify(dataset, parse_formula(args.model), args.coef,
-                              region, config, ledger)
+    ledger.check(config.eps)  # a spent cap is refused whatever the data
+    dataset = read_table(args.input, args.schema, args.delimiter)
+    report, debug = ad_verify(dataset, model, args.coef,
+                              region_of(dataset.n_rows // args.M), config, ledger)
     write_json(args.out, report)
     if args.unsafe_debug:
         write_json(args.unsafe_debug, debug)
@@ -268,7 +267,7 @@ def _cmd_ad_verify(args) -> int:
 def _cmd_ad_mselect(args) -> int:
     if args.region.startswith("inflate:"):
         raise ConfigError("ad-mselect targets fixed regions; give --region lo:hi")
-    region = _build_region(args, None)
+    region = _region_of(args)(None)
     grid = robustness_contour(
         gamma_grid=_parse_grid(args.gamma_grid),
         M_grid=_parse_grid(args.m_grid, integer=True),
@@ -294,15 +293,17 @@ def _cmd_am_verify(args) -> int:
         grid_points=args.grid_points,
         seed=_resolve_seed(args),
     )
+    model0, model1 = parse_formula(args.model), parse_formula(args.model_alt)
+    ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
+    ledger.check(config.eps)  # a spent cap is refused whatever the data
     dataset = read_table(args.input, args.schema, args.delimiter)
     inversion = None
     if args.invert:
         inversion = _inversion_from_args(args, dataset.n_rows // args.M)
-    ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     report, debug = am_verify(
         dataset,
-        parse_formula(args.model),
-        parse_formula(args.model_alt),
+        model0,
+        model1,
         args.coef,
         config,
         ledger,
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
-    except (SingularFitError, DegenerateIntervalError) as exc:
+    except SingularFitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4
     except (DprepError, OSError) as exc:

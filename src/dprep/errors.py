@@ -14,7 +14,8 @@ class IngestionError(DprepError):
 
 
 class TransformDomainError(DprepError):
-    """A column transform was evaluated outside its domain."""
+    """A design cell is not finite: a transform evaluated outside its
+    domain, or an overflow."""
 
 
 class BudgetExceededError(DprepError):
@@ -26,17 +27,7 @@ class LedgerCorruptError(DprepError):
 
 
 class SingularFitError(DprepError):
-    """A least-squares fit could not be completed.
-
-    Carries the subset index (and model tag, for dual-model runs) so a
-    failed partition fit can be reported precisely instead of being
-    silently imputed.
-    """
-
-    def __init__(self, message, subset=None, model=None):
-        super().__init__(message)
-        self.subset = subset
-        self.model = model
+    """A least-squares fit could not be completed."""
 
 
 class InsufficientDataError(SingularFitError):

@@ -35,7 +35,6 @@ CERTIFICATE_MARGIN = 1e3
 FIT_CHUNK_ROWS = 1 << 16
 
 RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
-ZERO_SE = "coefficient {!r} has zero standard error; its interval would be a single point"
 
 
 @dataclass(frozen=True)
@@ -148,15 +147,11 @@ def parse_formula(formula: str, intercept: bool = True) -> ModelSpec:
     return ModelSpec(response=lhs, terms=tuple(terms), intercept=intercept)
 
 
-def _transform_column(values: np.ndarray, column: str, transform: str) -> np.ndarray:
+def _transform_column(values: np.ndarray, transform: str) -> np.ndarray:
     if transform == "identity":
         return values
     if transform == "square":
         return values * values
-    if np.any(values <= 0):
-        raise TransformDomainError(
-            f"log({column}) requires strictly positive values"
-        )
     return np.log(values)
 
 
@@ -168,7 +163,8 @@ def _design_buffer(
     response (a response is the same column as the plain term of its name).
     Also returns, per model, the buffer columns of its design with the
     response last (the layout :func:`fit_stack` takes), and its design
-    names."""
+    names.  A cell outside a transform's domain (log of a value <= 0) or
+    past the float range is left NaN or infinite."""
     keys: dict = {"intercept": 0} if any(model.intercept for model in models) else {}
     layouts, names = [], []
     for model in models:
@@ -184,11 +180,12 @@ def _design_buffer(
             continue
         # a term is the product of its transformed factors, in factor order
         for i, (column, transform) in enumerate(key):
-            values = _transform_column(dataset.column(column), column, transform)
-            if i == 0:
-                buffer[:, c] = values
-            else:
-                buffer[:, c] *= values
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values = _transform_column(dataset.column(column), transform)
+                if i == 0:
+                    buffer[:, c] = values
+                else:
+                    buffer[:, c] *= values
     return buffer, layouts, names
 
 
@@ -196,8 +193,16 @@ def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray
     """Design matrix with the response appended as its last column (the
     layout :func:`fit_stack` takes), and the names of the design columns:
     the all-ones ``intercept`` column first iff the intercept is on, then
-    term columns in specification order."""
+    term columns in specification order.
+
+    Raises TransformDomainError when a design cell is not finite."""
     buffer, _, names = _design_buffer(dataset, [model])
+    finite = np.isfinite(buffer).all(axis=0)
+    if not finite.all():
+        name = names[0][int(np.argmin(finite))]
+        raise TransformDomainError(
+            f"design column {name!r} is not finite: log of a value <= 0, or overflow"
+        )
     return buffer, names[0]
 
 
@@ -240,7 +245,8 @@ def coef_position(names, which) -> int:
 def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
     """Fit the model on the whole dataset: a stack of one, see :func:`fit_stack`.
 
-    Raises InsufficientDataError when there are fewer rows than k + 1 and
+    Raises TransformDomainError when a design cell is not finite,
+    InsufficientDataError when there are fewer rows than k + 1 and
     SingularFitError when the design is rank deficient.
     """
     Xy, names = design_with_response(dataset, model)
@@ -260,7 +266,7 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> FitResult:
 @dataclass(frozen=True)
 class StackFit:
     """OLS fits of B blocks; row b of each array belongs to block b.  The
-    numbers of a ``singular`` block mean nothing."""
+    numbers of a ``singular`` block are NaN."""
 
     coefficients: np.ndarray
     stderrs: np.ndarray
@@ -308,9 +314,10 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
     Past the QR every step is elementwise over the blocks, so a block's
     numbers do not depend on the stack it is fitted in.
 
-    When n < k + 1 every block is flagged singular and its numbers are NaN.
-    Otherwise a block is flagged singular exactly when the pivoted rank
-    rule refuses it.  That rule runs only on blocks whose R does not
+    A singular block's numbers are NaN.  When n < k + 1 every block is
+    flagged singular.  Otherwise a block is flagged singular when its R is
+    not finite (the block holds a NaN or infinite cell) or when the pivoted
+    rank rule refuses it.  That rule runs only on blocks whose R does not
     certify acceptance: the |r_ii| of any triangular factor of X lie in
     [sigma_min, sigma_max], so the pivoted ratio min|r_ii| / max|r_ii| is
     at least 1 / (||R||_F ||R^-1||_F).  A zero on the diagonal flags the
@@ -325,26 +332,29 @@ def fit_stack(Xy: np.ndarray) -> StackFit:
     # blocks along the last axis from here on
     R_aug = np.ascontiguousarray(np.moveaxis(np.linalg.qr(Xy, mode="r"), 0, -1))
     R, qty = R_aug[:k, :k], R_aug[:k, k]
-    zero_diag = np.any(np.diagonal(R) == 0, axis=1)
-    if zero_diag.any():
-        R = R.copy()
-        R[..., zero_diag] = np.eye(k)[..., None]  # keeps the back substitution finite
+    singular = ~np.isfinite(R_aug).all(axis=(0, 1)) | np.any(np.diagonal(R) == 0, axis=1)
+    if singular.any():
+        R_aug[..., singular] = np.eye(k + 1)[..., None]  # keeps what follows finite
     R_inv = _triangular_inverse(R)
     beta = np.zeros((k, B))
     diag_xtx_inv = np.zeros((k, B))
-    for j in range(k):
-        beta += R_inv[:, j] * qty[j]
-        diag_xtx_inv += R_inv[:, j] * R_inv[:, j]
-    cond_bound = np.sqrt(np.sum(R * R, axis=(0, 1)) * diag_xtx_inv.sum(axis=0))
+    # cells near the float limit may overflow a square below; the rank rule,
+    # and a caller's check of the interval width, judge the block, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            beta += R_inv[:, j] * qty[j]
+            diag_xtx_inv += R_inv[:, j] * R_inv[:, j]
+        cond_bound = np.sqrt(np.sum(R * R, axis=(0, 1)) * diag_xtx_inv.sum(axis=0))
+        sigma2_hat = R_aug[k, k] ** 2 / (n - k)
+        stderrs = np.sqrt(sigma2_hat * diag_xtx_inv)
     certified = cond_bound * (RANK_TOL * CERTIFICATE_MARGIN) < 1  # False on nan
-    singular = zero_diag.copy()
-    for b in np.flatnonzero(~(certified | zero_diag)):
+    for b in np.flatnonzero(~(certified | singular)):
         singular[b] = _pivoted_rank_deficient(Xy[b, :, :k])
-
-    sigma2_hat = R_aug[k, k] ** 2 / (n - k)
+    if singular.any():
+        beta[:, singular] = stderrs[:, singular] = sigma2_hat[singular] = np.nan
     return StackFit(
         coefficients=beta.T,
-        stderrs=np.sqrt(sigma2_hat * diag_xtx_inv).T,
+        stderrs=stderrs.T,
         residual_df=residual_df,
         sigma2_hat=sigma2_hat,
         singular=singular,
@@ -437,6 +447,7 @@ def confidence_interval(
     if se == 0.0:
         if degenerate == "point":
             return ConfidenceInterval(center, center, level)
-        raise DegenerateIntervalError(ZERO_SE.format(which))
+        raise DegenerateIntervalError(
+            f"coefficient {which!r} has zero standard error; its interval would be a single point")
     half = t_quantile(fit.residual_df, (1 + level) / 2) * se
     return ConfidenceInterval(center - half, center + half, level)

@@ -11,9 +11,12 @@ from scipy.special import gammaln, xlogy
 from dprep import (
     ConfigError,
     Dataset,
+    DegenerateIntervalError,
     LedgerCorruptError,
     NoisyRelease,
     RngStream,
+    SingularFitError,
+    TransformDomainError,
     laplace_sample,
     linmod,
 )
@@ -49,6 +52,23 @@ def replace_row(dataset: Dataset, row: int, values: dict[str, float]) -> Dataset
             new[row] = values[name]
         columns[name] = new
     return Dataset(columns)
+
+
+def subset_oracle(dataset: Dataset, plan, fn) -> list:
+    """Reference for the per-subset values of AD and AM: ``fn`` applied to
+    a fresh Dataset of each subset's rows, in subset order, with None for a
+    subset where it raises what the frameworks impute: a singular or short
+    fit (SingularFitError, InsufficientDataError included), a zero-width
+    interval (DegenerateIntervalError) or a design cell that is not finite
+    (TransformDomainError)."""
+    out = []
+    for l in range(plan.M):
+        rows = np.flatnonzero(plan.assignment == l)
+        try:
+            out.append(fn(Dataset({k: v[rows] for k, v in dataset.columns.items()})))
+        except (SingularFitError, DegenerateIntervalError, TransformDomainError):
+            out.append(None)
+    return out
 
 
 LEDGER_RECORD = NoisyRelease(value=3.0, epsilon_spent=0.5, sensitivity=1.0).to_record()

@@ -9,6 +9,7 @@ from helpers import (
     gibbs_oracle,
     robustness_cell_oracle,
     s_conditional_logweights,
+    subset_oracle,
     synth_dataset,
 )
 
@@ -19,11 +20,11 @@ from dprep import (
     Dataset,
     NoisyRelease,
     RngStream,
-    SingularFitError,
     build_fixed_region,
     build_inflated_region,
     compute_indicator_count,
     delta_star,
+    fit_ols,
     gibbs_posterior,
     laplace_sample,
     make_partition,
@@ -146,14 +147,18 @@ def test_indicator_count_matches_brute_force_fits():
 
 
 def test_singular_subset_aborts_with_index():
+    # a singular subset does not abort the count: it is imputed as W_l = 0
+    # with a NaN estimate, and the other subset is counted as fitted alone
     plan = make_partition(8, 2, seed=1)
     x = np.arange(8.0)
     x[plan.assignment == 0] = 5.0  # subset 0 becomes constant in x
     ds = Dataset({"x": x, "y": np.arange(8.0) + 1.0})
-    with pytest.raises(SingularFitError, match="subset 0") as exc_info:
-        compute_indicator_count(ds, parse_formula("y ~ x"), "x",
-                                build_fixed_region(0, math.inf), plan)
-    assert exc_info.value.subset == 0
+    model = parse_formula("y ~ x")
+    ind = compute_indicator_count(ds, model, "x", build_fixed_region(0, math.inf), plan)
+    expected = subset_oracle(ds, plan, lambda sub: fit_ols(sub, model).coef("x"))
+    assert expected[0] is None and expected[1] > 0
+    assert np.isnan(ind.estimates[0]) and ind.estimates[1] == expected[1]
+    assert ind.W.tolist() == [0, 1] and ind.S == 1
 
 
 def test_release_count_uses_unit_sensitivity():

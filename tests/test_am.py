@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import reference_cell_oracle, synth_dataset
+from helpers import reference_cell_oracle, replace_row, subset_oracle, synth_dataset
 
 from dprep import (
     AMConfig,
@@ -17,10 +17,11 @@ from dprep import (
     InversionAssumption,
     NoisyRelease,
     RngStream,
-    SingularFitError,
     average_overlap,
+    confidence_interval,
     credible_interval,
     error_bound,
+    fit_ols,
     invert_credible_interval,
     invert_overlap,
     laplace_sample,
@@ -163,11 +164,32 @@ def test_average_overlap_singular_abort_names_model():
     z = np.arange(8.0) ** 2
     z[plan.assignment == 1] = 1.0  # model1's extra column is constant in subset 1
     ds = Dataset({"x": x, "z": z, "y": x + 1.0})
-    with pytest.raises(SingularFitError, match="subset 1, model1") as info:
-        average_overlap(ds, parse_formula("y ~ x"), parse_formula("y ~ x + z"),
-                        "x", plan)
-    assert info.value.subset == 1
-    assert info.value.model == "model1"
+    m0, m1 = parse_formula("y ~ x"), parse_formula("y ~ x + z")
+    # the singular fit does not abort the run: subset 1 gets nu = 0 and NaN
+    # bounds for model1, and subset 0 the overlap of its fits alone
+    res = average_overlap(ds, m0, m1, "x", plan)
+    expected = subset_oracle(ds, plan, lambda sub: overlap_measure(
+        *(confidence_interval(fit_ols(sub, m), "x", 0.95) for m in (m0, m1))))
+    assert expected[1] is None and expected[0] is not None
+    assert res.nus.tolist() == [expected[0], 0.0]
+    assert res.nu_bar == expected[0] / 2
+    assert np.isnan(res.lower[1, 1]) and np.isnan(res.upper[1, 1])
+
+
+def test_average_overlap_imputes_an_interval_of_infinite_width():
+    # a response cell of 1e200 overflows its subset's residual variance:
+    # that subset's intervals are infinitely wide, and it gets nu = 0
+    # rather than a NaN that would reach the release
+    ds = synth_dataset(120, seed=6)
+    plan = make_partition(120, 4, seed=1)
+    big = replace_row(ds, 5, {"y": 1e200})
+    m0, m1 = parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3")
+    res, base = (average_overlap(d, m0, m1, "x1", plan) for d in (big, ds))
+    held = plan.assignment[5]
+    assert np.isinf(res.upper[:, held]).all() and res.nus[held] == 0.0
+    others = np.arange(4) != held
+    assert np.array_equal(res.nus[others], base.nus[others])
+    assert math.isfinite(res.nu_bar)
 
 
 def test_release_overlap_sensitivity_is_one_over_m():

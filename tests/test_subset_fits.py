@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import reference_fit_stack, synth_dataset
+from helpers import reference_fit_stack, subset_oracle, synth_dataset
 
 from dprep import (
     ConfigError,
     Dataset,
     DegenerateIntervalError,
     SingularFitError,
-    TransformDomainError,
     average_overlap,
     build_fixed_region,
     compute_indicator_count,
     confidence_interval,
     fit_ols,
     make_partition,
+    overlap_measure,
     parse_formula,
 )
 from dprep import linmod
@@ -42,6 +42,21 @@ def _subset_fits(ds, model, plan):
         fits.append(fit_ols(Dataset({k: v[rows] for k, v in ds.columns.items()}),
                             model))
     return fits
+
+
+def _expected_estimates(ds, model, coef, plan):
+    """Oracle: fit_ols's estimate of coef on each subset alone, NaN where
+    that fit fails."""
+    estimates = subset_oracle(ds, plan, lambda sub: fit_ols(sub, model).coef(coef))
+    return np.array([np.nan if e is None else e for e in estimates])
+
+
+def _expected_overlaps(ds, models, coef, plan, level=0.95):
+    """Oracle: overlap_measure of the two models' intervals on each subset
+    alone, 0 where a fit fails or an interval has zero width."""
+    nus = subset_oracle(ds, plan, lambda sub: overlap_measure(
+        *(confidence_interval(fit_ols(sub, model), coef, level) for model in models)))
+    return [0.0 if nu is None else nu for nu in nus]
 
 
 def _dataset():
@@ -100,8 +115,10 @@ def test_plan_for_other_rows_is_refused():
 
 
 def test_design_is_built_before_any_fit():
-    # subset 0 is singular, and a later subset breaks log's domain: the
-    # design is built on all rows first, so the domain error is the one raised
+    # subset 0 is singular, and a row of subset 1 breaks log's domain: the
+    # design is built on all rows first, with NaN where log's domain fails,
+    # so that row fails only its own subset's fit of the model that logs z,
+    # and both subsets are imputed
     plan = make_partition(12, 2, seed=1)
     x = np.arange(12.0)
     x[plan.assignment == 0] = 5.0
@@ -109,10 +126,12 @@ def test_design_is_built_before_any_fit():
     z[np.flatnonzero(plan.assignment == 1)[0]] = -1.0
     ds = Dataset({"x": x, "z": z, "y": np.arange(12.0)})
     model = parse_formula("y ~ x + log(z)")
-    with pytest.raises(TransformDomainError):
-        compute_indicator_count(ds, model, "x", build_fixed_region(0.0, 1.0), plan)
-    with pytest.raises(TransformDomainError):
-        average_overlap(ds, parse_formula("y ~ x"), model, "x", plan)
+    ind = compute_indicator_count(ds, model, "x", build_fixed_region(0.0, 1.0), plan)
+    assert subset_oracle(ds, plan, lambda sub: fit_ols(sub, model)) == [None, None]
+    assert ind.W.tolist() == [0, 0] and np.all(np.isnan(ind.estimates))
+    res = average_overlap(ds, parse_formula("y ~ x"), model, "x", plan)
+    assert res.nus.tolist() == [0.0, 0.0]
+    assert np.isfinite(res.lower[0, 1]) and np.isnan(res.lower[1, 1])
 
 
 # ------------------------------------------------- fit_subsets' contract
@@ -169,8 +188,12 @@ def test_fit_subsets_marks_short_subsets_singular():
     assert np.all(np.isfinite(fit.coefficients[:3]))
     for l in range(3, 10):
         assert subset_failure(fit, l) == "need at least 21 rows to fit 20 coefficients, have 20"
-    with pytest.raises(SingularFitError, match="subset 3: need at least 21 rows"):
-        compute_indicator_count(ds, model, "c0", build_fixed_region(0.0, 1.0), plan)
+    # the short subsets are imputed: W_l = 0 and a NaN estimate
+    ind = compute_indicator_count(ds, model, "c0", build_fixed_region(0.0, 1.0), plan)
+    expected = _expected_estimates(ds, model, "c0", plan)
+    assert np.array_equal(ind.estimates, expected, equal_nan=True)
+    assert np.isnan(expected).tolist() == fit.singular.tolist()
+    assert ind.W.tolist() == ((expected >= 0) & (expected <= 1)).astype(int).tolist()
 
 
 def test_subset_failure_words_a_rank_deficient_subset():
@@ -370,20 +393,13 @@ def test_rank_deficient_blocks_refused_without_linalg_error():
     assert np.all(np.isfinite(fit.coefficients[0]))
 
 
-# ------------------------------------- which singular subset is named first
+# ------------------------------------------ failed subsets are imputed
 
-def _first_failure(ds, models, plan):
-    """(subset, model index, message) of the first fit that a per-subset
-    loop over (subset, model0, model1) cannot make, or None."""
-    for l in range(plan.M):
-        rows = np.flatnonzero(plan.assignment == l)
-        sub = Dataset({k: v[rows] for k, v in ds.columns.items()})
-        for m, model in enumerate(models):
-            try:
-                fit_ols(sub, model)
-            except SingularFitError as exc:  # InsufficientDataError included
-                return l, m, str(exc)
-    return None
+def _fits_succeed(ds, models, plan):
+    """Oracle: per subset, whether fit_ols fits every model on its rows
+    alone (a failure is a SingularFitError, InsufficientDataError included)."""
+    return [fits is not None for fits in
+            subset_oracle(ds, plan, lambda sub: [fit_ols(sub, m) for m in models])]
 
 
 @pytest.mark.parametrize("constant, formula1", [
@@ -403,21 +419,19 @@ def test_first_failing_subset_is_named_in_subset_then_model_order(constant, form
         cols[name][np.isin(plan.assignment, subsets)] = 1.5
     ds = Dataset(cols)
     models = (parse_formula("y ~ x + u"), parse_formula(formula1))
-    l, m, message = _first_failure(ds, models, plan)
-    with pytest.raises(SingularFitError) as info:
-        average_overlap(ds, *models, "x", plan)
-    assert str(info.value) == f"subset {l}, model{m}: {message}"
-    assert (info.value.subset, info.value.model) == (l, f"model{m}")
-    for model in models:
-        expected = _first_failure(ds, (model,), plan)
-        region = build_fixed_region(0.0, 1.0)
-        if expected is None:
-            compute_indicator_count(ds, model, "x", region, plan)
-            continue
-        with pytest.raises(SingularFitError) as info:
-            compute_indicator_count(ds, model, "x", region, plan)
-        assert str(info.value) == f"subset {expected[0]}: {expected[2]}"
-        assert info.value.subset == expected[0]
+    assert not all(_fits_succeed(ds, models, plan))
+    # every subset where either fit fails gets nu = 0, and NaN bounds for
+    # the model that failed; the others are the overlaps of their own fits
+    res = average_overlap(ds, *models, "x", plan)
+    assert res.nus.tolist() == _expected_overlaps(ds, models, "x", plan)
+    region = build_fixed_region(0.0, 1.0)
+    for m, model in enumerate(models):
+        ok = _fits_succeed(ds, (model,), plan)
+        assert np.isnan(res.lower[m]).tolist() == [not fine for fine in ok]
+        ind = compute_indicator_count(ds, model, "x", region, plan)
+        expected = _expected_estimates(ds, model, "x", plan)
+        assert np.array_equal(ind.estimates, expected, equal_nan=True)
+        assert ind.W.tolist() == (region.contains(expected) & ok).astype(int).tolist()
 
 
 @pytest.mark.parametrize("zero_y, constant_u, error", [
@@ -425,12 +439,21 @@ def test_first_failing_subset_is_named_in_subset_then_model_order(constant, form
     (2, 1, SingularFitError),
 ])
 def test_zero_width_interval_and_singular_fit_in_subset_order(zero_y, constant_u, error):
+    # a zero-width interval and a singular fit are both imputed as nu = 0,
+    # in either subset order; ``error`` is what the per-subset oracle meets
+    # on the first of the two subsets
     plan = make_partition(23, 4, seed=7)
     rng = np.random.default_rng(5)
     cols = {name: rng.normal(size=23) for name in ("x", "u", "y")}
     cols["y"][plan.assignment == zero_y] = 0.0  # fitted exactly: zero stderr
     cols["u"][plan.assignment == constant_u] = 1.5
     ds = Dataset(cols)
-    with pytest.raises(error, match="zero standard error" if error is DegenerateIntervalError
-                       else f"subset {constant_u}, model1"):
-        average_overlap(ds, parse_formula("y ~ x"), parse_formula("y ~ x + u"), "x", plan)
+    models = (parse_formula("y ~ x"), parse_formula("y ~ x + u"))
+    res = average_overlap(ds, *models, "x", plan)
+    assert res.nus.tolist() == _expected_overlaps(ds, models, "x", plan)
+    assert res.nus[zero_y] == res.nus[constant_u] == 0.0
+    assert np.count_nonzero(res.nus) == 2
+    first = min(zero_y, constant_u)
+    sub = Dataset({k: v[plan.assignment == first] for k, v in cols.items()})
+    with pytest.raises(error):
+        [confidence_interval(fit_ols(sub, model), "x", 0.95) for model in models]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, replace_row, synth_dataset
@@ -16,10 +17,10 @@ from dprep import (
     ConfigError,
     InversionAssumption,
     NoisyRelease,
-    TransformDomainError,
     ad_verify,
     am_verify,
     build_fixed_region,
+    make_partition,
     parse_formula,
 )
 from dprep.cli import main
@@ -29,6 +30,7 @@ from dprep.verify import (
     load_json,
     recompute_posterior_summary,
     resolve_delta,
+    write_json,
 )
 from dprep.ad import build_inflated_region, delta_star
 
@@ -138,23 +140,31 @@ def test_delta_resolution_rules():
 
 @pytest.mark.parametrize("framework", ["ad", "am"])
 def test_pre_release_failure_spends_no_epsilon(tmp_path, framework):
-    # log of a non-positive cell fails before the release: the ledger file
-    # is left byte-identical
+    # log of a zero cell is not a failure of the run: the subset holding
+    # that row is imputed, epsilon is spent and a report is written, as for
+    # any other data (a failure that does not depend on the data spends
+    # nothing: test_bad_invert_mass_spends_no_epsilon)
     ledger = tmp_path / "ledger.ndjson"
     ledger.write_text(LEDGER_RECORD + "\n")
-    before = ledger.read_bytes()
     ds = replace_row(synth_dataset(120, seed=4), 7, {"x1": 0.0})
     budget = BudgetLedger(cap=2.0, path=ledger)
-    with pytest.raises(TransformDomainError, match="log"):
-        if framework == "ad":
-            ad_verify(ds, parse_formula("y ~ log(x1) + x2"), "x2",
-                      build_fixed_region(0.0, math.inf),
-                      ADConfig(M=4, epsilon=1.0, seed=3), budget)
-        else:
-            am_verify(ds, parse_formula("y ~ x2 + x3"), parse_formula("y ~ log(x1) + x2"),
-                      "x2", AMConfig(M=4, epsilon=1.0, seed=5), budget)
-    assert ledger.read_bytes() == before
-    assert budget.spent == 0.5
+    if framework == "ad":
+        config = ADConfig(M=4, epsilon=1.0, seed=3)
+        report, debug = ad_verify(ds, parse_formula("y ~ log(x1) + x2"), "x2",
+                                  build_fixed_region(0.0, math.inf), config, budget)
+        failed = np.isnan(debug["subset_estimates"])
+        assert debug["indicators"][failed].tolist() == [0]
+    else:
+        config = AMConfig(M=4, epsilon=1.0, seed=5)
+        report, debug = am_verify(ds, parse_formula("y ~ x2 + x3"),
+                                  parse_formula("y ~ log(x1) + x2"), "x2", config, budget)
+        failed = np.isnan(debug["interval_pairs"][:, 1, 0])
+        assert debug["nu_per_subset"][failed].tolist() == [0.0]
+    assert np.flatnonzero(failed).tolist() == [make_partition(120, 4, config.seed).assignment[7]]
+    write_json(tmp_path / "report.json", report)
+    assert load_json(tmp_path / "report.json")["released"]["epsilon"] == 1.0
+    assert len(ledger.read_text().splitlines()) == 2
+    assert budget.spent == 1.5
 
 
 def test_bad_invert_mass_spends_no_epsilon(tmp_path, table):
@@ -242,19 +252,108 @@ def test_cli_budget_refusal_second_run(tmp_path, table, capsys):
 
 
 def test_cli_singular_fit_exit_code(tmp_path, capsys):
+    # x2 = 2x: every fit is singular.  The custodian-only fit exits 4; the
+    # verify commands impute every subset, spend epsilon and exit 0
     rows = ["x,x2,y"] + [f"{i},{2 * i},{i + 1}" for i in range(40)]
     tbl = tmp_path / "collinear.csv"
     tbl.write_text("\n".join(rows) + "\n")
     schema = tmp_path / "schema.json"
     schema.write_text('{"x": "numeric", "x2": "numeric", "y": "numeric"}')
-    rc = main([
-        "ad-verify", "--input", str(tbl), "--schema", str(schema),
-        "--model", "y ~ x + x2", "--coef", "x", "--region", "0:inf",
-        "--epsilon", "1", "--M", "4", "--seed", "1",
-        "--ledger", str(tmp_path / "l.ndjson"), "--out", str(tmp_path / "r.json"),
-    ])
-    assert rc == 4
+    io = ["--input", str(tbl), "--schema", str(schema), "--model", "y ~ x + x2"]
+    assert main(["fit", *io]) == 4
     assert "fit error" in capsys.readouterr().err
+    run = ["--coef", "x", "--epsilon", "1", "--M", "4", "--seed", "1",
+           "--ledger", str(tmp_path / "l.ndjson")]
+    assert main(["ad-verify", *io, *run, "--region", "0:inf", "--out", str(tmp_path / "r.json"),
+                 "--unsafe-debug", str(tmp_path / "r.dbg")]) == 0
+    assert load_json(tmp_path / "r.dbg")["indicators"] == [0, 0, 0, 0]
+    assert main(["am-verify", *io, *run, "--model-alt", "y ~ x", "--out", str(tmp_path / "a.json"),
+                 "--unsafe-debug", str(tmp_path / "a.dbg")]) == 0
+    assert load_json(tmp_path / "a.dbg")["nu_per_subset"] == [0.0] * 4
+    assert len((tmp_path / "l.ndjson").read_text().splitlines()) == 2
+
+
+def test_cli_nonfinite_design_cell(tmp_path, capsys):
+    # sq(b) of a cell of 1e200 overflows: the custodian-only fit exits 2
+    # naming the cause, and the verify commands impute the subset holding it
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=40)
+    b[5] = 1e200
+    tbl = tmp_path / "big.csv"
+    tbl.write_text("x,b,y\n" + "".join(f"{x:.17g},{v:.17g},{y:.17g}\n" for x, v, y in
+                                       zip(rng.normal(size=40), b, rng.normal(size=40))))
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"x": "numeric", "b": "numeric", "y": "numeric"}')
+    io = ["--input", str(tbl), "--schema", str(schema), "--model", "y ~ x + sq(b)"]
+    assert main(["fit", *io]) == 2
+    assert "overflow" in capsys.readouterr().err
+    run = ["--coef", "x", "--epsilon", "1", "--M", "4", "--seed", "2",
+           "--ledger", str(tmp_path / "l.ndjson")]
+    held = make_partition(40, 4, 2).assignment[5]
+    assert main(["ad-verify", *io, *run, "--region", "0:inf", "--out", str(tmp_path / "r.json"),
+                 "--unsafe-debug", str(tmp_path / "r.dbg")]) == 0
+    estimates = np.array(load_json(tmp_path / "r.dbg")["subset_estimates"])
+    assert np.flatnonzero(np.isnan(estimates)).tolist() == [held]
+    assert load_json(tmp_path / "r.dbg")["indicators"][held] == 0
+    assert main(["am-verify", *io, *run, "--model-alt", "y ~ x", "--out", str(tmp_path / "a.json"),
+                 "--unsafe-debug", str(tmp_path / "a.dbg")]) == 0
+    nus = load_json(tmp_path / "a.dbg")["nu_per_subset"]
+    assert [l for l, nu in enumerate(nus) if nu == 0.0] == [held]
+    assert len((tmp_path / "l.ndjson").read_text().splitlines()) == 2
+
+
+def _key_paths(value, prefix=()):
+    """Every key path of a parsed JSON object."""
+    if not isinstance(value, dict):
+        return {prefix}
+    return {p for k, v in value.items() for p in _key_paths(v, prefix + (k,))}
+
+
+def test_reconstruction_attack_learns_nothing(tmp_path, monkeypatch):
+    # 60 rows in 20 subsets of three: a subset is singular under y ~ x3
+    # exactly when the secret binary x3 is constant on it.  A run that
+    # failed on such a subset would give the secret away through its exit
+    # code; every run must look the same, whatever the secret
+    rng = np.random.default_rng(11)
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"x3": "numeric", "y": "numeric"}')
+    secrets = [rng.integers(0, 2, 60) for _ in range(19)] + [np.ones(60, dtype=int)]
+
+    def table(i):
+        path = tmp_path / f"t{i}.csv"
+        path.write_text("x3,y\n" + "".join(f"{s},{y:.17g}\n" for s, y in
+                                          zip(secrets[i], rng.normal(size=60))))
+        return path
+
+    def ad_args(i, ledger):
+        return ["ad-verify", "--input", str(table(i)), "--schema", str(schema),
+                "--model", "y ~ x3", "--coef", "x3", "--region", "0:inf",
+                "--epsilon", "1", "--M", "20", "--seed", str(i), "--budget-cap", "20",
+                "--ledger", str(ledger), "--out", str(tmp_path / f"r{i}.json"),
+                "--unsafe-debug", str(tmp_path / f"d{i}.json")]
+
+    # the cap spent: every query is refused before the table is read
+    spent = tmp_path / "spent.ndjson"
+    spent.write_text("".join(NoisyRelease(value=0.0, epsilon_spent=1.0, sensitivity=1.0)
+                             .to_record() + "\n" for _ in range(20)))
+    before = spent.read_bytes()
+    reads = []
+    monkeypatch.setattr("dprep.cli.read_table", lambda *a: reads.append(a))
+    assert [main(ad_args(i, spent)) for i in range(20)] == [3] * 20
+    assert reads == [] and spent.read_bytes() == before
+
+    # budget left: every query exits 0 and spends epsilon once
+    monkeypatch.undo()
+    ledger = tmp_path / "ledger.ndjson"
+    keys = set()
+    for i in range(20):
+        assert main(ad_args(i, ledger)) == 0
+        assert len(ledger.read_text().splitlines()) == i + 1
+        keys.add(frozenset(_key_paths(load_json(tmp_path / f"r{i}.json"))))
+    assert len(keys) == 1
+    # the runs did meet failed subsets: all of them under the constant secret
+    assert load_json(tmp_path / "d19.json")["indicators"] == [0] * 20
+    assert sum(load_json(tmp_path / f"d{i}.json")["true_count"] for i in range(19)) > 0
 
 
 def test_cli_seed_env_fallback(tmp_path, table, monkeypatch):
