@@ -14,8 +14,8 @@ class IngestionError(DprepError):
 
 
 class TransformDomainError(DprepError):
-    """A design cell is not finite: a transform evaluated outside its
-    domain, or an overflow."""
+    """A design cell, or a number fitted from the design, is not finite: a
+    transform evaluated outside its domain, or an overflow."""
 
 
 class BudgetExceededError(DprepError):

@@ -7,10 +7,9 @@ results, and fitting it with permuted rows gives results equal to rounding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import stdtrit
 
 from .errors import (
@@ -30,8 +29,7 @@ RANK_TOL = 1e-10
 # a fit skips the pivoted rank check only when its unpivoted R bounds the
 # pivoted diagonal ratio above RANK_TOL by at least this factor
 CERTIFICATE_MARGIN = 1e3
-# fit_subsets hands fit_stack whole blocks of at most about this many rows
-# in all, so the copies a fit makes (column gather, the QR's own) stay small
+# fit_subsets factors about this many rows of blocks at a time: the QR copies little
 FIT_CHUNK_ROWS = 1 << 16
 
 RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
@@ -275,10 +273,12 @@ class StackFit:
     singular: np.ndarray
 
 
-def _pivoted_rank_deficient(X: np.ndarray) -> bool:
+def _pivoted_rank_deficient(R: np.ndarray) -> bool:
     """The rank rule: with column pivoting, the smallest |R| diagonal entry
-    is at most RANK_TOL times the largest."""
-    R, _ = scipy.linalg.qr(X, mode="r", pivoting=True)
+    is at most RANK_TOL times the largest.  Pivoted QR depends on a block X
+    only through X^T X = R^T R, so X's R stands in for X."""
+    import scipy.linalg  # only blocks the certificate leaves open get here
+    R, _ = scipy.linalg.qr(R, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     return bool(diag.min() <= RANK_TOL * diag.max())
 
@@ -301,64 +301,55 @@ def _triangular_inverse(R: np.ndarray) -> np.ndarray:
 
 
 def fit_stack(Xy: np.ndarray) -> StackFit:
-    """Fit y on the design X by ordinary least squares for every block of a
-    stack Xy of shape (B, n, k + 1): block b is X = Xy[b, :, :k] and
-    y = Xy[b, :, k].
+    """OLS fits of the blocks X = Xy[b, :, :k], y = Xy[b, :, k] of a stack Xy
+    (B, n, k + 1): one batched, unpivoted QR, then :func:`fit_from_r`."""
+    B, n, D = Xy.shape
+    R_aug = np.zeros((B, D, D))  # zero rows pad R when n < k + 1
+    R_aug[:, :n] = np.linalg.qr(Xy, mode="r")
+    return fit_from_r(R_aug, n)
 
-    One batched, unpivoted QR of the blocks [X | y] gives everything: its
-    leading k x k block is R, the rest of its last column is Q^T y, and its
-    last diagonal entry is the norm of the residual vector, so neither Q nor
-    the residuals are formed.  R^-1 comes by back substitution; the
-    estimates are R^-1 Q^T y, the squared standard errors are sigma2_hat
-    times the row sums of (R^-1)^2, and sigma2_hat = r_{k+1,k+1}^2 / (n - k).
-    Past the QR every step is elementwise over the blocks, so a block's
-    numbers do not depend on the stack it is fitted in.
 
-    A singular block's numbers are NaN.  When n < k + 1 every block is
-    flagged singular.  Otherwise a block is flagged singular when its R is
-    not finite (the block holds a NaN or infinite cell) or when the pivoted
-    rank rule refuses it.  That rule runs only on blocks whose R does not
-    certify acceptance: the |r_ii| of any triangular factor of X lie in
-    [sigma_min, sigma_max], so the pivoted ratio min|r_ii| / max|r_ii| is
-    at least 1 / (||R||_F ||R^-1||_F).  A zero on the diagonal flags the
-    block singular at once: X is then singular to working precision, which
-    the pivoted rule refuses as well.
-    """
-    B, n, k = Xy.shape[0], Xy.shape[1], Xy.shape[2] - 1
-    residual_df = np.full(B, n - k)
-    if n < k + 1:
-        nan = np.full((B, k), np.nan)
-        return StackFit(nan, nan, residual_df, np.full(B, np.nan), np.ones(B, dtype=bool))
-    # blocks along the last axis from here on
-    R_aug = np.ascontiguousarray(np.moveaxis(np.linalg.qr(Xy, mode="r"), 0, -1))
-    R, qty = R_aug[:k, :k], R_aug[:k, k]
-    singular = ~np.isfinite(R_aug).all(axis=(0, 1)) | np.any(np.diagonal(R) == 0, axis=1)
+def fit_from_r(R_aug: np.ndarray, n) -> StackFit:
+    """OLS fits of B blocks [X | y] of n rows (an int, or one per block) from
+    R_aug (B, k + 1, k + 1), the R of a QR of each (any QR: negating its rows
+    changes nothing here), zero rows padding it when n < k + 1.  R is its
+    leading k x k block, Q^T y the rest of its last column and r_{k+1,k+1}
+    the residual norm: R^-1 comes by back substitution, the estimates are
+    R^-1 Q^T y, the squared SEs sigma2_hat times the row sums of (R^-1)^2,
+    and sigma2_hat = r_{k+1,k+1}^2 / (n - k), elementwise over the blocks.
+
+    A block is singular (its numbers NaN) when n < k + 1, when R_aug is not
+    finite (a NaN or infinite cell), when R has a zero on its diagonal, or
+    when the pivoted rank rule refuses it.  The rule runs only where R does
+    not certify acceptance: the |r_ii| of any triangular factor of X lie in
+    [sigma_min, sigma_max], so the pivoted ratio is >= 1 / (||R||_F ||R^-1||_F)."""
+    B, k = R_aug.shape[0], R_aug.shape[1] - 1
+    residual_df = np.broadcast_to(n, (B,)) - k
+    # blocks along the last axis from here on, in a copy of the caller's R_aug
+    Rt = np.moveaxis(R_aug, 0, -1).copy()
+    R, qty = Rt[:k, :k], Rt[:k, k]
+    singular = ((residual_df < 1) | ~np.isfinite(Rt).all(axis=(0, 1))
+                | np.any(np.diagonal(R) == 0, axis=1))
     if singular.any():
-        R_aug[..., singular] = np.eye(k + 1)[..., None]  # keeps what follows finite
+        Rt[..., singular] = np.eye(k + 1)[..., None]  # keeps what follows finite
     R_inv = _triangular_inverse(R)
     beta = np.zeros((k, B))
     diag_xtx_inv = np.zeros((k, B))
-    # cells near the float limit may overflow a square below; the rank rule,
-    # and a caller's check of the interval width, judge the block, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a cell near the float limit may overflow a square, a short block has a
+    # residual df <= 0: the singular mask and the caller judge, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(k):
             beta += R_inv[:, j] * qty[j]
             diag_xtx_inv += R_inv[:, j] * R_inv[:, j]
         cond_bound = np.sqrt(np.sum(R * R, axis=(0, 1)) * diag_xtx_inv.sum(axis=0))
-        sigma2_hat = R_aug[k, k] ** 2 / (n - k)
+        sigma2_hat = Rt[k, k] ** 2 / residual_df
         stderrs = np.sqrt(sigma2_hat * diag_xtx_inv)
     certified = cond_bound * (RANK_TOL * CERTIFICATE_MARGIN) < 1  # False on nan
     for b in np.flatnonzero(~(certified | singular)):
-        singular[b] = _pivoted_rank_deficient(Xy[b, :, :k])
+        singular[b] = _pivoted_rank_deficient(R_aug[b, :k, :k])
     if singular.any():
         beta[:, singular] = stderrs[:, singular] = sigma2_hat[singular] = np.nan
-    return StackFit(
-        coefficients=beta.T,
-        stderrs=stderrs.T,
-        residual_df=residual_df,
-        sigma2_hat=sigma2_hat,
-        singular=singular,
-    )
+    return StackFit(beta.T, stderrs.T, residual_df, sigma2_hat, singular)
 
 
 def fit_subsets(
@@ -367,28 +358,32 @@ def fit_subsets(
     """Fit each model on each of the plan's M subsets: row l of a model's
     fit is subset l.  Returns one (fit, design column names) per model.
 
-    All models share one design buffer (each distinct column once), which
-    ``plan.split`` gathers into subset order once.  A model's stacks are its
-    columns of the sorted buffer, as views when they are a contiguous run
-    of it.  They go through :func:`fit_stack` about ``FIT_CHUNK_ROWS``
-    rows at a time; a block's fit does not depend on the blocks fitted
-    with it."""
+    The models share one design buffer U, sorted into subset order once by
+    ``plan.split``.  Each subset's block of U is factored once, into R_U,
+    about ``FIT_CHUNK_ROWS`` rows at a time.  A model's [X | y] is Q_U times
+    its columns of R_U, whose QR is thus its R_aug; columns that lead both it
+    and U are triangular in R_U already.  A model that is all of U is fitted
+    bit for bit as alone, any other to rounding, except that a non-finite
+    cell makes its column and every later one of its subset's R_U
+    non-finite: a model using a later column is singular there too."""
     buffer, layouts, names = _design_buffer(dataset, models)
     stacks = plan.split(buffer)
+    D = buffer.shape[1]
     del buffer  # the stacks hold a sorted copy; free this one before fitting
+    R_U, first = np.zeros((plan.M, D, D)), 0
+    for stack in stacks:
+        step = max(1, FIT_CHUNK_ROWS // stack.shape[1])
+        for start in range(0, len(stack), step):
+            chunk = stack[start:start + step]
+            R_U[first:first + len(chunk), :chunk.shape[1]] = np.linalg.qr(chunk, mode="r")
+            first += len(chunk)
     out = []
     for cols, model_names in zip(layouts, names):
-        if cols == list(range(cols[0], cols[0] + len(cols))):
-            columns = slice(cols[0], cols[-1] + 1)
-        else:
-            columns = cols
-        fits = []
-        for stack in stacks:
-            step = max(1, FIT_CHUNK_ROWS // stack.shape[1])
-            fits += [fit_stack(stack[start:start + step, :, columns])
-                     for start in range(0, len(stack), step)]
-        out.append((StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
-                               for f in fields(StackFit))), model_names))
+        p = next((i for i, c in enumerate(cols) if c != i), len(cols))
+        R_aug = R_U[:, :len(cols), cols]
+        if p < len(cols):
+            R_aug[:, p:, p:] = np.linalg.qr(R_U[:, p:, cols[p:]], mode="r")
+        out.append((fit_from_r(R_aug, plan.sizes), model_names))
     return out
 
 

@@ -43,7 +43,7 @@ from .am import (
     posterior_nu,
     release_overlap,
 )
-from .errors import ConfigError
+from .errors import ConfigError, TransformDomainError
 from .linmod import ModelSpec, confidence_interval, fit_ols
 from .partition import make_partition
 from .privacy import BudgetLedger
@@ -232,7 +232,8 @@ def am_verify(
 
 
 def fit_summary(dataset: Dataset, model: ModelSpec, level: float = 0.95) -> dict:
-    """Custodian-only whole-data fit summary; never part of a release."""
+    """Custodian-only whole-data fit summary; never part of a release.
+    Raises TransformDomainError when a number overflowed (JSON has no inf)."""
     fit = fit_ols(dataset, model)
     out = {"n_rows": dataset.n_rows, "residual_df": fit.residual_df,
            "sigma2_hat": fit.sigma2_hat, "coefficients": {}}
@@ -244,6 +245,10 @@ def fit_summary(dataset: Dataset, model: ModelSpec, level: float = 0.95) -> dict
             "ci": [ci.lower, ci.upper],
             "level": level,
         }
+    for label, value in [("sigma2_hat", fit.sigma2_hat)] + [
+            (f"{key} of {name!r}", v) for name, c in out["coefficients"].items() for key, v in c.items()]:
+        if not np.all(np.isfinite(value)):
+            raise TransformDomainError(f"the fit's {label} is not finite: an overflow")
     return out
 
 

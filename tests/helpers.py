@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -160,8 +161,9 @@ def reference_fit_stack(Xy: np.ndarray) -> linmod.StackFit:
     """Reference fit core: the one dprep used before the triangular inverse.
 
     The same batched QR of [X | y] and the same rank decisions as
-    ``linmod.fit_stack``, but R^-1 comes from an LU ``np.linalg.inv`` and
-    sigma2_hat from an explicit pass over the residuals y - X beta.
+    ``linmod.fit_stack``, but R^-1 comes from an LU ``np.linalg.inv``,
+    sigma2_hat from an explicit pass over the residuals y - X beta, and the
+    pivoted rank rule sees the raw block X rather than its R.
     """
     B, n, k = Xy.shape[0], Xy.shape[1], Xy.shape[2] - 1
     residual_df = np.full(B, n - k)
@@ -192,6 +194,21 @@ def reference_fit_stack(Xy: np.ndarray) -> linmod.StackFit:
         sigma2_hat=sigma2_hat,
         singular=singular,
     )
+
+
+def reference_fit_subsets(dataset: Dataset, models, plan) -> list:
+    """Reference for ``linmod.fit_subsets``: the path dprep took before the
+    models shared one QR per subset.  Each model's own design is gathered
+    into subset order and fitted by one ``linmod.fit_stack`` per stack of
+    equally sized blocks.  Returns one (fit, design column names) per
+    model."""
+    out = []
+    for model in models:
+        Xy, _, [names] = linmod._design_buffer(dataset, [model])
+        fits = [linmod.fit_stack(stack) for stack in plan.split(Xy)]
+        out.append((linmod.StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
+                                      for f in fields(linmod.StackFit))), names))
+    return out
 
 
 def robustness_cell_oracle(gamma, M, sigma_hat_o, n0, N, eps, region, K, stream,

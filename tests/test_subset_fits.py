@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import reference_fit_stack, subset_oracle, synth_dataset
+from helpers import reference_fit_stack, reference_fit_subsets, subset_oracle, synth_dataset
 
 from dprep import (
     ConfigError,
@@ -49,6 +49,42 @@ def _expected_estimates(ds, model, coef, plan):
     that fit fails."""
     estimates = subset_oracle(ds, plan, lambda sub: fit_ols(sub, model).coef(coef))
     return np.array([np.nan if e is None else e for e in estimates])
+
+
+def _rtol(kappa):
+    """rtol 1e-10, or 10 kappa eps where a design's condition number kappa
+    makes that larger: the precision two QR-based fits of one block share
+    (see _assert_fits_close)."""
+    return np.maximum(1e-10, 10 * kappa * np.finfo(float).eps)
+
+
+def _expected_intervals(ds, models, coef, plan, level=0.95):
+    """Oracle: per subset, each model's interval of coef from fit_ols on the
+    subset alone with the _rtol of its design; None where a fit fails or an
+    interval has zero width."""
+    def intervals(sub):
+        return [(confidence_interval(fit_ols(sub, model), coef, level),
+                 _rtol(np.linalg.cond(design_with_response(sub, model)[0][:, :-1])))
+                for model in models]
+    return subset_oracle(ds, plan, intervals)
+
+
+def _assert_overlaps_close(res, expected):
+    """average_overlap's result against _expected_intervals: nu_l = 0
+    exactly where the oracle fails.  Elsewhere a model's coefficient and SE
+    each within its rtol, so each bound within delta = rtol * max(|lower|,
+    |upper|) of the oracle's; moves that small shift an overlap by at most
+    4 max(delta) / min(length)."""
+    for l, cis in enumerate(expected):
+        if cis is None:
+            assert res.nus[l] == 0.0
+            continue
+        deltas = [rtol * max(abs(ci.lower), abs(ci.upper)) for ci, rtol in cis]
+        for m, ((ci, _), delta) in enumerate(zip(cis, deltas)):
+            assert abs(res.lower[m, l] - ci.lower) <= delta
+            assert abs(res.upper[m, l] - ci.upper) <= delta
+        nu = overlap_measure(*(ci for ci, _ in cis))
+        assert abs(res.nus[l] - nu) <= 4 * max(deltas) / min(ci.length for ci, _ in cis)
 
 
 def _expected_overlaps(ds, models, coef, plan, level=0.95):
@@ -94,14 +130,9 @@ def test_average_overlap_equals_per_subset_fit_ols(M):
     m0 = parse_formula("y ~ x1 + log(x2) + x1:x3")
     m1 = parse_formula("z ~ x1 + sq(x2)")
     res = average_overlap(ds, m0, m1, "x1", plan, level=0.9)
-    for l, (f0, f1) in enumerate(zip(_subset_fits(ds, m0, plan),
-                                     _subset_fits(ds, m1, plan))):
-        ci0 = confidence_interval(f0, "x1", 0.9)
-        ci1 = confidence_interval(f1, "x1", 0.9)
-        assert [res.lower[0, l], res.upper[0, l]] == [ci0.lower, ci0.upper]
-        assert [res.lower[1, l], res.upper[1, l]] == [ci1.lower, ci1.upper]
-        c = max(0.0, min(ci0.upper, ci1.upper) - max(ci0.lower, ci1.lower))
-        assert res.nus[l] == 0.5 * (c / ci0.length + c / ci1.length)
+    expected = _expected_intervals(ds, (m0, m1), "x1", plan, level=0.9)
+    assert None not in expected
+    _assert_overlaps_close(res, expected)
 
 
 def test_plan_for_other_rows_is_refused():
@@ -132,6 +163,27 @@ def test_design_is_built_before_any_fit():
     res = average_overlap(ds, parse_formula("y ~ x"), model, "x", plan)
     assert res.nus.tolist() == [0.0, 0.0]
     assert np.isfinite(res.lower[0, 1]) and np.isnan(res.lower[1, 1])
+
+
+def test_nonfinite_cell_fails_every_later_column_of_its_subset():
+    # test_design_is_built_before_any_fit's data with the model order
+    # swapped: log(z) now precedes y in the shared design, so subset 1's
+    # R_U is not finite from that column on, and y ~ x, which does not use
+    # log(z), is flagged singular there too.  nu_l is 0 either way.
+    plan = make_partition(12, 2, seed=1)
+    x = np.arange(12.0)
+    x[plan.assignment == 0] = 5.0
+    z = np.ones(12)
+    z[np.flatnonzero(plan.assignment == 1)[0]] = -1.0
+    ds = Dataset({"x": x, "z": z, "y": np.arange(12.0)})
+    models = [parse_formula("y ~ x + log(z)"), parse_formula("y ~ x")]
+    assert [fit.singular.tolist() for fit, _ in fit_subsets(ds, models, plan)] == [
+        [True, True], [True, True]]
+    alone, _ = fit_subsets(ds, models[1:], plan)[0]
+    assert alone.singular.tolist() == [True, False]
+    res = average_overlap(ds, *models, "x", plan)
+    assert res.nus.tolist() == [0.0, 0.0]
+    assert np.isnan(res.lower[:, 1]).all()
 
 
 # ------------------------------------------------- fit_subsets' contract
@@ -170,8 +222,7 @@ def test_one_design_for_several_models_fits_each_as_alone(specs):
     for model, (fit, names) in zip(models, fit_subsets(ds, models, plan)):
         alone, alone_names = fit_subsets(ds, [model], plan)[0]
         assert names == alone_names
-        for name in ("coefficients", "stderrs", "residual_df", "sigma2_hat", "singular"):
-            assert np.array_equal(getattr(fit, name), getattr(alone, name))
+        _assert_fits_close(fit, alone, _design_stacks(ds, model, plan), other_qr=True)
 
 
 def test_fit_subsets_marks_short_subsets_singular():
@@ -295,21 +346,45 @@ def _conditioning_stacks():
             for X in (binary, ladder)]
 
 
-def _assert_matches_reference(stack):
-    """Same rank decisions as the reference; the same numbers to rtol 1e-10,
-    or to 10 kappa eps on a block whose condition number kappa makes that
-    larger: there the residual pass and r_{k+1,k+1} are both only that
-    accurate (against a 60-digit evaluation), so they differ by up to
-    ~2e-8 at kappa = 7e8."""
-    fit, ref = fit_stack(stack), reference_fit_stack(stack)
+def _assert_fits_close(fit, ref, designs, other_qr=False):
+    """fit against ref, two fits of the same blocks whose designs X are the
+    stacks ``designs``, in block order: the same rank decisions and residual
+    df, and the same numbers to the _rtol of each fitted block's condition
+    number kappa.  Where 10 kappa eps exceeds 1e-10, the residual pass and
+    r_{k+1,k+1} are both only that accurate (against a 60-digit
+    evaluation), so they differ by up to ~2e-8 at kappa = 7e8.
+
+    With ``other_qr`` the two fits come from different QRs of each block,
+    and least squares' own sensitivity adds 10 eps kappa^2 tan(theta)
+    ||beta|| to each coefficient's tolerance, tan(theta) = ||r|| / ||X beta||
+    (Golub & Van Loan, Matrix Computations, Thm 5.3.1), which only an
+    ill-conditioned block makes large."""
     assert np.array_equal(fit.singular, ref.singular)
+    assert np.array_equal(fit.residual_df, ref.residual_df)
     ok = ~fit.singular
-    kappa = np.linalg.cond(stack[ok, :, :-1])
-    rtol = np.maximum(1e-10, 10 * kappa * np.finfo(float).eps)
+    kappa, fitted_norm, first = [], [], 0
+    for X in designs:
+        rows = slice(first, first + len(X))
+        first += len(X)
+        X = X[ok[rows]]
+        kappa.append(np.linalg.cond(X))
+        beta = ref.coefficients[rows][ok[rows]]
+        fitted_norm.append(np.linalg.norm(np.einsum("bnk,bk->bn", X, beta), axis=1))
+    kappa = np.concatenate(kappa)
+    rtol = _rtol(kappa)
     for name in ("coefficients", "stderrs", "sigma2_hat"):
         got, want = getattr(fit, name)[ok], getattr(ref, name)[ok]
         tol = rtol.reshape(-1, *[1] * (want.ndim - 1)) * np.abs(want)
+        if other_qr and name == "coefficients":
+            tan = np.sqrt(ref.sigma2_hat[ok] * ref.residual_df[ok]) / np.concatenate(fitted_norm)
+            tol += (10 * np.finfo(float).eps * kappa ** 2 * tan
+                    * np.linalg.norm(want, axis=1))[:, None]
         assert np.all(np.abs(got - want) <= tol), name
+
+
+def _assert_matches_reference(stack):
+    """The fit core against the LU reference on the same stack."""
+    _assert_fits_close(fit_stack(stack), reference_fit_stack(stack), [stack[..., :-1]])
 
 
 @pytest.mark.parametrize("formula", MODELS + ["z ~ x1 + sq(x2)"])
@@ -349,6 +424,91 @@ def test_fit_core_matches_lu_reference_across_conditioning():
         _assert_matches_reference(stack)
 
 
+# ------------------------------------- one QR per subset, shared by the models
+
+def _design_stacks(ds, model, plan):
+    """The model's own design X on each subset, as plan.split stacks it."""
+    Xy, _, _ = linmod._design_buffer(ds, [model])
+    return [stack[..., :-1] for stack in plan.split(Xy)]
+
+
+def _assert_matches_reference_fits(ds, models, plan):
+    """fit_subsets against reference_fit_subsets, model by model; returns
+    both."""
+    fits, refs = fit_subsets(ds, models, plan), reference_fit_subsets(ds, models, plan)
+    for model, (fit, names), (ref, ref_names) in zip(models, fits, refs):
+        assert names == ref_names
+        _assert_fits_close(fit, ref, _design_stacks(ds, model, plan), other_qr=True)
+    return fits, refs
+
+
+@pytest.fixture(scope="module")
+def paper_scale_z(paper_scale):
+    cols = dict(paper_scale.columns)
+    cols["z"] = (cols["x1"] + 0.5 * cols["y"]
+                 + np.random.default_rng(3).normal(size=paper_scale.n_rows))
+    return Dataset(cols)
+
+
+@pytest.mark.parametrize("formulas", [
+    ("y ~ x1 + x2 + x3", "y ~ x1 + x2"),  # the am-subsets pair
+    ("y ~ x1 + log(x2) + x1:x3", "z ~ x1 + sq(x2)"),
+])
+@pytest.mark.parametrize("M", [25, 1000, 5000])
+def test_shared_qr_fits_match_reference_at_paper_scale(paper_scale_z, formulas, M):
+    models = [parse_formula(formula) for formula in formulas]
+    plan = make_partition(paper_scale_z.n_rows, M, seed=M + 1)
+    fits, refs = _assert_matches_reference_fits(paper_scale_z, models, plan)
+    if formulas[0] == "y ~ x1 + x2 + x3":
+        # model0 is the whole shared design in order: fitted from R_U itself
+        for name in ("coefficients", "stderrs", "sigma2_hat"):
+            assert np.array_equal(getattr(fits[0][0], name), getattr(refs[0][0], name))
+
+
+def _blocks_dataset(stack, names):
+    """A Dataset of the columns ``names`` and a plan whose subset l is
+    stack[l], rows in order."""
+    B, n = stack.shape[:2]
+    plan = make_partition(B * n, B, seed=0)
+    rows = np.empty((B * n, stack.shape[2]))
+    rows[plan.order] = stack.reshape(B * n, -1)
+    return Dataset(dict(zip(names, rows.T))), plan
+
+
+def test_shared_qr_rank_decisions_match_reference_across_conditioning():
+    # a partner model listed first puts the model's columns out of order in
+    # the shared design, so its fit comes from the QR of its columns of R_U;
+    # the binary blocks have 4 rows for 5 shared columns, so R_U is padded
+    binary, ladder = _conditioning_stacks()
+    w = np.random.default_rng(11)
+    cases = [(binary, ["one", "a", "b", "y"], "y ~ a + b", True),
+             (ladder, ["a", "b", "c", "y"], "y ~ a + b + c", False)]
+    for stack, names, formula, intercept in cases:
+        ds, plan = _blocks_dataset(stack, names)
+        ds = Dataset(dict(ds.columns, w=w.normal(size=ds.n_rows)))
+        model = parse_formula(formula, intercept=intercept)
+        partner = parse_formula(f"w ~ {names[-2]}", intercept=intercept)
+        fits, _ = _assert_matches_reference_fits(ds, [partner, model], plan)
+        assert 0 < fits[1][0].singular.sum() < plan.M
+
+
+@pytest.mark.parametrize("n_models", [1, 2, 3])
+def test_each_chunk_of_blocks_is_factored_once(monkeypatch, n_models):
+    ds = _dataset()
+    plan = make_partition(ds.n_rows, 7, seed=3)  # seven subsets of 29 rows
+    monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", 60)  # two blocks a chunk
+    qr, shapes = np.linalg.qr, []
+
+    def counted(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    models = [parse_formula(formula) for formula in MODELS + ["z ~ x1 + sq(x2)"]]
+    fit_subsets(ds, models[:n_models], plan)
+    assert [shape[:2] for shape in shapes if shape[1] == 29] == [(2, 29)] * 3 + [(1, 29)]
+
+
 # ------------------------------------------- the certificate and its limits
 
 def _block(rho, rng, n=40):
@@ -376,9 +536,12 @@ def test_ill_conditioned_full_rank_block_goes_to_the_pivoted_rule(monkeypatch):
         return rule(block)
 
     monkeypatch.setattr(linmod, "_pivoted_rank_deficient", counted)
-    fit = fit_stack(np.concatenate([X, rng.normal(size=(2, 40, 1))], axis=2))
+    Xy = np.concatenate([X, rng.normal(size=(2, 40, 1))], axis=2)
+    fit = fit_stack(Xy)
     assert fit.singular.tolist() == [False, False]
-    assert len(calls) == 1 and np.array_equal(calls[0], X[1])
+    # the rule sees block 1's R, and decides it as it decides the block
+    assert len(calls) == 1 and np.array_equal(calls[0], np.linalg.qr(Xy, mode="r")[1, :3, :3])
+    assert rule(calls[0]) == rule(X[1])
 
 
 def test_rank_deficient_blocks_refused_without_linalg_error():
@@ -423,7 +586,7 @@ def test_first_failing_subset_is_named_in_subset_then_model_order(constant, form
     # every subset where either fit fails gets nu = 0, and NaN bounds for
     # the model that failed; the others are the overlaps of their own fits
     res = average_overlap(ds, *models, "x", plan)
-    assert res.nus.tolist() == _expected_overlaps(ds, models, "x", plan)
+    _assert_overlaps_close(res, _expected_intervals(ds, models, "x", plan))
     region = build_fixed_region(0.0, 1.0)
     for m, model in enumerate(models):
         ok = _fits_succeed(ds, (model,), plan)

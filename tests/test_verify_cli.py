@@ -302,6 +302,23 @@ def test_cli_nonfinite_design_cell(tmp_path, capsys):
     assert len((tmp_path / "l.ndjson").read_text().splitlines()) == 2
 
 
+def test_cli_fit_refuses_a_summary_that_is_not_finite(tmp_path, capsys):
+    # a response cell of 1e200 overflows sigma2_hat; JSON has no Infinity,
+    # so the custodian-only fit exits 2 naming it and prints no summary
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=40)
+    y[7] = 1e200
+    tbl = tmp_path / "big.csv"
+    tbl.write_text("x,y\n" + "".join(f"{x:.17g},{v:.17g}\n"
+                                     for x, v in zip(rng.normal(size=40), y)))
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"x": "numeric", "y": "numeric"}')
+    assert main(["fit", "--input", str(tbl), "--schema", str(schema), "--model", "y ~ x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma2_hat is not finite" in captured.err
+
+
 def _key_paths(value, prefix=()):
     """Every key path of a parsed JSON object."""
     if not isinstance(value, dict):
