@@ -222,7 +222,7 @@ def test_one_design_for_several_models_fits_each_as_alone(specs):
     for model, (fit, names) in zip(models, fit_subsets(ds, models, plan)):
         alone, alone_names = fit_subsets(ds, [model], plan)[0]
         assert names == alone_names
-        _assert_fits_close(fit, alone, _design_stacks(ds, model, plan), other_qr=True)
+        _assert_fits_close(fit, alone, _design_stacks(ds, model, plan))
 
 
 def test_fit_subsets_marks_short_subsets_singular():
@@ -432,13 +432,13 @@ def _design_stacks(ds, model, plan):
     return [stack[..., :-1] for stack in plan.split(Xy)]
 
 
-def _assert_matches_reference_fits(ds, models, plan):
-    """fit_subsets against reference_fit_subsets, model by model; returns
-    both."""
+def _assert_matches_reference_fits(ds, models, plan, other_qr=False):
+    """fit_subsets against reference_fit_subsets, model by model, by the
+    rule of _assert_fits_close; returns both."""
     fits, refs = fit_subsets(ds, models, plan), reference_fit_subsets(ds, models, plan)
     for model, (fit, names), (ref, ref_names) in zip(models, fits, refs):
         assert names == ref_names
-        _assert_fits_close(fit, ref, _design_stacks(ds, model, plan), other_qr=True)
+        _assert_fits_close(fit, ref, _design_stacks(ds, model, plan), other_qr)
     return fits, refs
 
 
@@ -488,7 +488,9 @@ def test_shared_qr_rank_decisions_match_reference_across_conditioning():
         ds = Dataset(dict(ds.columns, w=w.normal(size=ds.n_rows)))
         model = parse_formula(formula, intercept=intercept)
         partner = parse_formula(f"w ~ {names[-2]}", intercept=intercept)
-        fits, _ = _assert_matches_reference_fits(ds, [partner, model], plan)
+        # other_qr: at kappa = 2.5e8 a ladder coefficient differs by 2.4e-6
+        # relative, 4.2 times 10 kappa eps
+        fits, _ = _assert_matches_reference_fits(ds, [partner, model], plan, other_qr=True)
         assert 0 < fits[1][0].singular.sum() < plan.M
 
 
@@ -565,7 +567,7 @@ def _fits_succeed(ds, models, plan):
             subset_oracle(ds, plan, lambda sub: [fit_ols(sub, m) for m in models])]
 
 
-@pytest.mark.parametrize("constant, formula1", [
+_FAILING_SUBSET_CASES = [
     ({"u": [2, 3], "v": [1, 3]}, "y ~ x + v"),  # both stacks, both models
     ({"u": [2, 3], "v": [3]}, "y ~ x + v"),     # subset 2, model0
     ({"u": [3], "v": [3]}, "y ~ x + v"),        # only in the smaller stack
@@ -573,7 +575,10 @@ def _fits_succeed(ds, models, plan):
     # model1 needs 6 rows and the smaller stack's subsets have 5
     ({"u": [3], "v": []}, "y ~ x + v + w + z"),
     ({"u": [], "v": []}, "y ~ x + v + w + z"),
-])
+]
+
+
+@pytest.mark.parametrize("constant, formula1", _FAILING_SUBSET_CASES)
 def test_first_failing_subset_is_named_in_subset_then_model_order(constant, formula1):
     plan = make_partition(23, 4, seed=7)  # subsets of 6, 6, 6 and 5 rows
     rng = np.random.default_rng(2)
@@ -586,7 +591,12 @@ def test_first_failing_subset_is_named_in_subset_then_model_order(constant, form
     # every subset where either fit fails gets nu = 0, and NaN bounds for
     # the model that failed; the others are the overlaps of their own fits
     res = average_overlap(ds, *models, "x", plan)
-    _assert_overlaps_close(res, _expected_intervals(ds, models, "x", plan))
+    if (constant, formula1) in _FAILING_SUBSET_CASES[3:]:
+        # model1 skips u, so its fit is the QR of its columns of the shared
+        # R_U (see fit_subsets); here that moves a nu_l in its last bits
+        _assert_overlaps_close(res, _expected_intervals(ds, models, "x", plan))
+    else:
+        assert res.nus.tolist() == _expected_overlaps(ds, models, "x", plan)
     region = build_fixed_region(0.0, 1.0)
     for m, model in enumerate(models):
         ok = _fits_succeed(ds, (model,), plan)
