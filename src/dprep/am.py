@@ -97,7 +97,7 @@ def average_overlap(
 ) -> OverlapResult:
     """Fit both models on every subset and average the CI overlaps.  One
     :func:`~dprep.linmod.fit_subsets` call builds one design for both
-    models and sorts its rows once.
+    models and gathers its rows once.
 
     The coefficient of interest must appear untransformed in both models so
     that the two intervals live in the same units.  A subset fails when
@@ -120,7 +120,7 @@ def average_overlap(
     for m, (fit, names) in enumerate(fits):
         j = names.index(coef)
         center, se = fit.coefficients[:, j], fit.stderrs[:, j]
-        # the t quantile once per distinct residual df (a plan has at most two)
+        # the t quantile once per distinct residual df (one per subset size)
         df, row = np.unique(fit.residual_df, return_inverse=True)
         half = stdtrit(df, (1 + level) / 2)[row] * se
         lower[m], upper[m] = center - half, center + half

@@ -97,8 +97,8 @@ def _check_distinct_paths(args) -> None:
     """Refuse a table, schema, release report, debug payload or ledger that
     share one file, however the paths are spelled: a report written over
     the table it was computed from would destroy the custodian's data.
-    Refuse too a report or debug payload in a directory that does not
-    exist, whose write would fail only after the release."""
+    Refuse too a report, debug payload or ledger in a directory that does
+    not exist, whose write would fail only after the release."""
     seen = {}
     for flag, path in (("--input", args.input), ("--schema", args.schema),
                        ("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
@@ -108,7 +108,7 @@ def _check_distinct_paths(args) -> None:
             clash = seen.setdefault(real, flag)
             if clash != flag:
                 raise ConfigError(f"{flag} and {clash} name the same file {path!r}")
-            if flag in ("--out", "--unsafe-debug") and not os.path.isdir(os.path.dirname(real)):
+            if flag not in ("--input", "--schema") and not os.path.isdir(os.path.dirname(real)):
                 raise ConfigError(f"{flag} {path!r} is in a directory that does not exist")
 
 

@@ -158,7 +158,8 @@ def _design_buffer(
 ) -> tuple[np.ndarray, list[list[int]], list[list[str]]]:
     """One float64 array holding each distinct column the models need once,
     in order of first use: the intercept, then every model's terms and its
-    response (a response is the same column as the plain term of its name).
+    response (a response is the same column as the plain term of its name),
+    on the N rows and then one all-zero row, the pad of a plan's blocks.
     Also returns, per model, the buffer columns of its design with the
     response last (the layout :func:`fit_stack` takes), and its design
     names.  A cell outside a transform's domain (log of a value <= 0) or
@@ -171,19 +172,20 @@ def _design_buffer(
             cols.append(keys.setdefault(term.factors, len(keys)))
         layouts.append(cols)
         names.append((["intercept"] if model.intercept else []) + list(model.term_names))
-    buffer = np.empty((dataset.n_rows, len(keys)))
+    buffer = np.empty((dataset.n_rows + 1, len(keys)))
+    buffer[-1] = 0.0
     for key, c in keys.items():
         if key == "intercept":
-            buffer[:, c] = 1.0
+            buffer[:-1, c] = 1.0
             continue
         # a term is the product of its transformed factors, in factor order
         for i, (column, transform) in enumerate(key):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 values = _transform_column(dataset.column(column), transform)
                 if i == 0:
-                    buffer[:, c] = values
+                    buffer[:-1, c] = values
                 else:
-                    buffer[:, c] *= values
+                    buffer[:-1, c] *= values
     return buffer, layouts, names
 
 
@@ -201,7 +203,7 @@ def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray
         raise TransformDomainError(
             f"design column {name!r} is not finite: log of a value <= 0, or overflow"
         )
-    return buffer, names[0]
+    return buffer[:-1], names[0]  # the N rows, not the pad
 
 
 @dataclass(frozen=True)
@@ -358,25 +360,24 @@ def fit_subsets(
     """Fit each model on each of the plan's M subsets: row l of a model's
     fit is subset l.  Returns one (fit, design column names) per model.
 
-    The models share one design buffer U, sorted into subset order once by
-    ``plan.split``.  Each subset's block of U is factored once, into R_U,
-    about ``FIT_CHUNK_ROWS`` rows at a time.  A model's [X | y] is Q_U times
-    its columns of R_U, whose QR is thus its R_aug; columns that lead both it
-    and U are triangular in R_U already.  A model that is all of U is fitted
-    bit for bit as alone, any other to rounding, except that a non-finite
-    cell makes its column and every later one of its subset's R_U
-    non-finite: a model using a later column is singular there too."""
+    The models share one design buffer U, gathered once through the plan's
+    blocks (a pad reads U's zero row, which leaves a block's R as it is).
+    Each block is factored once, into R_U, about ``FIT_CHUNK_ROWS`` rows at
+    a time.  A model's [X | y] is Q_U times its columns of R_U, whose QR is
+    thus its R_aug; columns that lead both it and U are triangular in R_U
+    already.  A model that is all of U is fitted bit for bit as alone, any
+    other to rounding, except that a non-finite cell makes its column and
+    every later one of its subset's R_U non-finite: a model using a later
+    column is singular there too.  A plan for other rows is a ConfigError."""
+    if plan.n_rows != dataset.n_rows:
+        raise ConfigError(f"plan covers {plan.n_rows} rows but the data has {dataset.n_rows}")
     buffer, layouts, names = _design_buffer(dataset, models)
-    stacks = plan.split(buffer)
-    D = buffer.shape[1]
-    del buffer  # the stacks hold a sorted copy; free this one before fitting
-    R_U, first = np.zeros((plan.M, D, D)), 0
-    for stack in stacks:
-        step = max(1, FIT_CHUNK_ROWS // stack.shape[1])
-        for start in range(0, len(stack), step):
-            chunk = stack[start:start + step]
-            R_U[first:first + len(chunk), :chunk.shape[1]] = np.linalg.qr(chunk, mode="r")
-            first += len(chunk)
+    blocks = np.take(buffer, plan.blocks, axis=0)
+    del buffer  # the blocks hold a gathered copy; free this one before fitting
+    M, n, D = blocks.shape
+    R_U, step = np.zeros((M, D, D)), max(1, FIT_CHUNK_ROWS // n)
+    for start in range(0, M, step):
+        R_U[start:start + step, :n] = np.linalg.qr(blocks[start:start + step], mode="r")
     out = []
     for cols, model_names in zip(layouts, names):
         p = next((i for i, c in enumerate(cols) if c != i), len(cols))

@@ -1,7 +1,7 @@
 """Random, even, disjoint partitioning of a dataset, reproducible from a seed.
 
-A plan is one row order: a seeded permutation of the N rows, cut into M
-consecutive blocks (the subsets) and sorted within each block.
+A plan is one padded block matrix: a seeded permutation of the N rows, cut
+into M blocks (the subsets), each sorted and padded to one width.
 """
 
 from __future__ import annotations
@@ -13,38 +13,45 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .privacy import RngStream
+from .privacy import RngStream, integer
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """M disjoint subsets of N rows, held as one read-only row order.
+    """M disjoint subsets of N rows, held as one read-only index matrix.
 
-    ``order`` lists subset 0's rows, then subset 1's, and so on, each block
-    in ascending row order.  It is ``permutation(n_rows)`` of the seed's
-    "partition" stream, cut into blocks whose sizes differ by at most one,
-    the remainder rows going to the lowest-indexed subsets.  The order is
-    a pure function of (n_rows, M, seed): plans compare and hash by those
-    three values, and serialized plans store only them.
+    Row l of ``blocks`` (M, ceil(N/M)) is subset l's rows in ascending
+    order, a subset one row short ending with the pad index N.  The subsets
+    cut ``permutation(n_rows)`` of the seed's "partition" stream into runs
+    whose sizes differ by at most one, the remainder rows going to the
+    lowest-indexed subsets.  The blocks are a pure function of the ints
+    (n_rows, M, seed): plans compare and hash by them, and serialized plans
+    store only them.
     """
 
     n_rows: int
     M: int
     seed: int
-    order: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n_rows", "M", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.M < 1:
             raise ConfigError(f"M must be at least 1, got {self.M}")
         if self.M > self.n_rows:
             raise ConfigError(
                 f"M ({self.M}) may not exceed the number of rows N ({self.n_rows})"
             )
-        order = RngStream(self.seed).child("partition").generator.permutation(self.n_rows)
-        for stack in self._cut(order):
-            stack.sort(axis=1)  # in place: the stacks are views of order
-        order.setflags(write=False)
-        object.__setattr__(self, "order", order)
+        perm = RngStream(self.seed).child("partition").generator.permutation(self.n_rows)
+        base, extra = divmod(self.n_rows, self.M)
+        blocks = np.full((self.M, base + (extra > 0)), self.n_rows)
+        cut = extra * (base + 1)
+        blocks.flat[:cut] = perm[:cut]  # the first N mod M subsets fill their rows
+        blocks[extra:, :base] = perm[cut:].reshape(-1, base)
+        blocks.sort(axis=1)  # the pad N sorts last
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -55,30 +62,10 @@ class PartitionPlan:
     @cached_property
     def assignment(self) -> np.ndarray:
         """The subset of every row (read-only)."""
-        assignment = np.empty(self.n_rows, dtype=np.intp)
-        assignment[self.order] = np.repeat(np.arange(self.M), self.sizes)
+        assignment = np.empty(self.n_rows + 1, dtype=np.intp)  # the last is the pad's
+        assignment[self.blocks] = np.arange(self.M)[:, None]
         assignment.setflags(write=False)
-        return assignment
-
-    def _cut(self, ordered: np.ndarray) -> list[np.ndarray]:
-        """``ordered`` (rows in plan order along its first axis) reshaped into
-        at most two stacks of equally sized blocks: (N mod M, ceil(N/M), ...)
-        for the first subsets, then (M - N mod M, floor(N/M), ...)."""
-        base, extra = divmod(self.n_rows, self.M)
-        cut = extra * (base + 1)
-        stacks = [ordered[:cut].reshape(extra, base + 1, *ordered.shape[1:]),
-                  ordered[cut:].reshape(self.M - extra, base, *ordered.shape[1:])]
-        return [stack for stack in stacks if len(stack)]
-
-    def split(self, values) -> list[np.ndarray]:
-        """``values`` (indexed by row along its first axis) cut into the
-        plan's subset blocks, stacked as in ``_cut``.  Each block keeps the
-        original row order; the stacks are views of one gathered copy."""
-        if len(values) != self.n_rows:
-            raise ConfigError(
-                f"plan covers {self.n_rows} rows but the data has {len(values)}"
-            )
-        return self._cut(np.take(values, self.order, axis=0))
+        return assignment[:-1]
 
     def to_record(self) -> str:
         return json.dumps({"n_rows": self.n_rows, "M": self.M, "seed": self.seed})

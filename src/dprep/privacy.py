@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import operator
 import os
 import warnings
@@ -93,6 +94,13 @@ def laplace_sample(stream: RngStream, scale: float, size=None):
     return float(out) if size is None else out
 
 
+def integer(value, name: str) -> int:
+    """``value``, an integer of any type (a NumPy one too) but not a bool, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy budget spent per release: 0 < epsilon < inf."""
@@ -121,6 +129,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", PrivacyParams.of(self.epsilon))
+        for name in ("M", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
         a, b = self.prior

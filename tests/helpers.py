@@ -196,6 +196,16 @@ def reference_fit_stack(Xy: np.ndarray) -> linmod.StackFit:
     )
 
 
+def split(plan, values) -> list[np.ndarray]:
+    """``values`` (indexed by row along its first axis) cut into the plan's
+    subset blocks, stacked by block size: the N mod M blocks of ceil(N/M)
+    rows, then the rest.  Each block keeps the original row order.  Oracle
+    input for ``linmod.fit_stack``: no block holds a pad row."""
+    sizes = plan.sizes
+    return [np.take(values, plan.blocks[sizes == size, :size], axis=0)
+            for size in np.unique(sizes)[::-1]]
+
+
 def reference_fit_subsets(dataset: Dataset, models, plan) -> list:
     """Reference for ``linmod.fit_subsets``: the path dprep took before the
     models shared one QR per subset.  Each model's own design is gathered
@@ -205,7 +215,7 @@ def reference_fit_subsets(dataset: Dataset, models, plan) -> list:
     out = []
     for model in models:
         Xy, _, [names] = linmod._design_buffer(dataset, [model])
-        fits = [linmod.fit_stack(stack) for stack in plan.split(Xy)]
+        fits = [linmod.fit_stack(stack) for stack in split(plan, Xy)]
         out.append((linmod.StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
                                       for f in fields(linmod.StackFit))), names))
     return out

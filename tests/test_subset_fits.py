@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import reference_fit_stack, reference_fit_subsets, subset_oracle, synth_dataset
+from helpers import (reference_fit_stack, reference_fit_subsets, split, subset_oracle,
+                     synth_dataset)
 
 from dprep import (
     ConfigError,
@@ -278,7 +279,7 @@ def _pivoted_fit(X, y):
 
 
 def _assert_matches_pivoted_fits(Xy, plan):
-    for stack in plan.split(Xy):
+    for stack in split(plan, Xy):
         fit = fit_stack(stack)
         for b, block in enumerate(stack):
             ref = _pivoted_fit(block[:, :-1], block[:, -1])
@@ -392,7 +393,7 @@ def _assert_matches_reference(stack):
 def test_fit_core_matches_lu_reference(formula, M):
     ds = _dataset()
     Xy, _ = design_with_response(ds, parse_formula(formula))
-    for stack in make_partition(ds.n_rows, M, seed=M).split(Xy):
+    for stack in split(make_partition(ds.n_rows, M, seed=M), Xy):
         _assert_matches_reference(stack)
 
 
@@ -400,7 +401,7 @@ def test_fit_core_matches_lu_reference(formula, M):
 def test_fit_core_matches_lu_reference_at_paper_scale(paper_scale, M):
     model = parse_formula("y ~ x1 + sq(x2) + x1:x3 + log(x1)")
     Xy, _ = design_with_response(paper_scale, model)
-    for stack in make_partition(paper_scale.n_rows, M, seed=M + 3).split(Xy):
+    for stack in split(make_partition(paper_scale.n_rows, M, seed=M + 3), Xy):
         _assert_matches_reference(stack)
 
 
@@ -413,7 +414,7 @@ def test_fit_subsets_in_chunks_equals_whole_stack_fits(paper_scale, M):
     fit, _ = fit_subsets(paper_scale, [model], plan)[0]
     assert paper_scale.n_rows > linmod.FIT_CHUNK_ROWS  # more than one chunk
     Xy, _ = design_with_response(paper_scale, model)
-    whole = [fit_stack(stack) for stack in plan.split(Xy)]
+    whole = [fit_stack(stack) for stack in split(plan, Xy)]
     for name in ("coefficients", "stderrs", "sigma2_hat", "singular"):
         assert np.array_equal(getattr(fit, name),
                               np.concatenate([getattr(w, name) for w in whole]))
@@ -427,9 +428,9 @@ def test_fit_core_matches_lu_reference_across_conditioning():
 # ------------------------------------- one QR per subset, shared by the models
 
 def _design_stacks(ds, model, plan):
-    """The model's own design X on each subset, as plan.split stacks it."""
+    """The model's own design X on each subset, as split stacks it."""
     Xy, _, _ = linmod._design_buffer(ds, [model])
-    return [stack[..., :-1] for stack in plan.split(Xy)]
+    return [stack[..., :-1] for stack in split(plan, Xy)]
 
 
 def _assert_matches_reference_fits(ds, models, plan, other_qr=False):
@@ -471,7 +472,7 @@ def _blocks_dataset(stack, names):
     B, n = stack.shape[:2]
     plan = make_partition(B * n, B, seed=0)
     rows = np.empty((B * n, stack.shape[2]))
-    rows[plan.order] = stack.reshape(B * n, -1)
+    rows[plan.blocks] = stack
     return Dataset(dict(zip(names, rows.T))), plan
 
 

@@ -683,6 +683,59 @@ def test_cli_bad_setting_exits_2_before_release(tmp_path, table, monkeypatch, ca
     assert not (tmp_path / "no-such-dir").exists()
 
 
+@pytest.mark.parametrize("framework", ["ad", "am"])
+def test_ledger_in_a_missing_directory_exits_2_before_ingest(tmp_path, table, monkeypatch,
+                                                             capsys, framework):
+    # the ledger is appended to only after the release: a missing directory
+    # is refused before the table is read or any subset is fitted
+    import dprep.ad
+    import dprep.am
+    import dprep.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the ledger path was checked")
+
+    for module, name in ((dprep.cli, "read_table"), (dprep.ad, "fit_subsets"),
+                         (dprep.am, "fit_subsets")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    args = _ad_args(table, tmp_path) if framework == "ad" else _am_args(table, tmp_path)
+    assert main(args + ["--ledger", "no-such-dir/l.jsonl"]) == 2
+    assert "--ledger" in capsys.readouterr().err
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+@pytest.mark.parametrize("framework", ["ad", "am"])
+def test_numpy_integer_M_and_seed_give_the_plain_int_report(tmp_path, framework):
+    # robustness_contour's M axis is a NumPy int array: an M or seed taken
+    # from it gives the report and debug payload of the plain ints; a float
+    # or a bool is refused before anything is spent
+    ds = synth_dataset(103, seed=4)  # M = 5 leaves a remainder
+
+    def run(ledger, M, seed):
+        if framework == "ad":
+            return ad_verify(ds, parse_formula("y ~ x1 + x2 + x3"), "x2",
+                             build_fixed_region(0.0, math.inf),
+                             ADConfig(M=M, epsilon=1.0, seed=seed), ledger)
+        return am_verify(ds, parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3"),
+                         "x1", AMConfig(M=M, epsilon=1.0, seed=seed), ledger)
+
+    texts = []
+    for M, seed in ((5, 3), (np.int64(5), np.int64(3)), (np.int32(5), np.uint8(3))):
+        report, debug = run(BudgetLedger(cap=1.0), M, seed)
+        report["provenance"].pop("timestamp")
+        write_json(tmp_path / "report.json", report)
+        write_json(tmp_path / "debug.json", debug)
+        texts.append(((tmp_path / "report.json").read_text(),
+                      (tmp_path / "debug.json").read_text()))
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    for M, seed in ((5.0, 3), (5, 1.5), (True, 3), (5, True), (np.float64(5), 3)):
+        ledger = BudgetLedger(cap=1.0)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run(ledger, M, seed)
+        assert ledger.spent == 0 and not ledger.entries
+
+
 def test_unsafe_debug_files_keep_their_lists(tmp_path, table):
     # the debug payload holds numpy arrays; its file is the JSON of the
     # plain lists it held before, byte for byte
