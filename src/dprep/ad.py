@@ -13,7 +13,6 @@ ever cross the privacy boundary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .privacy import (
     PrivacyParams,
     RngStream,
     RunConfig,
+    integer,
     release_scalar,
 )
 from .tabular import Dataset
@@ -140,9 +140,11 @@ class ADConfig(RunConfig):
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         burn_in, keep = self.mcmc
-        if burn_in < 0 or not (isinstance(keep, numbers.Integral) and 1 <= keep <= MAX_DRAWS):
+        burn_in, keep = integer(burn_in, "mcmc burn_in"), integer(keep, "mcmc keep")
+        if burn_in < 0 or not 1 <= keep <= MAX_DRAWS:
             raise ConfigError(f"mcmc=(burn_in, keep) invalid: {self.mcmc}; "
                               f"keep must be an integer in 1..{MAX_DRAWS}")
+        object.__setattr__(self, "mcmc", (burn_in, keep))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ coefficient difference under an assumption on the two interval lengths.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .privacy import (
     PrivacyParams,
     RngStream,
     RunConfig,
+    integer,
     release_scalar,
 )
 from .tabular import Dataset
@@ -67,9 +67,10 @@ class AMConfig(RunConfig):
         super().__post_init__()
         if not 0 < self.level < 1:
             raise ConfigError(f"level must be in (0, 1), got {self.level}")
-        G = self.grid_points
-        if not (isinstance(G, numbers.Integral) and 101 <= G <= MAX_GRID_POINTS):
+        G = integer(self.grid_points, "grid_points")
+        if not 101 <= G <= MAX_GRID_POINTS:
             raise ConfigError(f"grid_points must be an integer in 101..{MAX_GRID_POINTS}, got {G}")
+        object.__setattr__(self, "grid_points", G)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ results, and fitting it with permuted rows gives results equal to rounding.
 
 from __future__ import annotations
 
+import os
+import queue
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,8 @@ RANK_TOL = 1e-10
 # a fit skips the pivoted rank check only when its unpivoted R bounds the
 # pivoted diagonal ratio above RANK_TOL by at least this factor
 CERTIFICATE_MARGIN = 1e3
-# fit_subsets factors about this many rows of blocks at a time: the QR copies little
+# fit_subsets factors a stack of up to this many rows whole on the calling
+# thread, a taller one in chunks of a quarter of it on one thread per core
 FIT_CHUNK_ROWS = 1 << 16
 
 RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
@@ -354,30 +358,79 @@ def fit_from_r(R_aug: np.ndarray, n) -> StackFit:
     return StackFit(beta.T, stderrs.T, residual_df, sigma2_hat, singular)
 
 
+def _available_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _factor_in_chunks(buffer: np.ndarray, blocks: np.ndarray, R_U: np.ndarray) -> None:
+    """Fill R_U (M, D, D) with the R of each block buffer[blocks[l]], one
+    chunk of ``FIT_CHUNK_ROWS // 4`` rows (at least one block) at a time:
+    each chunk is gathered and factored on its own, so no copy of all the
+    blocks is held.  One thread per core factors the chunks, as take and
+    the batched QR release the GIL; a block's R is the same bit for bit in
+    any chunk and on any thread.  Nothing here reads the caller's
+    np.errstate, which another thread would not see."""
+    M, n = blocks.shape
+    step = max(1, FIT_CHUNK_ROWS // 4 // n)
+    starts = range(0, M, step)
+    workers = min(_available_cores(), len(starts))
+    # one gather buffer per running chunk, allocated here so that the
+    # calling thread can reuse the memory once the pool is gone
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(np.empty((step, n, buffer.shape[1])))
+
+    def factor(start):
+        out, index = free.get(), blocks[start:start + step]
+        try:
+            # "clip" never clips these indices; "raise" would gather into a temporary
+            chunk = np.take(buffer, index, axis=0, out=out[:len(index)], mode="clip")
+            R_U[start:start + step, :n] = np.linalg.qr(chunk, mode="r")
+        finally:
+            free.put(out)  # also after an exception, or a running chunk would wait forever
+
+    if workers == 1:
+        for start in starts:
+            factor(start)
+        return
+    # the pool lives for this call only; a chunk's exception is raised
+    # here, after the chunks not yet started are cancelled
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(factor, starts))
+
+
 def fit_subsets(
     dataset: Dataset, models, plan: PartitionPlan
 ) -> list[tuple[StackFit, list[str]]]:
     """Fit each model on each of the plan's M subsets: row l of a model's
     fit is subset l.  Returns one (fit, design column names) per model.
 
-    The models share one design buffer U, gathered once through the plan's
-    blocks (a pad reads U's zero row, which leaves a block's R as it is).
-    Each block is factored once, into R_U, about ``FIT_CHUNK_ROWS`` rows at
-    a time.  A model's [X | y] is Q_U times its columns of R_U, whose QR is
-    thus its R_aug; columns that lead both it and U are triangular in R_U
-    already.  A model that is all of U is fitted bit for bit as alone, any
-    other to rounding, except that a non-finite cell makes its column and
-    every later one of its subset's R_U non-finite: a model using a later
-    column is singular there too.  A plan for other rows is a ConfigError."""
+    The models share one design buffer U, from which each of the plan's
+    blocks is gathered (a pad reads U's zero row, which leaves a block's R
+    as it is) and factored once, into R_U: a stack of at most
+    ``FIT_CHUNK_ROWS`` rows whole on the calling thread, a taller one by
+    :func:`_factor_in_chunks`.  A model's [X | y] is Q_U times its columns
+    of R_U, whose QR is thus its R_aug; columns that lead both it and U are
+    triangular in R_U already.  A model that is all of U is fitted bit for
+    bit as alone, any other to rounding, except that a non-finite cell
+    makes its column and every later one of its subset's R_U non-finite: a
+    model using a later column is singular there too.  A plan for other
+    rows is a ConfigError."""
     if plan.n_rows != dataset.n_rows:
         raise ConfigError(f"plan covers {plan.n_rows} rows but the data has {dataset.n_rows}")
     buffer, layouts, names = _design_buffer(dataset, models)
-    blocks = np.take(buffer, plan.blocks, axis=0)
-    del buffer  # the blocks hold a gathered copy; free this one before fitting
-    M, n, D = blocks.shape
-    R_U, step = np.zeros((M, D, D)), max(1, FIT_CHUNK_ROWS // n)
-    for start in range(0, M, step):
-        R_U[start:start + step, :n] = np.linalg.qr(blocks[start:start + step], mode="r")
+    (M, n), D = plan.blocks.shape, buffer.shape[1]
+    R_U = np.zeros((M, D, D))  # zero rows pad R when n < D
+    if M * n <= FIT_CHUNK_ROWS:
+        blocks = np.take(buffer, plan.blocks, axis=0)
+        del buffer  # the QR's copy of the blocks can reuse its memory
+        R_U[:, :n] = np.linalg.qr(blocks, mode="r")
+    else:
+        _factor_in_chunks(buffer, plan.blocks, R_U)
     out = []
     for cols, model_names in zip(layouts, names):
         p = next((i for i, c in enumerate(cols) if c != i), len(cols))

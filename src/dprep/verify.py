@@ -271,7 +271,7 @@ def audit_release_report(text: str) -> list[str]:
 
 
 def _array_to_list(value):
-    """``json.dump``'s hook for the numpy arrays of a debug payload."""
+    """``json.dumps``' hook for the numpy arrays of a debug payload."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -279,10 +279,12 @@ def _array_to_list(value):
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON with sorted keys; numpy arrays
-    (a debug payload keeps its per-subset values as arrays) become lists."""
+    (a debug payload keeps its per-subset values as arrays) become lists.
+    The text is built before the file is opened and written in one call,
+    so a payload that does not serialize leaves no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_array_to_list)
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_array_to_list)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path) -> dict:

@@ -1,7 +1,11 @@
 """The subset fits of AD and AM equal whole-model fits on each subset's rows,
 and the batched fit core agrees with the per-block pivoted-QR fit."""
 
+import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -495,21 +499,174 @@ def test_shared_qr_rank_decisions_match_reference_across_conditioning():
         assert 0 < fits[1][0].singular.sum() < plan.M
 
 
-@pytest.mark.parametrize("n_models", [1, 2, 3])
-def test_each_chunk_of_blocks_is_factored_once(monkeypatch, n_models):
-    ds = _dataset()
-    plan = make_partition(ds.n_rows, 7, seed=3)  # seven subsets of 29 rows
-    monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", 60)  # two blocks a chunk
-    qr, shapes = np.linalg.qr, []
+# --------------------------------------- the chunks, on one thread per core
 
-    def counted(a, mode="reduced"):
-        shapes.append(a.shape)
+def _chunk_dataset():
+    """1015 rows: a plan of 35 subsets gives blocks of 29 rows, a width no
+    model's QR of R_U columns has."""
+    ds = synth_dataset(1015, seed=22)
+    cols = dict(ds.columns)
+    cols["z"] = cols["x1"] + 0.5 * cols["y"] + np.random.default_rng(4).normal(size=1015)
+    return Dataset(cols)
+
+
+def _record_chunk_qrs(monkeypatch, width):
+    """Patch np.linalg.qr to record, per call on a stack of ``width``-row
+    blocks (a chunk of blocks), the stack and the thread it ran on."""
+    qr, calls = np.linalg.qr, []
+
+    def recorded(a, mode="reduced"):
+        if a.shape[1] == width:
+            calls.append((a.copy(), threading.get_ident()))  # list.append is atomic
         return qr(a, mode=mode)
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n_models", [1, 2, 3])
+def test_each_chunk_of_blocks_is_factored_once(monkeypatch, n_models):
+    ds = _chunk_dataset()
+    plan = make_partition(ds.n_rows, 35, seed=3)  # 35 subsets of 29 rows
+    models = [parse_formula(formula) for formula in MODELS + ["z ~ x1 + sq(x2)"]][:n_models]
+    buffer, _, _ = linmod._design_buffer(ds, models)
+    expected = sorted(block.tobytes() for block in buffer[plan.blocks])
+    # the whole stack on this thread; chunks of three blocks (87 rows) on
+    # this thread, or on a pool of three threads
+    for chunk_rows, cores in [(1015, 3), (4 * 87, 1), (4 * 87, 3)]:
+        monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(linmod, "_available_cores", lambda: cores)
+        calls = _record_chunk_qrs(monkeypatch, 29)
+        fit_subsets(ds, models, plan)
+        # the calls come from the pool threads in any order: every block
+        # is one chunk's exactly once, whatever the order of the chunks
+        assert sorted(b.tobytes() for chunk, _ in calls for b in chunk) == expected
+        sizes = sorted(len(chunk) for chunk, _ in calls)
+        threads = {thread for _, thread in calls}
+        if chunk_rows >= plan.M * 29:
+            assert sizes == [35] and threads == {threading.get_ident()}
+        else:
+            assert sizes == [2] + [3] * 11
+            assert (threads == {threading.get_ident()}) == (cores == 1)
+        monkeypatch.undo()
+
+
+def _assert_fits_identical(fits, others):
+    for (fit, names), (other, other_names) in zip(fits, others, strict=True):
+        assert names == other_names
+        for name in ("coefficients", "stderrs", "residual_df", "sigma2_hat", "singular"):
+            assert np.array_equal(getattr(fit, name), getattr(other, name), equal_nan=True)
+
+
+def _fits_on(monkeypatch, cores, ds, models, plan):
+    monkeypatch.setattr(linmod, "_available_cores", lambda: cores)
+    return fit_subsets(ds, models, plan)
+
+
+@pytest.mark.parametrize("M", [1000, 5000])
+def test_fits_are_bit_identical_on_one_thread_and_on_every_core(monkeypatch, paper_scale_z, M):
+    # at least two workers, so the pool runs even where one core is allowed
+    models = [parse_formula("y ~ x1 + x2 + x3"), parse_formula("z ~ x1 + sq(x2)")]
+    plan = make_partition(paper_scale_z.n_rows, M, seed=M + 2)
+    assert plan.M * plan.blocks.shape[1] > linmod.FIT_CHUNK_ROWS  # the pool's path
+    one = _fits_on(monkeypatch, 1, paper_scale_z, models, plan)
+    every = _fits_on(monkeypatch, max(2, linmod._available_cores()), paper_scale_z, models, plan)
+    _assert_fits_identical(one, every)
+
+
+def test_fits_are_bit_identical_in_any_chunking_at_small_scale(monkeypatch):
+    ds = _chunk_dataset()
+    plan = make_partition(ds.n_rows, 35, seed=4)
     models = [parse_formula(formula) for formula in MODELS + ["z ~ x1 + sq(x2)"]]
-    fit_subsets(ds, models[:n_models], plan)
-    assert [shape[:2] for shape in shapes if shape[1] == 29] == [(2, 29)] * 3 + [(1, 29)]
+    whole = fit_subsets(ds, models, plan)  # one chunk on this thread
+    for chunk_rows in (4, 4 * 58, 1014):  # chunks of 1, 2 and 8 blocks
+        monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", chunk_rows)
+        for cores in (1, 2, 3):
+            _assert_fits_identical(whole, _fits_on(monkeypatch, cores, ds, models, plan))
+
+
+def test_more_threads_than_cores_and_a_short_switch_interval_change_no_fit(monkeypatch):
+    # the pool threads share the gather buffers and R_U: a buffer handed to
+    # two chunks at once, or a lost write, would change a block's fit
+    ds = _chunk_dataset()
+    plan = make_partition(ds.n_rows, 35, seed=5)
+    models = [parse_formula(formula) for formula in MODELS + ["z ~ x1 + sq(x2)"]]
+    whole = fit_subsets(ds, models, plan)
+    monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", 4 * 29)  # 35 chunks of one block
+    workers = 2 * linmod._available_cores() + 5
+    monkeypatch.setattr(linmod, "_available_cores", lambda: workers)
+    runs = []
+
+    def run():
+        for _ in range(20):
+            runs.append(fit_subsets(ds, models, plan))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(runs) == 20
+    for fits in runs:
+        _assert_fits_identical(whole, fits)
+
+
+@pytest.mark.parametrize("fails", [lambda call: call == 5, lambda call: True],
+                         ids=["one-chunk", "every-chunk"])
+def test_an_exception_in_a_chunk_propagates_from_the_pool(monkeypatch, fails):
+    ds = _chunk_dataset()
+    plan = make_partition(ds.n_rows, 35, seed=3)
+    monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", 4 * 29)  # 35 chunks of one block
+    monkeypatch.setattr(linmod, "_available_cores", lambda: 3)
+    qr, calls = np.linalg.qr, itertools.count()
+
+    def failing(a, mode="reduced"):
+        if a.shape[1] == 29 and fails(next(calls)):  # next() is atomic
+            raise RuntimeError("a chunk failed")
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", failing)
+    before, raised = threading.active_count(), []
+
+    def run():
+        try:
+            fit_subsets(ds, [parse_formula("y ~ x1 + x2")], plan)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()  # no hang
+    assert [str(exc) for exc in raised] == ["a chunk failed"]
+    assert threading.active_count() == before  # the pool is shut down
+
+
+def test_a_stack_of_at_most_fit_chunk_rows_starts_no_thread(monkeypatch):
+    ds = _chunk_dataset()
+    plan = make_partition(ds.n_rows, 35, seed=3)  # 1015 rows
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(linmod, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(linmod, "_available_cores", lambda: 4)
+    models = [parse_formula("y ~ x1 + x2")]
+    calls = _record_chunk_qrs(monkeypatch, 29)
+    for chunk_rows in (10**6, 1015):
+        monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", chunk_rows)
+        fit_subsets(ds, models, plan)
+    assert pools == []
+    assert [(len(chunk), thread) for chunk, thread in calls] == [(35, threading.get_ident())] * 2
+    monkeypatch.setattr(linmod, "FIT_CHUNK_ROWS", 1014)  # one row more: chunks of 8 blocks
+    fit_subsets(ds, models, plan)
+    assert pools == [4]
 
 
 # ------------------------------------------- the certificate and its limits
@@ -624,7 +781,8 @@ def test_zero_width_interval_and_singular_fit_in_subset_order(zero_y, constant_u
     ds = Dataset(cols)
     models = (parse_formula("y ~ x"), parse_formula("y ~ x + u"))
     res = average_overlap(ds, *models, "x", plan)
-    assert res.nus.tolist() == _expected_overlaps(ds, models, "x", plan)
+    # neither model is fitted from its own QR (see fit_subsets): to rounding
+    _assert_overlaps_close(res, _expected_intervals(ds, models, "x", plan))
     assert res.nus[zero_y] == res.nus[constant_u] == 0.0
     assert np.count_nonzero(res.nus) == 2
     first = min(zero_y, constant_u)

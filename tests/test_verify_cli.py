@@ -736,6 +736,56 @@ def test_numpy_integer_M_and_seed_give_the_plain_int_report(tmp_path, framework)
         assert ledger.spent == 0 and not ledger.entries
 
 
+@pytest.mark.parametrize("framework", ["ad", "am"])
+def test_numpy_integer_mcmc_and_grid_points_give_the_plain_int_report(tmp_path, framework):
+    # a NumPy int in ADConfig.mcmc or AMConfig.grid_points is stored as an
+    # int, so the report serializes; a float or a bool is refused before
+    # anything is spent
+    ds = synth_dataset(103, seed=4)
+
+    def run(ledger, value):
+        if framework == "ad":
+            return ad_verify(ds, parse_formula("y ~ x1 + x2 + x3"), "x2",
+                             build_fixed_region(0.0, math.inf),
+                             ADConfig(M=5, epsilon=1.0, seed=3, mcmc=value), ledger)
+        return am_verify(ds, parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3"),
+                         "x1", AMConfig(M=5, epsilon=1.0, seed=3, grid_points=value), ledger)
+
+    if framework == "ad":
+        plain, numpy_ints = (500, 1000), [(np.int64(500), np.int64(1000)), (np.uint16(500), 1000)]
+        refused = [(500.0, 1000), (500, 1000.0), (True, 1000), (500, np.float64(1000))]
+    else:
+        plain, numpy_ints = 1001, [np.int64(1001), np.int32(1001)]
+        refused = [1001.0, True, np.float64(1001)]
+    texts = []
+    for value in [plain] + numpy_ints:
+        report, debug = run(BudgetLedger(cap=1.0), value)
+        report["provenance"].pop("timestamp")
+        write_json(tmp_path / "report.json", report)
+        write_json(tmp_path / "debug.json", debug)
+        texts.append(((tmp_path / "report.json").read_text(),
+                      (tmp_path / "debug.json").read_text()))
+    assert texts[1:] == [texts[0]] * len(numpy_ints)
+    for value in refused:
+        ledger = BudgetLedger(cap=1.0)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run(ledger, value)
+        assert ledger.spent == 0 and not ledger.entries
+
+
+def test_write_json_writes_the_text_of_json_dump_or_no_file(tmp_path):
+    payload = {"b": [1.5, float("inf")], "a": {"nus": np.array([0.25, 0.0])}, "n": 3}
+    write_json(tmp_path / "report.json", payload)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
+        fh.write("\n")
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    # a value that does not serialize fails before the file is opened
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "bad.json", {"a": 1, "z": {1, 2}})
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_unsafe_debug_files_keep_their_lists(tmp_path, table):
     # the debug payload holds numpy arrays; its file is the JSON of the
     # plain lists it held before, byte for byte
