@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .ad import (
     ADConfig,
     ADPosterior,
-    ADReleased,
     RobustnessGrid,
     ToleranceRegion,
     build_fixed_region,
@@ -33,7 +32,6 @@ from .ad import (
 from .am import (
     AMConfig,
     AMPosterior,
-    AMReleased,
     ContourGrid,
     InversionAssumption,
     OverlapResult,
@@ -74,6 +72,7 @@ from .privacy import (
     BudgetLedger,
     NoisyRelease,
     PrivacyParams,
+    Released,
     RngStream,
     UncappedBudgetWarning,
     laplace_sample,

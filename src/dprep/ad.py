@@ -23,12 +23,13 @@ from .linmod import ModelSpec, coef_position, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
-    NoisyRelease,
     PrivacyParams,
+    Released,
     RngStream,
     RunConfig,
     integer,
-    release_scalar,
+    real,
+    release_run,
 )
 from .tabular import Dataset
 
@@ -80,6 +81,8 @@ class ToleranceRegion:
     provenance: InflationProvenance | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", real(self.lower, "region lower bound"))
+        object.__setattr__(self, "upper", real(self.upper, "region upper bound"))
         if self.kind not in ("fixed", "inflated"):
             raise ConfigError(f"unknown region kind {self.kind!r}")
         if not self.lower < self.upper:
@@ -137,8 +140,10 @@ class ADConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if self.delta is not None:
+            object.__setattr__(self, "delta", real(self.delta, "delta"))
+            if not 0 < self.delta < 1:
+                raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         burn_in, keep = self.mcmc
         burn_in, keep = integer(burn_in, "mcmc burn_in"), integer(keep, "mcmc keep")
         if burn_in < 0 or not 1 <= keep <= MAX_DRAWS:
@@ -178,28 +183,14 @@ def compute_indicator_count(
     return IndicatorCount(W=W, S=int(W.sum()), estimates=estimates)
 
 
-@dataclass(frozen=True)
-class ADReleased:
-    """The noisy count, the only data-derived field that leaves custody."""
-
-    s_noisy: float
-    config: ADConfig
-    release: NoisyRelease
-
-
-def release_count(
-    S: int, config: ADConfig, ledger: BudgetLedger, stream: RngStream | None = None
-) -> ADReleased:
+def release_count(S: int, config: ADConfig, ledger: BudgetLedger) -> Released:
     """Release S + Laplace(0, 1/epsilon); the count's global sensitivity is 1
     because one changed row can flip at most one subset's indicator.
 
     Neighbours differ by substituting one row and N is public: adding or
     removing a row re-draws the partition, which the sensitivity does not
     cover."""
-    if stream is None:
-        stream = RngStream(config.seed).child("ad-release")
-    release = release_scalar(float(S), 1.0, config.epsilon, ledger, stream)
-    return ADReleased(s_noisy=release.value, config=config, release=release)
+    return release_run(float(S), 1.0, config, ledger, "ad-release")
 
 
 @dataclass(frozen=True)
@@ -238,7 +229,7 @@ def s_marginal_logweights(
             + betaln(s_grid + a, M - s_grid + b))
 
 
-def gibbs_posterior(released: ADReleased, delta: float | None = None) -> ADPosterior:
+def gibbs_posterior(released: Released, delta: float | None = None) -> ADPosterior:
     """Exact i.i.d. draws of (r, S) given the noisy count.
 
     S takes only the values 0..M, so r integrates out in closed form: each
@@ -254,7 +245,7 @@ def gibbs_posterior(released: ADReleased, delta: float | None = None) -> ADPoste
     M = config.M
     a, b = config.prior
     _, keep = config.mcmc
-    logw = s_marginal_logweights(released.s_noisy, M, config.eps, a, b)
+    logw = s_marginal_logweights(released.release.value, M, config.eps, a, b)
     weights = np.exp(logw - logw.max())
     rng = RngStream(config.seed).child("ad-gibbs").generator
     s_samples = rng.choice(M + 1, size=keep, p=weights / weights.sum())

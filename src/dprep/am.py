@@ -22,12 +22,13 @@ from .linmod import ConfidenceInterval, ModelSpec, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
-    NoisyRelease,
     PrivacyParams,
+    Released,
     RngStream,
     RunConfig,
     integer,
-    release_scalar,
+    real,
+    release_run,
 )
 from .tabular import Dataset
 
@@ -65,6 +66,7 @@ class AMConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "level", real(self.level, "level"))
         if not 0 < self.level < 1:
             raise ConfigError(f"level must be in (0, 1), got {self.level}")
         G = integer(self.grid_points, "grid_points")
@@ -132,21 +134,7 @@ def average_overlap(
     return OverlapResult(nus=nus, nu_bar=float(nus.mean()), lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class AMReleased:
-    """The noisy average overlap; unclamped, so values outside [0, 1] occur."""
-
-    nu_bar_noisy: float
-    config: AMConfig
-    release: NoisyRelease
-
-
-def release_overlap(
-    result: OverlapResult,
-    config: AMConfig,
-    ledger: BudgetLedger,
-    stream: RngStream | None = None,
-) -> AMReleased:
+def release_overlap(result: OverlapResult, config: AMConfig, ledger: BudgetLedger) -> Released:
     """Release nu_bar + Laplace(0, 1/(epsilon*M)).
 
     One changed row perturbs a single subset's overlap by at most 1, so the
@@ -154,10 +142,7 @@ def release_overlap(
     and N is public: adding or removing a row re-draws the partition, which
     the sensitivity does not cover.
     """
-    if stream is None:
-        stream = RngStream(config.seed).child("am-release")
-    release = release_scalar(result.nu_bar, 1.0 / config.M, config.epsilon, ledger, stream)
-    return AMReleased(nu_bar_noisy=release.value, config=config, release=release)
+    return release_run(result.nu_bar, 1.0 / config.M, config, ledger, "am-release")
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,7 @@ class AMPosterior:
         return float(np.trapezoid(self.grid * self.density, self.grid))
 
 
-def posterior_nu(released: AMReleased) -> AMPosterior:
+def posterior_nu(released: Released) -> AMPosterior:
     """Posterior density of nu_bar, proportional to
     exp(-M*eps*|nu - nu_noisy|) * nu^(a-1) * (1-nu)^(b-1) on [0, 1].
 
@@ -196,7 +181,7 @@ def posterior_nu(released: AMReleased) -> AMPosterior:
     else:
         grid = np.linspace(0.0, 1.0, G)
     logpdf = (
-        -config.M * config.eps * np.abs(grid - released.nu_bar_noisy)
+        -config.M * config.eps * np.abs(grid - released.release.value)
         + xlogy(a - 1.0, grid)
         + xlogy(b - 1.0, 1.0 - grid)
     )
@@ -323,6 +308,8 @@ class InversionAssumption:
     l2: float
 
     def __post_init__(self):
+        object.__setattr__(self, "l1", real(self.l1, "l1"))
+        object.__setattr__(self, "l2", real(self.l2, "l2"))
         if not 0 < self.l2 <= self.l1 < math.inf:
             raise ConfigError(f"need 0 < l2 <= l1 < inf, got l1={self.l1}, l2={self.l2}")
 

@@ -1,9 +1,10 @@
 """Command-line surface for data custodians.
 
 Exit codes: 0 success, 2 configuration or input error, 3 budget refusal,
-4 singular fit (``fit`` only).  ``ad-verify`` and ``am-verify`` check the
-budget before they read the table, so with the cap spent every run is exit
-3, and impute a subset whose fit fails instead of stopping.  The seed falls
+4 singular fit (``fit`` only).  ``ad-verify`` and ``am-verify`` check their
+own settings, then share one path: they check the budget before they read
+the table, so with the cap spent every run is exit 3, impute a subset whose
+fit fails instead of stopping, and write the report and a summary line.  The seed falls
 back to the DPREP_SEED environment variable when --seed is not given.
 """
 
@@ -30,6 +31,9 @@ from .privacy import BudgetLedger
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
+# most values a lo:hi:count grid may hold
+MAX_GRID_COUNT = 10**6
+
 
 def _number(text: str, kind=float):
     try:
@@ -46,20 +50,31 @@ def _parse_pair(text: str, what: str, kind=float) -> tuple:
 
 
 def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
-    """Grid syntax: 'lo:hi:count' (evenly spaced) or 'v1,v2,...' (explicit)."""
+    """Grid syntax: 'lo:hi:count' (evenly spaced, count at most
+    MAX_GRID_COUNT) or 'v1,v2,...' (explicit).  Every value must be finite,
+    and in an integer grid an integer that a float holds exactly."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be lo:hi:count")
         lo, hi, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
-        if count < 1:
-            raise ConfigError(f"grid count must be positive in {text!r}")
-        grid = np.linspace(lo, hi, count)
+        if not 1 <= count <= MAX_GRID_COUNT:
+            raise ConfigError(f"grid count must be in 1..{MAX_GRID_COUNT} in {text!r}")
+        with np.errstate(all="ignore"):  # a span that overflows is refused below
+            grid = np.linspace(lo, hi, count)
     else:
         grid = np.array([_number(v) for v in text.split(",") if v.strip()])
         if grid.size == 0:
             raise ConfigError(f"grid {text!r} is empty")
-    return np.round(grid).astype(int) if integer else grid
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        raise ConfigError(f"grid {text!r} holds {bad[0]}, which is not finite")
+    if not integer:
+        return grid
+    bad = grid[(np.round(grid) != grid) | (np.abs(grid) > 2**53)]
+    if bad.size:
+        raise ConfigError(f"grid {text!r} holds {bad[0]:g}, not an integer up to 2**53")
+    return grid.astype(int)
 
 
 def _resolve_seed(args) -> int:
@@ -235,33 +250,40 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_ad_verify(args) -> int:
-    _check_distinct_paths(args)
-    config = ADConfig(
-        M=args.M,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        prior=_parse_pair(args.prior, "--prior"),
-        mcmc=_parse_pair(args.mcmc, "--mcmc", int),
-        seed=_resolve_seed(args),
-    )
-    model = parse_formula(args.model)
-    region_of = _region_of(args)
+def _run_settings(args) -> dict:
+    """The :class:`~dprep.privacy.RunConfig` fields of a verify command."""
+    return {"M": args.M, "epsilon": args.epsilon, "prior": _parse_pair(args.prior, "--prior"),
+            "seed": _resolve_seed(args)}
+
+
+def _verify(args, config, run, headline) -> int:
+    """What ad-verify and am-verify share once their settings are checked:
+    the budget check before the table is read, ``run(dataset, ledger)``, the
+    report and debug writes, and a summary line holding ``headline(report)``."""
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
     ledger.check(config.eps)  # a spent cap is refused whatever the data
     dataset = read_table(args.input, args.schema, args.delimiter)
-    report, debug = ad_verify(dataset, model, args.coef,
-                              region_of(dataset.n_rows // args.M), config, ledger)
+    report, debug = run(dataset, ledger)
     write_json(args.out, report)
     if args.unsafe_debug:
         write_json(args.unsafe_debug, debug)
-    print(json.dumps({
-        "out": args.out,
-        "s_noisy": report["released"]["s_noisy"],
-        "theta_hat": report["posterior"]["theta_hat"],
-        "epsilon_spent": ledger.spent,
-    }))
+    print(json.dumps({"out": args.out, **headline(report), "epsilon_spent": ledger.spent}))
     return 0
+
+
+def _cmd_ad_verify(args) -> int:
+    _check_distinct_paths(args)
+    config = ADConfig(**_run_settings(args), delta=args.delta,
+                      mcmc=_parse_pair(args.mcmc, "--mcmc", int))
+    model = parse_formula(args.model)
+    region_of = _region_of(args)
+    return _verify(
+        args, config,
+        lambda dataset, ledger: ad_verify(dataset, model, args.coef,
+                                          region_of(dataset.n_rows // args.M), config, ledger),
+        lambda report: {"s_noisy": report["released"]["s_noisy"],
+                        "theta_hat": report["posterior"]["theta_hat"]},
+    )
 
 
 def _cmd_ad_mselect(args) -> int:
@@ -285,40 +307,16 @@ def _cmd_ad_mselect(args) -> int:
 
 def _cmd_am_verify(args) -> int:
     _check_distinct_paths(args)
-    config = AMConfig(
-        M=args.M,
-        epsilon=args.epsilon,
-        level=args.level,
-        prior=_parse_pair(args.prior, "--prior"),
-        grid_points=args.grid_points,
-        seed=_resolve_seed(args),
-    )
+    config = AMConfig(**_run_settings(args), level=args.level, grid_points=args.grid_points)
     model0, model1 = parse_formula(args.model), parse_formula(args.model_alt)
-    ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
-    ledger.check(config.eps)  # a spent cap is refused whatever the data
-    dataset = read_table(args.input, args.schema, args.delimiter)
-    inversion = None
-    if args.invert:
-        inversion = _inversion_from_args(args, dataset.n_rows // args.M)
-    report, debug = am_verify(
-        dataset,
-        model0,
-        model1,
-        args.coef,
-        config,
-        ledger,
-        inversion=inversion,
-        invert_mass=args.invert_mass,
-    )
-    write_json(args.out, report)
-    if args.unsafe_debug:
-        write_json(args.unsafe_debug, debug)
-    print(json.dumps({
-        "out": args.out,
-        "nu_bar_noisy": report["released"]["nu_bar_noisy"],
-        "epsilon_spent": ledger.spent,
-    }))
-    return 0
+
+    def run(dataset, ledger):
+        inversion = _inversion_from_args(args, dataset.n_rows // args.M) if args.invert else None
+        return am_verify(dataset, model0, model1, args.coef, config, ledger,
+                         inversion=inversion, invert_mass=args.invert_mass)
+
+    return _verify(args, config, run,
+                   lambda report: {"nu_bar_noisy": report["released"]["nu_bar_noisy"]})
 
 
 def _cmd_am_contour(args) -> int:

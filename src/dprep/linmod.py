@@ -32,8 +32,9 @@ RANK_TOL = 1e-10
 # a fit skips the pivoted rank check only when its unpivoted R bounds the
 # pivoted diagonal ratio above RANK_TOL by at least this factor
 CERTIFICATE_MARGIN = 1e3
-# fit_subsets factors a stack of up to this many rows whole on the calling
-# thread, a taller one in chunks of a quarter of it on one thread per core
+# fit_subsets factors a stack of up to this many rows as one chunk on the
+# calling thread, a taller one in chunks of a quarter of it on one thread
+# per core
 FIT_CHUNK_ROWS = 1 << 16
 
 RANK_DEFICIENT = "design matrix is rank deficient (collinear columns or subset too small)"
@@ -368,14 +369,15 @@ def _available_cores() -> int:
 
 def _factor_in_chunks(buffer: np.ndarray, blocks: np.ndarray, R_U: np.ndarray) -> None:
     """Fill R_U (M, D, D) with the R of each block buffer[blocks[l]], one
-    chunk of ``FIT_CHUNK_ROWS // 4`` rows (at least one block) at a time:
-    each chunk is gathered and factored on its own, so no copy of all the
-    blocks is held.  One thread per core factors the chunks, as take and
-    the batched QR release the GIL; a block's R is the same bit for bit in
-    any chunk and on any thread.  Nothing here reads the caller's
-    np.errstate, which another thread would not see."""
+    chunk at a time: all M blocks when they hold at most ``FIT_CHUNK_ROWS``
+    rows, else ``FIT_CHUNK_ROWS // 4`` rows (at least one block).  Each
+    chunk is gathered and factored on its own, so no copy of all the blocks
+    is held.  One thread per core factors the chunks, as take and the
+    batched QR release the GIL; a block's R is the same bit for bit in any
+    chunk and on any thread.  Nothing here reads the caller's np.errstate,
+    which another thread would not see."""
     M, n = blocks.shape
-    step = max(1, FIT_CHUNK_ROWS // 4 // n)
+    step = M if M * n <= FIT_CHUNK_ROWS else max(1, FIT_CHUNK_ROWS // 4 // n)
     starts = range(0, M, step)
     workers = min(_available_cores(), len(starts))
     # one gather buffer per running chunk, allocated here so that the
@@ -411,26 +413,20 @@ def fit_subsets(
 
     The models share one design buffer U, from which each of the plan's
     blocks is gathered (a pad reads U's zero row, which leaves a block's R
-    as it is) and factored once, into R_U: a stack of at most
-    ``FIT_CHUNK_ROWS`` rows whole on the calling thread, a taller one by
-    :func:`_factor_in_chunks`.  A model's [X | y] is Q_U times its columns
-    of R_U, whose QR is thus its R_aug; columns that lead both it and U are
-    triangular in R_U already.  A model that is all of U is fitted bit for
-    bit as alone, any other to rounding, except that a non-finite cell
-    makes its column and every later one of its subset's R_U non-finite: a
-    model using a later column is singular there too.  A plan for other
-    rows is a ConfigError."""
+    as it is) and factored once, into R_U, by :func:`_factor_in_chunks`.
+    A model's [X | y] is Q_U times its columns of R_U, whose QR is thus its
+    R_aug; columns that lead both it and U are triangular in R_U already.
+    A model that is all of U is fitted bit for bit as alone, any other to
+    rounding, except that a non-finite cell makes its column and every
+    later one of its subset's R_U non-finite: a model using a later column
+    is singular there too.  A plan for other rows is a ConfigError."""
     if plan.n_rows != dataset.n_rows:
         raise ConfigError(f"plan covers {plan.n_rows} rows but the data has {dataset.n_rows}")
     buffer, layouts, names = _design_buffer(dataset, models)
-    (M, n), D = plan.blocks.shape, buffer.shape[1]
-    R_U = np.zeros((M, D, D))  # zero rows pad R when n < D
-    if M * n <= FIT_CHUNK_ROWS:
-        blocks = np.take(buffer, plan.blocks, axis=0)
-        del buffer  # the QR's copy of the blocks can reuse its memory
-        R_U[:, :n] = np.linalg.qr(blocks, mode="r")
-    else:
-        _factor_in_chunks(buffer, plan.blocks, R_U)
+    D = buffer.shape[1]
+    R_U = np.zeros((plan.M, D, D))  # zero rows pad R when a block has fewer than D rows
+    _factor_in_chunks(buffer, plan.blocks, R_U)
+    del buffer
     out = []
     for cols, model_names in zip(layouts, names):
         p = next((i for i, c in enumerate(cols) if c != i), len(cols))

@@ -101,6 +101,17 @@ def integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def real(value, name: str) -> float:
+    """``value``, a real number of any type (a NumPy one too) but not a bool, as a
+    float; an int past the doubles is an infinity, for the caller's range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy budget spent per release: 0 < epsilon < inf."""
@@ -108,13 +119,14 @@ class PrivacyParams:
     epsilon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon"))
         if not 0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @classmethod
     def of(cls, epsilon) -> "PrivacyParams":
-        """``epsilon`` itself if it is a PrivacyParams, else one holding float(epsilon)."""
-        return epsilon if isinstance(epsilon, cls) else cls(float(epsilon))
+        """``epsilon`` itself if it is a PrivacyParams, else one holding it."""
+        return epsilon if isinstance(epsilon, cls) else cls(epsilon)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -133,9 +145,10 @@ class RunConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
-        a, b = self.prior
+        a, b = (real(value, "prior value") for value in self.prior)
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise ConfigError(f"prior values must be positive and finite, got {self.prior}")
+        object.__setattr__(self, "prior", (a, b))
 
     @property
     def eps(self) -> float:
@@ -416,3 +429,20 @@ def release_scalar(
     )
     ledger.append(release)
     return release
+
+
+@dataclass(frozen=True)
+class Released:
+    """A run's settings and its one release, whose unclamped ``release.value``
+    can lie outside the range of the statistic."""
+
+    config: RunConfig
+    release: NoisyRelease
+
+
+def release_run(value: float, sensitivity: float, config: RunConfig, ledger: BudgetLedger,
+                label: str) -> Released:
+    """Release ``value`` for one run through :func:`release_scalar`, with its
+    noise drawn from the run's ``label`` stream, ``RngStream(config.seed).child(label)``."""
+    stream = RngStream(config.seed).child(label)
+    return Released(config, release_scalar(value, sensitivity, config.epsilon, ledger, stream))

@@ -1,5 +1,10 @@
 """End-to-end verification runs and release-report assembly.
 
+Both frameworks run one pipeline: partition, per-subset statistic, one
+:func:`~dprep.privacy.release_run`, posterior, report.  :func:`_report`
+builds the report sections both share; each verify function adds its own
+config echo and provenance, and AM its ``inversion`` block.
+
 This layer owns the privacy boundary.  A release report contains only the
 noised scalar, a configuration echo, posterior summaries, and provenance;
 raw subset statistics (the true count, per-subset indicators, coefficients,
@@ -46,7 +51,7 @@ from .am import (
 from .errors import ConfigError, TransformDomainError
 from .linmod import ModelSpec, confidence_interval, fit_ols
 from .partition import make_partition
-from .privacy import BudgetLedger
+from .privacy import BudgetLedger, Released, real
 from .tabular import Dataset
 
 # field names that must never appear in a release report; the boundary
@@ -90,6 +95,22 @@ def summarize_nu_samples(samples) -> dict:
     return {"mean": float(arr.mean()), "quantiles": _quantiles(arr)}
 
 
+def _report(framework: str, noisy_key: str, released: Released, echo: dict,
+            posterior: dict) -> dict:
+    """The sections both frameworks' reports share: the release, with its
+    value under ``noisy_key``; the run settings every config holds, plus
+    ``echo``, the framework's own; and the ``posterior`` summary."""
+    config, release = released.config, released.release
+    return {
+        "framework": framework,
+        "released": {noisy_key: release.value, "mechanism": release.mechanism,
+                     "sensitivity": release.sensitivity, "epsilon": release.epsilon_spent},
+        "config": {"M": config.M, "epsilon": config.eps, "prior": list(config.prior),
+                   "seed": config.seed, **echo},
+        "posterior": posterior,
+    }
+
+
 def resolve_delta(config: ADConfig, region: ToleranceRegion) -> float:
     """Effective degree of certainty: the configured value if set, else 0.5
     for fixed regions and 0.9 * delta_star for inflated ones."""
@@ -121,31 +142,13 @@ def ad_verify(
     posterior = gibbs_posterior(released, delta=delta)
 
     report = {
-        "framework": "ad",
-        "released": {
-            "s_noisy": released.s_noisy,
-            "mechanism": released.release.mechanism,
-            "sensitivity": released.release.sensitivity,
-            "epsilon": released.release.epsilon_spent,
-        },
-        "config": {
-            "M": config.M,
-            "epsilon": config.eps,
-            "delta": delta,
-            "prior": list(config.prior),
-            "mcmc": list(config.mcmc),
-            "seed": config.seed,
-            "coef": str(coef),
-            "region": {
-                "lower": region.lower,
-                "upper": region.upper,
-                "kind": region.kind,
-            },
-        },
-        "posterior": {
+        **_report("ad", "s_noisy", released, {
+            "delta": delta, "mcmc": list(config.mcmc), "coef": str(coef),
+            "region": {"lower": region.lower, "upper": region.upper, "kind": region.kind},
+        }, {
             **summarize_r_samples(posterior.r_samples, delta),
             "r_samples": [float(v) for v in posterior.r_samples],
-        },
+        }),
         "provenance": _provenance(config.seed),
     }
     debug = {
@@ -173,8 +176,10 @@ def am_verify(
     credible interval for |beta - gamma| implied by the posterior overlap
     interval at ``invert_mass``, which is checked before any budget is spent.
     """
-    if inversion is not None and not 0 < invert_mass < 1:
-        raise ConfigError(f"mass must be in (0, 1), got {invert_mass}")
+    if inversion is not None:
+        invert_mass = real(invert_mass, "invert_mass")
+        if not 0 < invert_mass < 1:
+            raise ConfigError(f"mass must be in (0, 1), got {invert_mass}")
     plan = make_partition(dataset.n_rows, config.M, config.seed)
     overlap = average_overlap(dataset, model0, model1, coef, plan, config.level)
     released = release_overlap(overlap, config, ledger)
@@ -186,27 +191,13 @@ def am_verify(
         intervals[f"{mass:g}"] = [ci.lower, ci.upper]
 
     report = {
-        "framework": "am",
-        "released": {
-            "nu_bar_noisy": released.nu_bar_noisy,
-            "mechanism": released.release.mechanism,
-            "sensitivity": released.release.sensitivity,
-            "epsilon": released.release.epsilon_spent,
-        },
-        "config": {
-            "M": config.M,
-            "epsilon": config.eps,
-            "level": config.level,
-            "prior": list(config.prior),
-            "grid_points": config.grid_points,
-            "seed": config.seed,
-            "coef": coef,
-        },
-        "posterior": {
+        **_report("am", "nu_bar_noisy", released, {
+            "level": config.level, "grid_points": config.grid_points, "coef": coef,
+        }, {
             **summarize_nu_samples(posterior.samples),
             "credible_intervals": intervals,
             "samples": [float(v) for v in posterior.samples],
-        },
+        }),
         "provenance": _provenance(config.seed),
     }
     if inversion is not None:

@@ -138,7 +138,7 @@ def gibbs_oracle(released, burn_in: int, keep: int, thin: int = 1):
     """
     config = released.config
     M, eps, (a, b) = config.M, config.eps, config.prior
-    s_noisy = released.s_noisy
+    s_noisy = released.release.value
     rng = RngStream(config.seed).child("ad-gibbs").generator
     S = int(round(min(max(s_noisy, 0.0), float(M))))
 

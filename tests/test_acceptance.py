@@ -38,7 +38,7 @@ from dprep import (
     robustness_contour,
 )
 from dprep.ad import beta_conditional
-from dprep.am import AMReleased
+from dprep.privacy import Released
 
 MODEL = parse_formula("y ~ x1 + x2 + x3")
 
@@ -154,8 +154,8 @@ def test_05_overlap_posterior_interval():
     """A noisy average overlap of 1.03 at M=25, eps=1 and a flat prior gives a
     90% equal-tailed interval of [0.878, 0.998] within 0.01 per endpoint."""
     config = AMConfig(M=25, epsilon=1.0, seed=1)
-    released = AMReleased(
-        nu_bar_noisy=1.03, config=config,
+    released = Released(
+        config=config,
         release=NoisyRelease(value=1.03, epsilon_spent=1.0, sensitivity=1 / 25))
     ci = credible_interval(posterior_nu(released), 0.9)
     ok = abs(ci.lower - 0.878) <= 0.01 and abs(ci.upper - 0.998) <= 0.01

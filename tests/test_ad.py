@@ -33,14 +33,15 @@ from dprep import (
     robustness_contour,
     theta_hat,
 )
-from dprep.ad import ADReleased, beta_conditional, s_marginal_logweights
+from dprep.ad import beta_conditional, s_marginal_logweights
+from dprep.privacy import Released
 
 
 def _released(s_noisy, M, eps=1.0, seed=0, prior=(1.0, 1.0), mcmc=(500, 1000)):
-    """ADReleased built directly from a noisy count, for posterior-only tests."""
+    """Released built directly from a noisy count, for posterior-only tests."""
     config = ADConfig(M=M, epsilon=eps, seed=seed, prior=prior, mcmc=mcmc)
     record = NoisyRelease(value=float(s_noisy), epsilon_spent=eps, sensitivity=1.0)
-    return ADReleased(s_noisy=float(s_noisy), config=config, release=record)
+    return Released(config=config, release=record)
 
 
 # ---------------------------------------------------------------- regions
@@ -166,7 +167,7 @@ def test_release_count_uses_unit_sensitivity():
     ledger = BudgetLedger(cap=1.0)
     released = release_count(3, config, ledger)
     twin = RngStream(11).child("ad-release")
-    assert released.s_noisy == 3.0 + laplace_sample(twin, 1.0 / 0.5)
+    assert released.release.value == 3.0 + laplace_sample(twin, 1.0 / 0.5)
     assert released.release.sensitivity == 1.0
     assert ledger.spent == pytest.approx(0.5)
 

@@ -33,7 +33,8 @@ from dprep import (
     reference_contour,
     release_overlap,
 )
-from dprep.am import Z975, AMReleased, OverlapResult
+from dprep.am import Z975, OverlapResult
+from dprep.privacy import Released
 
 
 def _ci(lo, hi, level=0.95):
@@ -43,7 +44,7 @@ def _ci(lo, hi, level=0.95):
 def _released(nu_noisy, M, eps=1.0, seed=0, prior=(1.0, 1.0), grid_points=10001):
     config = AMConfig(M=M, epsilon=eps, seed=seed, prior=prior, grid_points=grid_points)
     record = NoisyRelease(value=float(nu_noisy), epsilon_spent=eps, sensitivity=1.0 / M)
-    return AMReleased(nu_bar_noisy=float(nu_noisy), config=config, release=record)
+    return Released(config=config, release=record)
 
 
 # ---------------------------------------------------------------- overlap
@@ -199,7 +200,7 @@ def test_release_overlap_sensitivity_is_one_over_m():
                            lower=np.zeros((2, 25)), upper=np.ones((2, 25)))
     released = release_overlap(result, config, ledger)
     twin = RngStream(13).child("am-release")
-    assert released.nu_bar_noisy == 0.8 + laplace_sample(twin, 1.0 / 25.0)
+    assert released.release.value == 0.8 + laplace_sample(twin, 1.0 / 25.0)
     assert released.release.sensitivity == pytest.approx(1.0 / 25.0)
 
 

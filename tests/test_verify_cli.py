@@ -17,6 +17,8 @@ from dprep import (
     ConfigError,
     InversionAssumption,
     NoisyRelease,
+    PrivacyParams,
+    ToleranceRegion,
     ad_verify,
     am_verify,
     build_fixed_region,
@@ -432,6 +434,61 @@ def test_cli_inflated_region_and_delta(tmp_path, table):
         0.9 * delta_star(0.9, 0.2, 2.0, 300, 30))
 
 
+def _key_paths(node, prefix=""):
+    """The '/'-joined key paths of a parsed report, down to its leaves."""
+    if not isinstance(node, dict):
+        return {prefix}
+    return set().union(*(_key_paths(v, f"{prefix}/{k}" if prefix else k)
+                         for k, v in node.items()))
+
+
+QUANTILES = {"0.05", "0.25", "0.5", "0.75", "0.95"}
+AD_KEY_PATHS = {
+    "framework",
+    "released/s_noisy", "released/mechanism", "released/sensitivity", "released/epsilon",
+    "config/M", "config/epsilon", "config/prior", "config/seed", "config/delta",
+    "config/mcmc", "config/coef",
+    "config/region/lower", "config/region/upper", "config/region/kind",
+    "posterior/theta_hat", "posterior/r_samples",
+    *(f"posterior/r_quantiles/{q}" for q in QUANTILES),
+    "provenance/seed", "provenance/timestamp", "provenance/engine_version",
+}
+AM_KEY_PATHS = {
+    "framework",
+    "released/nu_bar_noisy", "released/mechanism", "released/sensitivity",
+    "released/epsilon",
+    "config/M", "config/epsilon", "config/prior", "config/seed", "config/level",
+    "config/grid_points", "config/coef",
+    "posterior/mean", "posterior/samples",
+    "posterior/credible_intervals/0.9", "posterior/credible_intervals/0.95",
+    *(f"posterior/quantiles/{q}" for q in QUANTILES),
+    "provenance/seed", "provenance/timestamp", "provenance/engine_version",
+}
+INVERSION_KEY_PATHS = {"inversion/l1", "inversion/l2", "inversion/mass",
+                       "inversion/nu_interval", "inversion/difference_interval"}
+
+
+@pytest.mark.parametrize("case", ["ad-fixed", "ad-inflated", "am", "am-inverted"])
+def test_cli_publishes_exactly_these_keys(tmp_path, table, capsys, case):
+    # the published shape, pinned: a report section or summary field that is
+    # added or dropped fails here
+    if case.startswith("ad"):
+        args, out = _ad_args(table, tmp_path), tmp_path / "release.json"
+        if case == "ad-inflated":
+            args[args.index("--region") + 1] = "inflate:2.0"
+            args += ["--gamma-o", "0.9", "--sigma-o", "0.2", "--n0", "300"]
+        paths, summary = AD_KEY_PATHS, ["out", "s_noisy", "theta_hat", "epsilon_spent"]
+    else:
+        args, out = _am_args(table, tmp_path), tmp_path / "am.json"
+        paths, summary = AM_KEY_PATHS, ["out", "nu_bar_noisy", "epsilon_spent"]
+        if case == "am-inverted":
+            args += ["--invert", "--l1", "3", "--l2", "2"]
+            paths = paths | INVERSION_KEY_PATHS
+    assert main(args) == 0
+    assert _key_paths(load_json(out)) == paths
+    assert list(json.loads(capsys.readouterr().out)) == summary
+
+
 def test_cli_fit_is_custodian_only(table, capsys):
     tbl, schema = table
     rc = main(["fit", "--input", str(tbl), "--schema", str(schema),
@@ -583,6 +640,35 @@ def test_cli_malformed_numbers_exit_2(tmp_path, table, capsys, flag, value):
     assert not (tmp_path / "ledger.ndjson").exists()
     assert not (tmp_path / "release.json").exists()
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("ad-mselect", "--m-grid", "nan", "nan"),
+    ("ad-mselect", "--m-grid", "inf", "inf"),
+    ("ad-mselect", "--m-grid", "5,10.5", "10.5"),
+    ("ad-mselect", "--m-grid", "1e300", "1e+300"),
+    ("ad-mselect", "--gamma-grid", "0:inf:3", "0:inf:3"),
+    ("am-contour", "--diff-grid", "0:1:100000000000", "100000000000"),
+    ("am-contour", "--ratio-grid", "-1e308:1e308:3", "-1e308:1e308:3"),
+])
+def test_cli_bad_grid_exits_2(tmp_path, capsys, command, flag, value, named):
+    # a grid value that is not finite, a fraction in the integer M grid and
+    # a count past MAX_GRID_COUNT are refused with a message naming them
+    out = tmp_path / "grid.csv"
+    if command == "ad-mselect":
+        grids = {"--gamma-grid": "0:1000:3", "--m-grid": "5,10"}
+        rest = ["--sigma-o", "97", "--n0", "154442", "--N", "160364",
+                "--epsilon", "1", "--region", "500:inf"]
+    else:
+        grids = {"--diff-grid": "0:1.5:4", "--ratio-grid": "0.8,1.0"}
+        rest = ["--gamma", "1010", "--sigma", "790"]
+    grids[flag] = value
+    args = [command, *(f"{k}={v}" for k, v in grids.items()), *rest, "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid") and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["ab", ""])
@@ -771,6 +857,53 @@ def test_numpy_integer_mcmc_and_grid_points_give_the_plain_int_report(tmp_path, 
         with pytest.raises(ConfigError, match="must be an integer"):
             run(ledger, value)
         assert ledger.spent == 0 and not ledger.entries
+
+
+def _ad_run(ledger, config=None, region=None):
+    return ad_verify(synth_dataset(103, seed=4), parse_formula("y ~ x1 + x2 + x3"), "x2",
+                     region or build_fixed_region(0.0, math.inf),
+                     config or ADConfig(M=5, epsilon=1.0, seed=3), ledger)
+
+
+def _am_run(ledger, config=None, inversion=InversionAssumption(3.0, 2.0), invert_mass=0.9):
+    return am_verify(synth_dataset(103, seed=4), parse_formula("y ~ x1 + x2 + x3"),
+                     parse_formula("y ~ x1 + x3"), "x1",
+                     config or AMConfig(M=5, epsilon=1.0, seed=3), ledger,
+                     inversion=inversion, invert_mass=invert_mass)
+
+
+# every float setting a report echoes, as a run given ``f`` of a value that
+# np.float32 holds exactly: f is float for the plain run, np.float32 else
+ECHOED_FLOATS = {
+    "ADConfig.prior": lambda f, ledger: _ad_run(
+        ledger, config=ADConfig(M=5, epsilon=1.0, seed=3, prior=(f(2.0), 1.0))),
+    "ADConfig.delta": lambda f, ledger: _ad_run(
+        ledger, config=ADConfig(M=5, epsilon=1.0, seed=3, delta=f(0.5))),
+    "AMConfig.level": lambda f, ledger: _am_run(
+        ledger, config=AMConfig(M=5, epsilon=1.0, seed=3, level=f(0.875))),
+    "PrivacyParams": lambda f, ledger: _ad_run(
+        ledger, config=ADConfig(M=5, epsilon=PrivacyParams(f(1.0)), seed=3)),
+    "ToleranceRegion": lambda f, ledger: _ad_run(
+        ledger, region=ToleranceRegion(f(0.0), f(5.0))),
+    "InversionAssumption": lambda f, ledger: _am_run(
+        ledger, inversion=InversionAssumption(f(3.0), f(2.0))),
+    "invert_mass": lambda f, ledger: _am_run(ledger, invert_mass=f(0.75)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(ECHOED_FLOATS))
+def test_numpy_float_setting_gives_the_plain_float_report(tmp_path, setting):
+    # a NumPy float setting is stored as a float, so the report it echoes
+    # into serializes: it used to spend ε and then fail to write the report
+    texts = []
+    for f in (float, np.float32):
+        path = tmp_path / f"{f.__name__}.ndjson"
+        report, _ = ECHOED_FLOATS[setting](f, BudgetLedger(cap=5.0, path=path))
+        assert len(path.read_text().splitlines()) == 1
+        report["provenance"].pop("timestamp")
+        write_json(tmp_path / f"{f.__name__}.json", report)
+        texts.append((tmp_path / f"{f.__name__}.json").read_text())
+    assert texts[1] == texts[0]
 
 
 def test_write_json_writes_the_text_of_json_dump_or_no_file(tmp_path):
