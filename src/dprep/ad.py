@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, gammaln, ndtr, xlogy
 
+from .am import MAX_GRID_POINTS
 from .errors import ConfigError
 from .linmod import ModelSpec, coef_position, fit_subsets
 from .partition import PartitionPlan
@@ -27,7 +28,10 @@ from .privacy import (
     Released,
     RngStream,
     RunConfig,
+    count,
+    fraction,
     integer,
+    positive,
     real,
     release_run,
 )
@@ -55,13 +59,12 @@ class InflationProvenance:
     n: int
 
     def __post_init__(self):
-        if not 0 < self.sigma_hat_o < math.inf:
-            raise ConfigError(f"sigma_hat_o must be positive and finite, got {self.sigma_hat_o}")
-        if not 0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 1 <= self.n <= self.n0:
+        for name, check in (("gamma_hat_o", real), ("sigma_hat_o", positive),
+                            ("alpha", positive), ("n0", count), ("n", count)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if not self.n <= self.n0:
             raise ConfigError(
-                f"sample sizes must satisfy 1 <= n <= n0, got n={self.n}, n0={self.n0}; "
+                f"sample sizes must satisfy n <= n0, got n={self.n}, n0={self.n0}; "
                 "a region is never deflated -- choose M so that n is close to n0"
             )
 
@@ -72,28 +75,28 @@ class ToleranceRegion:
 
     Membership is closed on both ends; an estimate exactly on a boundary
     counts as inside (a measure-zero event, but the rule must be
-    deterministic).
+    deterministic).  A region with a provenance is inflated, one without
+    is fixed.
     """
 
     lower: float
     upper: float
-    kind: str = "fixed"
-    provenance: InflationProvenance | None = None
+    provenance: InflationProvenance | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", real(self.lower, "region lower bound"))
         object.__setattr__(self, "upper", real(self.upper, "region upper bound"))
-        if self.kind not in ("fixed", "inflated"):
-            raise ConfigError(f"unknown region kind {self.kind!r}")
         if not self.lower < self.upper:
             raise ConfigError(
                 f"region lower bound {self.lower} must be below upper bound {self.upper}"
             )
-        if self.kind == "inflated":
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                raise ConfigError("inflated regions must be finite")
-            if self.provenance is None:
-                raise ConfigError("inflated regions must carry their provenance")
+        if self.provenance is not None and not (
+                math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigError("inflated regions must be finite")
+
+    @property
+    def kind(self) -> str:
+        return "fixed" if self.provenance is None else "inflated"
 
     def contains(self, x) -> np.ndarray | bool:
         return (x >= self.lower) & (x <= self.upper)
@@ -102,7 +105,7 @@ class ToleranceRegion:
 def build_fixed_region(lower: float, upper: float) -> ToleranceRegion:
     """Fixed tolerance region; bounds may be infinite (e.g. [0, +inf) for a
     sign test)."""
-    return ToleranceRegion(lower=float(lower), upper=float(upper), kind="fixed")
+    return ToleranceRegion(lower, upper)
 
 
 def build_inflated_region(
@@ -114,14 +117,9 @@ def build_inflated_region(
     where estimates are noisier; :class:`InflationProvenance` refuses
     deflation (n > n0).
     """
-    provenance = InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)
-    half = alpha * math.sqrt(n0 / n) * sigma_hat_o
-    return ToleranceRegion(
-        lower=gamma_hat_o - half,
-        upper=gamma_hat_o + half,
-        kind="inflated",
-        provenance=provenance,
-    )
+    p = InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)
+    half = p.alpha * math.sqrt(p.n0 / p.n) * p.sigma_hat_o
+    return ToleranceRegion(p.gamma_hat_o - half, p.gamma_hat_o + half, provenance=p)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -141,9 +139,7 @@ class ADConfig(RunConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.delta is not None:
-            object.__setattr__(self, "delta", real(self.delta, "delta"))
-            if not 0 < self.delta < 1:
-                raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+            object.__setattr__(self, "delta", fraction(self.delta, "delta"))
         burn_in, keep = self.mcmc
         burn_in, keep = integer(burn_in, "mcmc burn_in"), integer(keep, "mcmc keep")
         if burn_in < 0 or not 1 <= keep <= MAX_DRAWS:
@@ -210,9 +206,7 @@ class ADPosterior:
 
 def theta_hat(r_samples: np.ndarray, delta: float) -> float:
     """Empirical posterior probability that r >= delta."""
-    if not 0 < delta < 1:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    return float(np.mean(np.asarray(r_samples) >= delta))
+    return float(np.mean(np.asarray(r_samples) >= fraction(delta, "delta")))
 
 
 def s_marginal_logweights(
@@ -271,9 +265,9 @@ def delta_star(
     both edges give the same value by symmetry.  A conservative default
     degree of certainty is 0.9 * delta_star.
     """
-    InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)  # checks the inputs
-    s = math.sqrt(n0 / n)
-    return float(ndtr(alpha * (1 + 1 / s)) - ndtr(alpha * (1 / s - 1)))
+    p = InflationProvenance(gamma_hat_o, sigma_hat_o, alpha, n0, n)
+    s = math.sqrt(p.n0 / p.n)
+    return float(ndtr(p.alpha * (1 + 1 / s)) - ndtr(p.alpha * (1 / s - 1)))
 
 
 @dataclass(frozen=True)
@@ -310,7 +304,8 @@ def robustness_contour(
     a single verification is robust.
 
     Uses only published quantities: no confidential data is touched, no
-    privacy budget is spent and no randomness is drawn.
+    privacy budget is spent and no randomness is drawn.  A grid of more than
+    MAX_GRID_POINTS cells, gamma values times (largest M + 1), is refused.
     """
     gamma_axis = np.atleast_1d(np.asarray(gamma_grid, dtype=float))
     M_axis = np.atleast_1d(np.asarray(M_grid, dtype=int))
@@ -318,13 +313,13 @@ def robustness_contour(
         raise ConfigError("gamma and M grids must be nonempty")
     if not np.all(np.isfinite(gamma_axis)):
         raise ConfigError("gamma grid values must be finite")
-    if not 0 < sigma_hat_o < math.inf:
-        raise ConfigError(f"sigma_hat_o must be positive and finite, got {sigma_hat_o}")
-    if n0 < 1:
-        raise ConfigError(f"n0 must be positive, got {n0}")
+    sigma_hat_o, n0, N = positive(sigma_hat_o, "sigma_hat_o"), count(n0, "n0"), count(N, "N")
     eps = PrivacyParams.of(epsilon).epsilon
     if np.any(M_axis < 1) or np.any(M_axis > N):
         raise ConfigError("every M must satisfy 1 <= M <= N")
+    cells = gamma_axis.size * (int(M_axis.max()) + 1)
+    if cells > MAX_GRID_POINTS:
+        raise ConfigError(f"gamma grid x (largest M + 1) is {cells} cells, over {MAX_GRID_POINTS}")
 
     q = np.array([0.1, 0.9])
     eta_q = -np.sign(q - 0.5) * np.log(1 - np.abs(2 * q - 1)) / eps  # Laplace quantiles

@@ -26,7 +26,10 @@ from .privacy import (
     Released,
     RngStream,
     RunConfig,
+    count,
+    fraction,
     integer,
+    positive,
     real,
     release_run,
 )
@@ -36,7 +39,9 @@ Z975 = float(ndtri(0.975))  # 1.959964
 
 POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
 
-MAX_GRID_POINTS = 10**7  # about 80 MB per float64 posterior array
+# most points of a posterior grid, and most cells of a planning contour:
+# about 80 MB per float64 array
+MAX_GRID_POINTS = 10**7
 
 
 def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
@@ -66,9 +71,7 @@ class AMConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "level", real(self.level, "level"))
-        if not 0 < self.level < 1:
-            raise ConfigError(f"level must be in (0, 1), got {self.level}")
+        object.__setattr__(self, "level", fraction(self.level, "level"))
         G = integer(self.grid_points, "grid_points")
         if not 101 <= G <= MAX_GRID_POINTS:
             raise ConfigError(f"grid_points must be an integer in 101..{MAX_GRID_POINTS}, got {G}")
@@ -115,8 +118,7 @@ def average_overlap(
             raise ConfigError(
                 f"coefficient {coef!r} must appear untransformed in {tag}"
             )
-    if not 0 < level < 1:
-        raise ConfigError(f"level must be in (0, 1), got {level}")
+    level = fraction(level, "level")
     fits = fit_subsets(dataset, [model0, model1], plan)
     lower = np.empty((2, plan.M))
     upper = np.empty((2, plan.M))
@@ -199,8 +201,7 @@ def posterior_nu(released: Released) -> AMPosterior:
 
 def credible_interval(posterior: AMPosterior, mass: float) -> ConfidenceInterval:
     """Equal-tailed credible interval from the grid CDF."""
-    if not 0 < mass < 1:
-        raise ConfigError(f"mass must be in (0, 1), got {mass}")
+    mass = fraction(mass, "mass")
     lo, hi = posterior.quantile([(1 - mass) / 2, (1 + mass) / 2])
     return ConfidenceInterval(float(lo), float(hi), level=mass)
 
@@ -214,11 +215,8 @@ def error_bound(
     1/4 is the worst case for a [0, 1] variable; pass 1/12 for a uniform
     overlap.  Useful for screening M before spending any budget.
     """
-    if M < 1:
-        raise ConfigError(f"M must be positive, got {M}")
-    epsilon = PrivacyParams.of(epsilon).epsilon
-    if not omega > 0:
-        raise ConfigError(f"omega must be positive, got {omega}")
+    M, epsilon = count(M, "M"), PrivacyParams.of(epsilon).epsilon
+    omega = positive(omega, "omega")
     return (variance_cap / M + 2.0 / (M**2 * epsilon**2)) / omega**2
 
 
@@ -258,10 +256,10 @@ def reference_contour(
     the subset-scale standard error.  The correlation must be supplied by
     the analyst -- estimating it from confidential data would cost budget
     far beyond its worth (its sensitivity is bounded only by 2).  No
-    budget is spent and no randomness is drawn.
+    budget is spent and no randomness is drawn.  A grid of more than
+    MAX_GRID_POINTS cells, diff values times ratio values, is refused.
     """
-    if not 0 < sigma_gamma < math.inf:
-        raise ConfigError(f"sigma_gamma must be positive and finite, got {sigma_gamma}")
+    sigma_gamma = positive(sigma_gamma, "sigma_gamma")
     if not (math.isfinite(gamma) and gamma != 0):
         raise ConfigError("gamma must be finite and nonzero (the difference axis is relative)")
     if not -1.0 <= corr <= 1.0:
@@ -273,7 +271,10 @@ def reference_contour(
     if not np.all((diff_axis >= 0) & (diff_axis < np.inf)):
         raise ConfigError("relative differences must be nonnegative and finite")
     if not np.all((ratio_axis > 0) & (ratio_axis < np.inf)):
-        raise ConfigError("sd ratios must be positive and finite")
+        raise ConfigError("sd ratios must be finite and above 0")
+    cells = diff_axis.size * ratio_axis.size
+    if cells > MAX_GRID_POINTS:
+        raise ConfigError(f"diff grid x ratio grid is {cells} cells, over {MAX_GRID_POINTS}")
 
     sigma_beta = ratio_axis * sigma_gamma
     # s^2 as a sum of squares: exactly 0 at corr = 1, ratio = 1, and never < 0
@@ -328,12 +329,8 @@ def null_assumption_lengths(
     sd inflates by sqrt(n0/n) and each normal interval has length
     2 * z * sd with z the normal quantile at (1+level)/2.
     """
-    if not sigma_hat_o > 0:
-        raise ConfigError(f"sigma_hat_o must be positive, got {sigma_hat_o}")
-    if n0 < 1 or n < 1:
-        raise ConfigError("sample sizes must be positive")
-    if not 0 < level < 1:
-        raise ConfigError(f"level must be in (0, 1), got {level}")
+    sigma_hat_o = positive(sigma_hat_o, "sigma_hat_o")
+    n0, n, level = count(n0, "n0"), count(n, "n"), fraction(level, "level")
     sd = sigma_hat_o * math.sqrt(n0 / n)
     length = 2.0 * float(ndtri((1 + level) / 2)) * sd
     return InversionAssumption(l1=length, l2=length)

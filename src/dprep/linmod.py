@@ -23,6 +23,7 @@ from .errors import (
     TransformDomainError,
 )
 from .partition import PartitionPlan
+from .privacy import count, fraction, real
 from .tabular import Dataset
 
 TRANSFORMS = ("identity", "log", "square")
@@ -452,10 +453,10 @@ class ConfidenceInterval:
     level: float
 
     def __post_init__(self):
-        if not 0 < self.level < 1:
-            raise ConfigError(f"level must be in (0, 1), got {self.level}")
-        if self.lower > self.upper:
-            raise ConfigError(f"lower {self.lower} exceeds upper {self.upper}")
+        for name, check in (("lower", real), ("upper", real), ("level", fraction)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if not self.lower <= self.upper:  # NaN compares False
+            raise ConfigError(f"interval needs lower <= upper, got [{self.lower}, {self.upper}]")
 
     @property
     def length(self) -> float:
@@ -467,10 +468,7 @@ class ConfidenceInterval:
 
 def t_quantile(df: int, p: float) -> float:
     """Student-t quantile; strictly increasing in p with t(df, 0.5) = 0."""
-    if df < 1:
-        raise ConfigError(f"df must be a positive integer, got {df}")
-    if not 0 < p < 1:
-        raise ConfigError(f"p must be in (0, 1), got {p}")
+    df, p = count(df, "df"), fraction(p, "p")
     if p == 0.5:
         return 0.0
     return float(stdtrit(df, p))
@@ -485,8 +483,7 @@ def confidence_interval(
     an error because downstream overlap measures divide by interval length.
     Pass ``degenerate="point"`` to map it to a point interval instead.
     """
-    if not 0 < level < 1:
-        raise ConfigError(f"level must be in (0, 1), got {level}")
+    level = fraction(level, "level")
     center = fit.coef(which)
     se = fit.stderr(which)
     if se == 0.0:

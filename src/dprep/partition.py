@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .privacy import RngStream, integer
+from .privacy import RngStream, count, integer
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,8 @@ class PartitionPlan:
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n_rows", "M", "seed"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.M < 1:
-            raise ConfigError(f"M must be at least 1, got {self.M}")
+        for name, check in (("n_rows", integer), ("M", count), ("seed", integer)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.M > self.n_rows:
             raise ConfigError(
                 f"M ({self.M}) may not exceed the number of rows N ({self.n_rows})"

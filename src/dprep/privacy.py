@@ -63,12 +63,13 @@ class RngStream:
     def uniform_open(self, size=None):
         """Uniforms on the open interval (0, 1), one 64-bit draw per variate.
 
-        The top 53 bits of each 64-bit integer are kept and offset by half
-        a step, so 0.0 and 1.0 are unreachable and the number of underlying
+        The top 53 bits of each 64-bit word are kept and offset by half a
+        step, so 0.0 and 1.0 are unreachable and the number of underlying
         draws per variate is exactly one.
         """
-        raw = self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) / float(2**53)
+        # the words integers(0, 2**64, dtype=np.uint64) returns; a Python int for size None
+        raw = self._gen.bit_generator.random_raw(size)
+        return ((raw >> 11) + 0.5) / 2**53
 
     def __repr__(self):
         return f"RngStream(root_seed={self.root_seed}, path={self.path!r})"
@@ -82,12 +83,11 @@ def laplace_sample(stream: RngStream, scale: float, size=None):
     stream : RngStream
         Source of uniforms; exactly one 64-bit draw is consumed per variate.
     scale : float
-        Laplace scale b of the density (1/2b) exp(-|x|/b); must be positive.
+        Laplace scale b of the density (1/2b) exp(-|x|/b); above 0 and finite.
     size : int or tuple, optional
         Shape of the output; a scalar float is returned when omitted.
     """
-    if not scale > 0:
-        raise ConfigError(f"Laplace scale must be positive, got {scale}")
+    scale = positive(scale, "Laplace scale")
     u = stream.uniform_open(size)
     t = u - 0.5
     out = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
@@ -109,7 +109,28 @@ def real(value, name: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        return math.copysign(math.inf, value)
+        return math.inf if value > 0 else -math.inf
+
+
+def fraction(value, name: str) -> float:
+    """``value`` as :func:`real`, inside the open interval (0, 1)."""
+    if not 0 < (value := real(value, name)) < 1:
+        raise ConfigError(f"{name} must be in (0, 1), got {value}")
+    return value
+
+
+def positive(value, name: str) -> float:
+    """``value`` as :func:`real`, above 0 and finite."""
+    if not 0 < (value := real(value, name)) < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def count(value, name: str) -> int:
+    """``value`` as :func:`integer`, at least 1."""
+    if (value := integer(value, name)) < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,9 +140,7 @@ class PrivacyParams:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon"))
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", positive(self.epsilon, "epsilon"))
 
     @classmethod
     def of(cls, epsilon) -> "PrivacyParams":
@@ -145,9 +164,7 @@ class RunConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
-        a, b = (real(value, "prior value") for value in self.prior)
-        if not (0 < a < math.inf and 0 < b < math.inf):
-            raise ConfigError(f"prior values must be positive and finite, got {self.prior}")
+        a, b = (positive(value, "prior value") for value in self.prior)
         object.__setattr__(self, "prior", (a, b))
 
     @property
@@ -303,9 +320,7 @@ class BudgetLedger:
     """
 
     def __init__(self, cap: float | None = None, path=None):
-        if cap is not None and not 0 < cap < math.inf:
-            raise ConfigError(f"budget cap must be positive and finite, got {cap}")
-        self.cap = cap
+        self.cap = None if cap is None else positive(cap, "budget cap")
         self.path = os.fspath(path) if path is not None else None
         self._records: list[tuple] = []  # NoisyRelease fields per release
         self._spent = 0.0
@@ -409,8 +424,7 @@ def release_scalar(
     clamped or rounded — consumers must expect releases outside the range
     of the underlying statistic.
     """
-    if not sensitivity > 0:
-        raise ConfigError(f"sensitivity must be positive, got {sensitivity}")
+    sensitivity = positive(sensitivity, "sensitivity")
     ledger.check(params.epsilon)
     if ledger.cap is None:
         warnings.warn(

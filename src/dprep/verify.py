@@ -51,7 +51,7 @@ from .am import (
 from .errors import ConfigError, TransformDomainError
 from .linmod import ModelSpec, confidence_interval, fit_ols
 from .partition import make_partition
-from .privacy import BudgetLedger, Released, real
+from .privacy import BudgetLedger, Released, fraction
 from .tabular import Dataset
 
 # field names that must never appear in a release report; the boundary
@@ -177,9 +177,7 @@ def am_verify(
     interval at ``invert_mass``, which is checked before any budget is spent.
     """
     if inversion is not None:
-        invert_mass = real(invert_mass, "invert_mass")
-        if not 0 < invert_mass < 1:
-            raise ConfigError(f"mass must be in (0, 1), got {invert_mass}")
+        invert_mass = fraction(invert_mass, "mass")
     plan = make_partition(dataset.n_rows, config.M, config.seed)
     overlap = average_overlap(dataset, model0, model1, coef, plan, config.level)
     released = release_overlap(overlap, config, ledger)

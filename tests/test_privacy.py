@@ -31,6 +31,34 @@ def test_same_path_replays_identical_sequence():
            laplace_sample(b, 1.0, size=100).tolist()
 
 
+def _integers_uniforms(gen, size):
+    """The uniforms of ``uniform_open`` as first written, on integers()."""
+    raw = gen.integers(0, 2**64, size=size, dtype=np.uint64)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) / float(2**53)
+
+
+def _integers_laplace(gen, scale, size):
+    t = _integers_uniforms(gen, size) - 0.5
+    out = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
+    return float(out) if size is None else out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_uniform_open_is_bit_equal_to_the_integers_formula(seed):
+    # uniform_open reads the bit generator's raw words; for the full range
+    # integers(0, 2**64, dtype=np.uint64) returns the same words, and the
+    # two streams stay in step through interleaved Laplace draws
+    stream, twin = RngStream(seed).child("u"), RngStream(seed).child("u")
+    for size in (None, 1, 5, (2, 3), None, 0, (4, 1, 2), None):
+        got, want = stream.uniform_open(size), _integers_uniforms(twin.generator, size)
+        assert type(got) is float if size is None else got.shape == want.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = laplace_sample(stream, 2.5, size=size)
+        want = _integers_laplace(twin.generator, 2.5, size)
+        assert type(got) is float if size is None else got.dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_distinct_paths_are_distinct():
     root = RngStream(123)
     draws = {

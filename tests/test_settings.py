@@ -1,0 +1,248 @@
+"""Every published number a function or type takes goes through one of the
+checked conversions of ``dprep.privacy``: ``fraction`` (0 < x < 1),
+``positive`` (0 < x < inf), ``count`` (an int >= 1) or ``real``.  A bad
+value is a ConfigError before any work; a NumPy scalar is accepted and
+stored as a Python number."""
+
+import dataclasses
+import math
+from operator import attrgetter
+
+import numpy as np
+import pytest
+
+from helpers import synth_dataset
+
+import dprep.ad
+import dprep.am
+import dprep.linmod
+import dprep.verify
+from dprep import (
+    ADConfig,
+    AMConfig,
+    AMPosterior,
+    BudgetLedger,
+    ConfidenceInterval,
+    ConfigError,
+    FitResult,
+    InversionAssumption,
+    PartitionPlan,
+    PrivacyParams,
+    RngStream,
+    ToleranceRegion,
+    am_verify,
+    average_overlap,
+    build_fixed_region,
+    build_inflated_region,
+    confidence_interval,
+    credible_interval,
+    delta_star,
+    error_bound,
+    laplace_sample,
+    make_partition,
+    null_assumption_lengths,
+    parse_formula,
+    reference_contour,
+    release_scalar,
+    robustness_contour,
+    t_quantile,
+    theta_hat,
+)
+from dprep.ad import InflationProvenance
+from dprep.privacy import RunConfig, count, fraction, positive
+
+DATA = synth_dataset(120, seed=3)
+MODEL0, MODEL1 = parse_formula("y ~ x1 + x2"), parse_formula("y ~ x1")
+SIGN = build_fixed_region(0.0, math.inf)
+FIT = FitResult(np.array([1.0]), np.array([0.5]), 10, 1.0, {"x": 0})
+POSTERIOR = AMPosterior(grid=np.linspace(0, 1, 101), density=np.ones(101),
+                        cdf=np.linspace(0, 1, 101), samples=np.full(3, 0.5))
+
+# site -> (rule, call(value), the stored value of the result, or None)
+SITES = {
+    "ADConfig.delta": ("fraction", lambda v: ADConfig(M=10, epsilon=1.0, delta=v),
+                       attrgetter("delta")),
+    "theta_hat.delta": ("fraction", lambda v: theta_hat(np.array([0.2, 0.8]), v), None),
+    "AMConfig.level": ("fraction", lambda v: AMConfig(M=10, epsilon=1.0, level=v),
+                       attrgetter("level")),
+    "average_overlap.level": (
+        "fraction", lambda v: average_overlap(DATA, MODEL0, MODEL1, "x1",
+                                              make_partition(120, 4, 0), v), None),
+    "credible_interval.mass": ("fraction", lambda v: credible_interval(POSTERIOR, v),
+                               attrgetter("level")),
+    "null_assumption_lengths.level": (
+        "fraction", lambda v: null_assumption_lengths(1.0, 100, 10, v), None),
+    "am_verify.invert_mass": (
+        "fraction", lambda v: am_verify(DATA, MODEL0, MODEL1, "x1", AMConfig(M=4, epsilon=1.0),
+                                        BudgetLedger(cap=1.0), InversionAssumption(2.0, 1.0),
+                                        invert_mass=v)[0]["inversion"]["mass"], lambda r: r),
+    "ConfidenceInterval.level": ("fraction", lambda v: ConfidenceInterval(0.0, 1.0, v),
+                                 attrgetter("level")),
+    "confidence_interval.level": ("fraction", lambda v: confidence_interval(FIT, "x", v),
+                                  attrgetter("level")),
+    "t_quantile.p": ("fraction", lambda v: t_quantile(7, v), None),
+    "PrivacyParams.epsilon": ("positive", PrivacyParams, attrgetter("epsilon")),
+    "RunConfig.prior[0]": ("positive", lambda v: RunConfig(M=10, epsilon=1.0, prior=(v, 1.0)),
+                           lambda c: c.prior[0]),
+    "RunConfig.prior[1]": ("positive", lambda v: RunConfig(M=10, epsilon=1.0, prior=(1.0, v)),
+                           lambda c: c.prior[1]),
+    "BudgetLedger.cap": ("positive", lambda v: BudgetLedger(cap=v), attrgetter("cap")),
+    "laplace_sample.scale": ("positive", lambda v: laplace_sample(RngStream(0), v), None),
+    "release_scalar.sensitivity": (
+        "positive", lambda v: release_scalar(0.0, v, PrivacyParams(1.0), BudgetLedger(cap=1.0),
+                                             RngStream(0)), attrgetter("sensitivity")),
+    "InflationProvenance.sigma_hat_o": (
+        "positive", lambda v: InflationProvenance(0.0, v, 2.0, 100, 10),
+        attrgetter("sigma_hat_o")),
+    "InflationProvenance.alpha": ("positive", lambda v: InflationProvenance(0.0, 1.0, v, 100, 10),
+                                  attrgetter("alpha")),
+    "robustness_contour.sigma_hat_o": (
+        "positive", lambda v: robustness_contour([0.0], [5], v, 100, 100, 1.0, SIGN), None),
+    "reference_contour.sigma_gamma": (
+        "positive", lambda v: reference_contour(1.0, v, 0.5, [0.0], [1.0]), None),
+    "null_assumption_lengths.sigma_hat_o": (
+        "positive", lambda v: null_assumption_lengths(v, 100, 10), None),
+    "error_bound.omega": ("positive", lambda v: error_bound(25, 1.0, v), None),
+    "InflationProvenance.n0": ("count", lambda v: InflationProvenance(0.0, 1.0, 2.0, v, 1),
+                               attrgetter("n0")),
+    "InflationProvenance.n": ("count", lambda v: InflationProvenance(0.0, 1.0, 2.0, 100, v),
+                              attrgetter("n")),
+    "delta_star.n0": ("count", lambda v: delta_star(0.0, 1.0, 2.0, v, 1), None),
+    "robustness_contour.n0": (
+        "count", lambda v: robustness_contour([0.0], [1], 1.0, v, 100, 1.0, SIGN), None),
+    "robustness_contour.N": (
+        "count", lambda v: robustness_contour([0.0], [1], 1.0, 100, v, 1.0, SIGN), None),
+    "null_assumption_lengths.n0": ("count", lambda v: null_assumption_lengths(1.0, v, 1), None),
+    "null_assumption_lengths.n": ("count", lambda v: null_assumption_lengths(1.0, 100, v), None),
+    "error_bound.M": ("count", lambda v: error_bound(v, 1.0, 0.2), None),
+    "t_quantile.df": ("count", lambda v: t_quantile(v, 0.975), None),
+    "PartitionPlan.M": ("count", lambda v: PartitionPlan(10, v, 0), attrgetter("M")),
+    "build_fixed_region.lower": ("real", lambda v: build_fixed_region(v, 2.0),
+                                 attrgetter("lower")),
+    "build_fixed_region.upper": ("real", lambda v: build_fixed_region(-1.0, v),
+                                 attrgetter("upper")),
+    "ConfidenceInterval.lower": ("real", lambda v: ConfidenceInterval(v, 2.0, 0.9),
+                                 attrgetter("lower")),
+    "ConfidenceInterval.upper": ("real", lambda v: ConfidenceInterval(-1.0, v, 0.9),
+                                 attrgetter("upper")),
+}
+
+BAD = {
+    "fraction": [math.nan, math.inf, -math.inf, True, "0.5", 0.0, 1.0],
+    "positive": [math.nan, math.inf, -math.inf, True, "1", 0.0, -1.0],
+    "count": [math.nan, math.inf, -math.inf, True, "3", 2.5, 0, np.float64(3.0)],
+    "real": [math.nan, True, "1"],
+}
+# a NumPy scalar each rule accepts, and the Python type it is stored as
+GOOD = {"fraction": (np.float32(0.25), float), "positive": (np.float32(2.0), float),
+        "count": (np.int64(3), int), "real": (np.float32(0.5), float)}
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make every step past the checks fail the test: a subset fit, a
+    partition, a draw, a ledger append and the contours' special functions."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the settings were checked")
+    for module, name in ((dprep.ad, "fit_subsets"), (dprep.am, "fit_subsets"),
+                         (dprep.verify, "make_partition"), (dprep.ad, "ndtr"),
+                         (dprep.am, "ndtr"), (dprep.am, "ndtri"), (dprep.am, "stdtrit"),
+                         (dprep.linmod, "stdtrit"), (RngStream, "uniform_open"),
+                         (BudgetLedger, "append"), (AMPosterior, "quantile")):
+        monkeypatch.setattr(module, name, work)
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}")
+    for site, (rule, _, _) in SITES.items() for value in BAD[rule]])
+def test_bad_value_is_refused_before_any_work(no_work, site, value):
+    _, call, _ = SITES[site]
+    with pytest.raises(ConfigError):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_numpy_scalar_is_accepted_as_a_python_number(site):
+    rule, call, stored = SITES[site]
+    value, kind = GOOD[rule]
+    result = call(value)
+    if stored is not None:
+        assert type(stored(result)) is kind and stored(result) == value
+
+
+@pytest.mark.parametrize("call", [
+    lambda: robustness_contour([0.0], [5], 1.0, math.nan, 100, 1.0, SIGN),
+    lambda: delta_star(0.0, 1.0, 2.0, 100.5, 10),
+    lambda: error_bound(2.5, 1.0, 0.2),
+    lambda: build_fixed_region("1", "2"),
+    lambda: build_fixed_region(True, 2),
+    lambda: BudgetLedger(cap=True),
+], ids=["contour-n0-nan", "delta_star-n0-100.5", "error_bound-M-2.5", "region-strings",
+        "region-bool", "cap-bool"])
+def test_inputs_a_hand_written_copy_let_through_are_refused(call):
+    # each of these used to return a number or an object: an all-zero T,
+    # 0.905, 42.0, a region, a cap of True
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_helpers_keep_their_messages_and_types():
+    assert type(fraction(np.float16(0.5), "x")) is float
+    assert type(positive(np.int8(3), "x")) is float
+    assert type(count(np.uint16(3), "x")) is int
+    with pytest.raises(ConfigError, match=r"^level must be in \(0, 1\), got 1.5$"):
+        fraction(1.5, "level")
+    with pytest.raises(ConfigError, match="^epsilon must be positive and finite, got inf$"):
+        positive(10**400, "epsilon")
+    with pytest.raises(ConfigError, match="^M must be at least 1, got 0$"):
+        count(0, "M")
+    for helper in (fraction, positive, count):
+        with pytest.raises(ConfigError, match="^x must be "):
+            helper(False, "x")
+
+
+def test_region_kind_follows_its_provenance():
+    fixed = build_fixed_region(0.0, 1.0)
+    inflated = build_inflated_region(0.0, 1.0, 2.0, 100, 10)
+    assert (fixed.kind, inflated.kind) == ("fixed", "inflated")
+    assert ToleranceRegion(-1.0, 1.0, provenance=inflated.provenance).kind == "inflated"
+    with pytest.raises(TypeError):
+        ToleranceRegion(0.0, 1.0, kind="inflated")
+    with pytest.raises(TypeError):  # the provenance is keyword-only
+        ToleranceRegion(0.0, 1.0, inflated.provenance)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fixed.kind = "inflated"
+    with pytest.raises(ConfigError, match="finite"):
+        ToleranceRegion(-math.inf, 1.0, provenance=inflated.provenance)
+
+
+def test_interval_bounds_must_be_ordered():
+    assert ConfidenceInterval(1.0, 1.0, 0.9).length == 0.0
+    assert ConfidenceInterval(-math.inf, math.inf, 0.9).length == math.inf
+    for lower, upper in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ConfigError):
+            ConfidenceInterval(lower, upper, 0.9)
+
+
+@pytest.mark.parametrize("grids, refused", [
+    (dict(diff_grid=[0.0, 1.0, 2.0], ratio_grid=[1.0, 2.0, 3.0, 4.0]), False),
+    (dict(diff_grid=[0.0, 1.0, 2.0, 3.0], ratio_grid=[1.0, 2.0, 3.0, 4.0]), True),
+])
+def test_reference_contour_cells_are_bounded(monkeypatch, grids, refused):
+    monkeypatch.setattr(dprep.am, "MAX_GRID_POINTS", 12)
+    if refused:
+        with pytest.raises(ConfigError, match="16 cells, over 12"):
+            reference_contour(1.0, 1.0, 0.5, **grids)
+    else:
+        assert reference_contour(1.0, 1.0, 0.5, **grids).values.shape == (3, 4)
+
+
+@pytest.mark.parametrize("M_grid, refused", [([3, 5], False), ([3, 6], True)])
+def test_robustness_contour_cells_are_bounded(monkeypatch, M_grid, refused):
+    # gamma x (largest M + 1): 2 x 6 = 12 cells at the bound, 2 x 7 = 14 past it
+    monkeypatch.setattr(dprep.ad, "MAX_GRID_POINTS", 12)
+    if refused:
+        with pytest.raises(ConfigError, match="14 cells, over 12"):
+            robustness_contour([0.0, 1.0], M_grid, 1.0, 100, 100, 1.0, SIGN)
+    else:
+        assert robustness_contour([0.0, 1.0], M_grid, 1.0, 100, 100, 1.0, SIGN).T.shape == (2, 2)

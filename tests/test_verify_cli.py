@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -671,6 +672,33 @@ def test_cli_bad_grid_exits_2(tmp_path, capsys, command, flag, value, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, cells", [
+    (["am-contour", "--gamma", "1010", "--sigma", "790", "--diff-grid", "0:1:1000000",
+      "--ratio-grid", "0.5:2:1000000"], 10**12),
+    (["am-contour", "--gamma", "1010", "--sigma", "790", "--diff-grid", "0:1:10001",
+      "--ratio-grid", "0.5:2:1000"], 10_001_000),
+    (["ad-mselect", "--gamma-grid", "0:1:1000000", "--m-grid", "1000000", "--sigma-o", "97",
+      "--n0", "154442", "--N", "2000000", "--epsilon", "1", "--region", "500:inf"],
+     10**6 * (10**6 + 1)),
+    (["ad-mselect", "--gamma-grid", "0:1:1000", "--m-grid", "5,10000", "--sigma-o", "97",
+      "--n0", "154442", "--N", "160364", "--epsilon", "1", "--region", "500:inf"], 10_001_000),
+], ids=["am-contour-huge", "am-contour-past-bound", "ad-mselect-huge", "ad-mselect-past-bound"])
+def test_cli_contour_past_the_cell_bound_exits_2(tmp_path, capsys, args, cells):
+    # the product of the grids, not only each grid, is bounded: past 10**7
+    # cells the contour is refused before any of its arrays is allocated
+    # (the huge grids used to die with _ArrayMemoryError, exit 1)
+    out = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        assert main([*args, "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{cells} cells, over 10000000" in capsys.readouterr().err
+    assert peak < 64 * 2**20  # the two grids, not a contour array
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["ab", ""])
 def test_cli_delimiter_not_one_character_exits_2(tmp_path, table, capsys, value):
     args = _ad_args(table, tmp_path, delimiter=value)
@@ -745,7 +773,7 @@ PRE_RELEASE_REFUSALS = {
     "am-prior-inf": ("am", ["--prior", "inf,1"], "prior"),
     "epsilon-inf": ("ad", ["--epsilon", "inf"], "epsilon"),
     "l1-nan": ("am", ["--invert", "--l1", "nan", "--l2", "1"], "l2 <= l1"),
-    "sigma-o-inf": ("am", ["--invert", "--sigma-o", "inf", "--n0", "120"], "l2 <= l1"),
+    "sigma-o-inf": ("am", ["--invert", "--sigma-o", "inf", "--n0", "120"], "sigma_hat_o"),
     "cap-inf": ("ad", ["--budget-cap", "inf"], "budget cap"),
     "draws-oversized": ("ad", ["--mcmc", "0,100000000000"], "mcmc"),
     "grid-oversized": ("am", ["--grid-points", "100000000000"], "grid_points"),
