@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, gammaln, ndtr, xlogy
 
-from .am import MAX_GRID_POINTS
+from .am import MAX_GRID_POINTS, check_cells, contour_csv
 from .errors import ConfigError
 from .linmod import ModelSpec, coef_position, fit_subsets
 from .partition import PartitionPlan
@@ -30,7 +30,9 @@ from .privacy import (
     RunConfig,
     count,
     fraction,
+    grid,
     integer,
+    pair,
     positive,
     real,
     release_run,
@@ -140,8 +142,7 @@ class ADConfig(RunConfig):
         super().__post_init__()
         if self.delta is not None:
             object.__setattr__(self, "delta", fraction(self.delta, "delta"))
-        burn_in, keep = self.mcmc
-        burn_in, keep = integer(burn_in, "mcmc burn_in"), integer(keep, "mcmc keep")
+        burn_in, keep = pair(self.mcmc, "mcmc", integer)
         if burn_in < 0 or not 1 <= keep <= MAX_DRAWS:
             raise ConfigError(f"mcmc=(burn_in, keep) invalid: {self.mcmc}; "
                               f"keep must be an integer in 1..{MAX_DRAWS}")
@@ -279,10 +280,7 @@ class RobustnessGrid:
     T: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["gamma\\M," + ",".join(str(int(m)) for m in self.M_axis)]
-        for g, row in zip(self.gamma_axis, self.T):
-            lines.append(f"{g:.10g}," + ",".join(f"{v:.6g}" for v in row))
-        return "\n".join(lines) + "\n"
+        return contour_csv("gamma\\M", self.gamma_axis, self.M_axis, self.T)
 
 
 def robustness_contour(
@@ -307,25 +305,20 @@ def robustness_contour(
     privacy budget is spent and no randomness is drawn.  A grid of more than
     MAX_GRID_POINTS cells, gamma values times (largest M + 1), is refused.
     """
-    gamma_axis = np.atleast_1d(np.asarray(gamma_grid, dtype=float))
-    M_axis = np.atleast_1d(np.asarray(M_grid, dtype=int))
-    if gamma_axis.size == 0 or M_axis.size == 0:
-        raise ConfigError("gamma and M grids must be nonempty")
-    if not np.all(np.isfinite(gamma_axis)):
-        raise ConfigError("gamma grid values must be finite")
     sigma_hat_o, n0, N = positive(sigma_hat_o, "sigma_hat_o"), count(n0, "n0"), count(N, "N")
     eps = PrivacyParams.of(epsilon).epsilon
-    if np.any(M_axis < 1) or np.any(M_axis > N):
-        raise ConfigError("every M must satisfy 1 <= M <= N")
-    cells = gamma_axis.size * (int(M_axis.max()) + 1)
-    if cells > MAX_GRID_POINTS:
-        raise ConfigError(f"gamma grid x (largest M + 1) is {cells} cells, over {MAX_GRID_POINTS}")
+    gammas, Ms = grid(gamma_grid, "gamma"), [count(M, "M") for M in grid(M_grid, "M")]
+    if max(Ms) > N:
+        raise ConfigError(f"every M must satisfy 1 <= M <= N = {N}, got {max(Ms)}")
+    check_cells("gamma grid x (largest M + 1)", len(gammas) * (max(Ms) + 1), MAX_GRID_POINTS)
+    gamma_axis, M_axis = np.array([real(g, "gamma") for g in gammas]), np.array(Ms)
+    if not np.all(np.isfinite(gamma_axis)):
+        raise ConfigError("gamma grid values must be finite")
 
     q = np.array([0.1, 0.9])
     eta_q = -np.sign(q - 0.5) * np.log(1 - np.abs(2 * q - 1)) / eps  # Laplace quantiles
     T = np.empty((gamma_axis.size, M_axis.size))
-    for j, M in enumerate(M_axis):
-        M = int(M)
+    for j, M in enumerate(Ms):
         sd = sigma_hat_o * math.sqrt(n0 / (N // M))
         p = ndtr((gamma_axis - region.lower) / sd) - ndtr((gamma_axis - region.upper) / sd)
         s = np.arange(M + 1)

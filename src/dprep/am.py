@@ -28,6 +28,7 @@ from .privacy import (
     RunConfig,
     count,
     fraction,
+    grid,
     integer,
     positive,
     real,
@@ -42,6 +43,21 @@ POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
 # most points of a posterior grid, and most cells of a planning contour:
 # about 80 MB per float64 array
 MAX_GRID_POINTS = 10**7
+
+
+def check_cells(what: str, cells: int, bound: int) -> None:
+    """Refuse a planning contour of more than ``bound`` cells, ``what`` being
+    the product that counts them, before any of its arrays is allocated."""
+    if cells > bound:
+        raise ConfigError(f"{what} is {cells} cells, over {bound}")
+
+
+def contour_csv(corner: str, rows, columns, values) -> str:
+    """A planning contour as CSV: ``corner`` and the column values, then each
+    row value and its cells."""
+    lines = [corner + "," + ",".join(f"{c:.10g}" for c in columns)]
+    lines += [f"{r:.10g}," + ",".join(f"{v:.6g}" for v in row) for r, row in zip(rows, values)]
+    return "\n".join(lines) + "\n"
 
 
 def overlap_measure(i1: ConfidenceInterval, i2: ConfidenceInterval) -> float:
@@ -216,7 +232,7 @@ def error_bound(
     overlap.  Useful for screening M before spending any budget.
     """
     M, epsilon = count(M, "M"), PrivacyParams.of(epsilon).epsilon
-    omega = positive(omega, "omega")
+    omega, variance_cap = positive(omega, "omega"), positive(variance_cap, "variance_cap")
     return (variance_cap / M + 2.0 / (M**2 * epsilon**2)) / omega**2
 
 
@@ -230,10 +246,7 @@ class ContourGrid:
     corr: float
 
     def to_csv(self) -> str:
-        lines = ["diff\\ratio," + ",".join(f"{r:.10g}" for r in self.ratio_axis)]
-        for d, row in zip(self.diff_axis, self.values):
-            lines.append(f"{d:.10g}," + ",".join(f"{v:.6g}" for v in row))
-        return "\n".join(lines) + "\n"
+        return contour_csv("diff\\ratio", self.diff_axis, self.ratio_axis, self.values)
 
 
 def reference_contour(
@@ -260,21 +273,17 @@ def reference_contour(
     MAX_GRID_POINTS cells, diff values times ratio values, is refused.
     """
     sigma_gamma = positive(sigma_gamma, "sigma_gamma")
+    gamma, corr = real(gamma, "gamma"), real(corr, "corr")
     if not (math.isfinite(gamma) and gamma != 0):
         raise ConfigError("gamma must be finite and nonzero (the difference axis is relative)")
     if not -1.0 <= corr <= 1.0:
         raise ConfigError(f"corr must be in [-1, 1], got {corr}")
-    diff_axis = np.atleast_1d(np.asarray(diff_grid, dtype=float))
-    ratio_axis = np.atleast_1d(np.asarray(ratio_grid, dtype=float))
-    if diff_axis.size == 0 or ratio_axis.size == 0:
-        raise ConfigError("diff and ratio grids must be nonempty")
+    diffs, ratios = grid(diff_grid, "diff"), grid(ratio_grid, "ratio")
+    check_cells("diff grid x ratio grid", len(diffs) * len(ratios), MAX_GRID_POINTS)
+    diff_axis = np.array([real(d, "relative difference") for d in diffs])
+    ratio_axis = np.array([positive(r, "sd ratio") for r in ratios])
     if not np.all((diff_axis >= 0) & (diff_axis < np.inf)):
         raise ConfigError("relative differences must be nonnegative and finite")
-    if not np.all((ratio_axis > 0) & (ratio_axis < np.inf)):
-        raise ConfigError("sd ratios must be finite and above 0")
-    cells = diff_axis.size * ratio_axis.size
-    if cells > MAX_GRID_POINTS:
-        raise ConfigError(f"diff grid x ratio grid is {cells} cells, over {MAX_GRID_POINTS}")
 
     sigma_beta = ratio_axis * sigma_gamma
     # s^2 as a sum of squares: exactly 0 at corr = 1, ratio = 1, and never < 0
@@ -344,7 +353,7 @@ def invert_overlap(nu: float, assumption: InversionAssumption) -> float:
     (l1-l2)/2 for nu at or above its maximum attainable value
     (1 + l2/l1)/2.
     """
-    if not 0.0 <= nu <= 1.0:
+    if not 0.0 <= (nu := real(nu, "nu")) <= 1.0:
         raise ConfigError(f"nu must be in [0, 1], got {nu}")
     l1, l2 = assumption.l1, assumption.l2
     if nu <= 0.0:

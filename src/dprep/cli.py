@@ -27,7 +27,7 @@ from .am import (
 )
 from .errors import BudgetExceededError, ConfigError, DprepError, SingularFitError
 from .linmod import ConfidenceInterval, parse_formula
-from .privacy import BudgetLedger
+from .privacy import BudgetLedger, pair, real
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
@@ -42,11 +42,9 @@ def _number(text: str, kind=float):
         raise ConfigError(f"cannot parse {kind.__name__} {text!r}") from None
 
 
-def _parse_pair(text: str, what: str, kind=float) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return _number(parts[0], kind), _number(parts[1], kind)
+def _numbers(text: str, kind=float) -> tuple:
+    """The comma-separated numbers of ``text``; a pair setting's ``pair`` counts them."""
+    return tuple(_number(part, kind) for part in text.split(","))
 
 
 def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
@@ -119,11 +117,11 @@ def _check_distinct_paths(args) -> None:
                        ("--out", args.out), ("--unsafe-debug", args.unsafe_debug),
                        ("--ledger", args.ledger)):
         if path:
-            real = os.path.realpath(path)
-            clash = seen.setdefault(real, flag)
+            resolved = os.path.realpath(path)
+            clash = seen.setdefault(resolved, flag)
             if clash != flag:
                 raise ConfigError(f"{flag} and {clash} name the same file {path!r}")
-            if flag not in ("--input", "--schema") and not os.path.isdir(os.path.dirname(real)):
+            if flag not in ("--input", "--schema") and not os.path.isdir(os.path.dirname(resolved)):
                 raise ConfigError(f"{flag} {path!r} is in a directory that does not exist")
 
 
@@ -252,7 +250,7 @@ def _cmd_fit(args) -> int:
 
 def _run_settings(args) -> dict:
     """The :class:`~dprep.privacy.RunConfig` fields of a verify command."""
-    return {"M": args.M, "epsilon": args.epsilon, "prior": _parse_pair(args.prior, "--prior"),
+    return {"M": args.M, "epsilon": args.epsilon, "prior": _numbers(args.prior),
             "seed": _resolve_seed(args)}
 
 
@@ -271,10 +269,19 @@ def _verify(args, config, run, headline) -> int:
     return 0
 
 
+def _write_contour(out: str, csv: str, cells: int) -> int:
+    """What ad-mselect and am-contour share: write the contour's CSV to
+    ``out`` and print the path and the number of cells."""
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(csv)
+    print(json.dumps({"out": out, "cells": cells}))
+    return 0
+
+
 def _cmd_ad_verify(args) -> int:
     _check_distinct_paths(args)
     config = ADConfig(**_run_settings(args), delta=args.delta,
-                      mcmc=_parse_pair(args.mcmc, "--mcmc", int))
+                      mcmc=_numbers(args.mcmc, int))
     model = parse_formula(args.model)
     region_of = _region_of(args)
     return _verify(
@@ -289,20 +296,9 @@ def _cmd_ad_verify(args) -> int:
 def _cmd_ad_mselect(args) -> int:
     if args.region.startswith("inflate:"):
         raise ConfigError("ad-mselect targets fixed regions; give --region lo:hi")
-    region = _region_of(args)(None)
-    grid = robustness_contour(
-        gamma_grid=_parse_grid(args.gamma_grid),
-        M_grid=_parse_grid(args.m_grid, integer=True),
-        sigma_hat_o=args.sigma_o,
-        n0=args.n0,
-        N=args.N,
-        epsilon=args.epsilon,
-        region=region,
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(grid.to_csv())
-    print(json.dumps({"out": args.out, "cells": int(grid.T.size)}))
-    return 0
+    grid = robustness_contour(_parse_grid(args.gamma_grid), _parse_grid(args.m_grid, integer=True),
+                              args.sigma_o, args.n0, args.N, args.epsilon, _region_of(args)(None))
+    return _write_contour(args.out, grid.to_csv(), grid.T.size)
 
 
 def _cmd_am_verify(args) -> int:
@@ -320,21 +316,13 @@ def _cmd_am_verify(args) -> int:
 
 
 def _cmd_am_contour(args) -> int:
-    grid = reference_contour(
-        gamma=args.gamma,
-        sigma_gamma=args.sigma,
-        corr=args.corr,
-        diff_grid=_parse_grid(args.diff_grid),
-        ratio_grid=_parse_grid(args.ratio_grid),
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(grid.to_csv())
-    print(json.dumps({"out": args.out, "cells": int(grid.values.size)}))
-    return 0
+    grid = reference_contour(args.gamma, args.sigma, args.corr, _parse_grid(args.diff_grid),
+                             _parse_grid(args.ratio_grid))
+    return _write_contour(args.out, grid.to_csv(), grid.values.size)
 
 
 def _cmd_invert(args) -> int:
-    lo, hi = _parse_pair(args.nu_ci, "--nu-ci")
+    lo, hi = pair(_numbers(args.nu_ci), "--nu-ci", real)
     assumption = _inversion_from_args(args, None)
     nu_ci = ConfidenceInterval(lo, hi, level=args.mass)
     diff = invert_credible_interval(nu_ci, assumption)

@@ -104,6 +104,8 @@ def integer(value, name: str) -> int:
 def real(value, name: str) -> float:
     """``value``, a real number of any type (a NumPy one too) but not a bool, as a
     float; an int past the doubles is an infinity, for the caller's range check."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
@@ -131,6 +133,29 @@ def count(value, name: str) -> int:
     if (value := integer(value, name)) < 1:
         raise ConfigError(f"{name} must be at least 1, got {value}")
     return value
+
+
+def pair(value, name: str, convert) -> tuple:
+    """``value``, two values of any iterable, as a tuple of each through
+    ``convert``, one of the conversions above."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a pair, got {value!r}") from None
+    return convert(first, name), convert(second, name)
+
+
+def grid(values, name: str):
+    """``values``, one number or a nonempty sequence or 1-D array of them, as
+    a nonempty sequence.  Its values are not converted yet: a caller bounds
+    the grid's size first, then puts each value through a conversion."""
+    if isinstance(values, np.ndarray):
+        values = np.atleast_1d(values)
+    elif not isinstance(values, (list, tuple, range)):
+        values = [values]
+    if len(values) == 0:
+        raise ConfigError(f"the {name} grid must be nonempty")
+    return values
 
 
 @dataclass(frozen=True)
@@ -164,8 +189,7 @@ class RunConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
-        a, b = (positive(value, "prior value") for value in self.prior)
-        object.__setattr__(self, "prior", (a, b))
+        object.__setattr__(self, "prior", pair(self.prior, "prior", positive))
 
     @property
     def eps(self) -> float:
@@ -183,28 +207,13 @@ class NoisyRelease:
     timestamp: str = ""
 
     def __post_init__(self):
-        value = self.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not -math.inf < value < math.inf:
-            raise ConfigError(f"value must be a finite number, got {value!r}")
-        if not 0 < self.epsilon_spent < math.inf:
-            raise ConfigError("epsilon_spent must be positive and finite")
-        if not 0 < self.sensitivity < math.inf:
-            raise ConfigError("sensitivity must be positive and finite")
+        if not math.isfinite(value := real(self.value, "value")):
+            raise ConfigError(f"value must be finite, got {value}")
+        object.__setattr__(self, "value", value)
+        for name in ("epsilon_spent", "sensitivity"):
+            object.__setattr__(self, name, positive(getattr(self, name), name))
         if not (isinstance(self.mechanism, str) and isinstance(self.timestamp, str)):
             raise ConfigError("mechanism and timestamp must be strings")
-        # checked last, so a record refused for another reason keeps its message
-        is_bool = isinstance(self.epsilon_spent, bool) or isinstance(self.sensitivity, bool)
-        try:  # an int too large for a float would overflow the ledger's sum
-            object.__setattr__(self, "value", float(value))
-            object.__setattr__(self, "epsilon_spent", float(self.epsilon_spent))
-            object.__setattr__(self, "sensitivity", float(self.sensitivity))
-        except OverflowError:
-            raise ConfigError(
-                "value, epsilon_spent and sensitivity must fit in a float"
-            ) from None
-        if is_bool:
-            raise ConfigError("epsilon_spent and sensitivity must be numbers, not booleans")
 
     def to_record(self) -> str:
         return json.dumps(

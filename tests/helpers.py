@@ -89,6 +89,8 @@ BAD_LEDGER_RECORDS = {
     "huge-int-value": LEDGER_RECORD.replace('"value": 3.0', '"value": 1' + "0" * 400),
     "bool-epsilon": LEDGER_RECORD.replace('"epsilon": 0.5', '"epsilon": true'),
     "bool-sensitivity": LEDGER_RECORD.replace('"sensitivity": 1.0', '"sensitivity": true'),
+    "negative-sensitivity": LEDGER_RECORD.replace('"sensitivity": 1.0', '"sensitivity": -1.0'),
+    "null-timestamp": LEDGER_RECORD.replace('"timestamp": ""', '"timestamp": null'),
 }
 # a record torn inside a timestamp holding bytes that are not UTF-8
 TORN_NON_UTF8 = b'{"timestamp": "\xff\xfe'

@@ -450,6 +450,8 @@ def _ledger_corpus(seed: int = 1207) -> dict:
         "crlf-between-tokens": _record().replace(", ", ",\r\n "),
         "torn-middle": _record()[:30],
     }
+    for name, line in BAD_LEDGER_RECORDS.items():  # the ones not above by name
+        lines.setdefault(name, line)
     corpus = {name: among(line).encode() for name, line in lines.items()}
     corpus.update({
         "bench-2000": bench.encode(),

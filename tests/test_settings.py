@@ -1,8 +1,10 @@
 """Every published number a function or type takes goes through one of the
 checked conversions of ``dprep.privacy``: ``fraction`` (0 < x < 1),
-``positive`` (0 < x < inf), ``count`` (an int >= 1) or ``real``.  A bad
-value is a ConfigError before any work; a NumPy scalar is accepted and
-stored as a Python number."""
+``positive`` (0 < x < inf), ``count`` (an int >= 1), ``integer`` or
+``real``; a pair setting goes through ``pair`` and a planning grid through
+``grid``, then each of its values through one of them.  A bad value is a
+ConfigError before any work; a NumPy scalar is accepted and stored as a
+Python number."""
 
 import dataclasses
 import math
@@ -26,6 +28,7 @@ from dprep import (
     ConfigError,
     FitResult,
     InversionAssumption,
+    NoisyRelease,
     PartitionPlan,
     PrivacyParams,
     RngStream,
@@ -38,6 +41,7 @@ from dprep import (
     credible_interval,
     delta_star,
     error_bound,
+    invert_overlap,
     laplace_sample,
     make_partition,
     null_assumption_lengths,
@@ -125,6 +129,39 @@ SITES = {
                                  attrgetter("lower")),
     "ConfidenceInterval.upper": ("real", lambda v: ConfidenceInterval(-1.0, v, 0.9),
                                  attrgetter("upper")),
+    "NoisyRelease.value": ("finite", lambda v: NoisyRelease(v, 1.0, 1.0), attrgetter("value")),
+    "NoisyRelease.epsilon_spent": ("positive", lambda v: NoisyRelease(0.0, v, 1.0),
+                                   attrgetter("epsilon_spent")),
+    "NoisyRelease.sensitivity": ("positive", lambda v: NoisyRelease(0.0, 1.0, v),
+                                 attrgetter("sensitivity")),
+    # each grid value is checked, not only the first, and a scalar is a grid
+    "robustness_contour.gamma_grid": (
+        "finite", lambda v: robustness_contour([0.0, v], [5], 1.0, 100, 100, 1.0, SIGN), None),
+    "robustness_contour.gamma_grid-scalar": (
+        "finite", lambda v: robustness_contour(v, [5], 1.0, 100, 100, 1.0, SIGN), None),
+    "robustness_contour.M_grid": (
+        "count", lambda v: robustness_contour([0.0], [5, v], 1.0, 100, 100, 1.0, SIGN), None),
+    "robustness_contour.M_grid-array": (
+        "count", lambda v: robustness_contour([0.0], np.array([5, v], dtype=object), 1.0, 100,
+                                              100, 1.0, SIGN), None),
+    "reference_contour.gamma": ("finite", lambda v: reference_contour(v, 1.0, 0.5, [0.0], [1.0]),
+                                None),
+    "reference_contour.corr": ("finite", lambda v: reference_contour(1.0, 1.0, v, [0.0], [1.0]),
+                               attrgetter("corr")),
+    "reference_contour.diff_grid": (
+        "finite", lambda v: reference_contour(1.0, 1.0, 0.5, [0.0, v], [1.0]), None),
+    "reference_contour.ratio_grid": (
+        "positive", lambda v: reference_contour(1.0, 1.0, 0.5, [0.0], [1.0, v]), None),
+    "error_bound.variance_cap": ("positive", lambda v: error_bound(25, 1.0, 0.2, v), None),
+    "invert_overlap.nu": ("finite", lambda v: invert_overlap(v, InversionAssumption(2.0, 1.0)),
+                          None),
+    "RunConfig.prior": ("pair", lambda v: RunConfig(M=10, epsilon=1.0, prior=v),
+                        attrgetter("prior")),
+    "ADConfig.mcmc": ("pair", lambda v: ADConfig(M=10, epsilon=1.0, mcmc=v), attrgetter("mcmc")),
+    "ADConfig.mcmc[0]": ("integer", lambda v: ADConfig(M=10, epsilon=1.0, mcmc=(v, 10)),
+                         lambda c: c.mcmc[0]),
+    "ADConfig.mcmc[1]": ("count", lambda v: ADConfig(M=10, epsilon=1.0, mcmc=(0, v)),
+                         lambda c: c.mcmc[1]),
 }
 
 BAD = {
@@ -132,10 +169,15 @@ BAD = {
     "positive": [math.nan, math.inf, -math.inf, True, "1", 0.0, -1.0],
     "count": [math.nan, math.inf, -math.inf, True, "3", 2.5, 0, np.float64(3.0)],
     "real": [math.nan, True, "1"],
+    "finite": [math.nan, math.inf, -math.inf, True, "0.5"],
+    "integer": [math.nan, math.inf, -math.inf, True, "3", 2.5, np.float64(3.0)],
+    "pair": [math.nan, math.inf, -math.inf, True, "12", 5, (1, 2, 3), (1,)],
 }
 # a NumPy scalar each rule accepts, and the Python type it is stored as
 GOOD = {"fraction": (np.float32(0.25), float), "positive": (np.float32(2.0), float),
-        "count": (np.int64(3), int), "real": (np.float32(0.5), float)}
+        "count": (np.int64(3), int), "real": (np.float32(0.5), float),
+        "finite": (np.float32(0.5), float), "integer": (np.int64(3), int),
+        "pair": ((np.int64(3), np.int64(4)), tuple)}
 
 
 @pytest.fixture()
@@ -170,20 +212,49 @@ def test_numpy_scalar_is_accepted_as_a_python_number(site):
         assert type(stored(result)) is kind and stored(result) == value
 
 
-@pytest.mark.parametrize("call", [
-    lambda: robustness_contour([0.0], [5], 1.0, math.nan, 100, 1.0, SIGN),
-    lambda: delta_star(0.0, 1.0, 2.0, 100.5, 10),
-    lambda: error_bound(2.5, 1.0, 0.2),
-    lambda: build_fixed_region("1", "2"),
-    lambda: build_fixed_region(True, 2),
-    lambda: BudgetLedger(cap=True),
-], ids=["contour-n0-nan", "delta_star-n0-100.5", "error_bound-M-2.5", "region-strings",
-        "region-bool", "cap-bool"])
-def test_inputs_a_hand_written_copy_let_through_are_refused(call):
-    # each of these used to return a number or an object: an all-zero T,
-    # 0.905, 42.0, a region, a cap of True
+INVERSION = InversionAssumption(2.0, 1.0)
+LET_THROUGH = {
+    "contour-n0-nan": lambda: robustness_contour([0.0], [5], 1.0, math.nan, 100, 1.0, SIGN),
+    "delta_star-n0-100.5": lambda: delta_star(0.0, 1.0, 2.0, 100.5, 10),
+    "error_bound-M-2.5": lambda: error_bound(2.5, 1.0, 0.2),
+    "region-strings": lambda: build_fixed_region("1", "2"),
+    "region-bool": lambda: build_fixed_region(True, 2),
+    "cap-bool": lambda: BudgetLedger(cap=True),
+    # these ran as M = 2 and M = 1, or raised OverflowError or TypeError
+    "contour-M-2.5": lambda: robustness_contour([0.0], [2.5], 1.0, 100, 100, 1.0, SIGN),
+    "contour-M-bool": lambda: robustness_contour([0.0], [True], 1.0, 100, 100, 1.0, SIGN),
+    "contour-M-1e20": lambda: robustness_contour([0.0], [1e20], 1.0, 100, 100, 1.0, SIGN),
+    "contour-gamma-string": lambda: robustness_contour(["1"], [5], 1.0, 100, 100, 1.0, SIGN),
+    "contour-gamma-bool": lambda: robustness_contour([True], [5], 1.0, 100, 100, 1.0, SIGN),
+    "reference-gamma-string": lambda: reference_contour("1", 1.0, 0.5, [0.0], [1.0]),
+    "reference-corr-string": lambda: reference_contour(1.0, 1.0, "0.5", [0.0], [1.0]),
+    "reference-gamma-bool": lambda: reference_contour(True, 1.0, 0.5, [0.0], [1.0]),
+    "reference-corr-bool": lambda: reference_contour(1.0, 1.0, True, [0.0], [1.0]),
+    "reference-diff-bool": lambda: reference_contour(1.0, 1.0, 0.5, [True], [1.0]),
+    "reference-diff-string": lambda: reference_contour(1.0, 1.0, 0.5, ["0.1"], [1.0]),
+    "error_bound-variance_cap-negative": lambda: error_bound(10, 1.0, 0.1, variance_cap=-1.0),
+    "error_bound-variance_cap-nan": lambda: error_bound(10, 1.0, 0.1, variance_cap=math.nan),
+    "invert-nu-bool": lambda: invert_overlap(True, INVERSION),
+    "invert-nu-string": lambda: invert_overlap("0.5", INVERSION),
+    "prior-triple": lambda: RunConfig(M=10, epsilon=1.0, prior=(1, 2, 3)),
+    "prior-scalar": lambda: RunConfig(M=10, epsilon=1.0, prior=1.0),
+    "mcmc-triple": lambda: ADConfig(M=10, epsilon=1.0, mcmc=(1, 2, 3)),
+    "mcmc-scalar": lambda: ADConfig(M=10, epsilon=1.0, mcmc=5),
+}
+
+
+@pytest.mark.parametrize("case", LET_THROUGH)
+def test_inputs_a_hand_written_copy_let_through_are_refused(case):
+    # each of these used to return a number or an object (an all-zero T,
+    # 0.905, 42.0, a region, a cap of True, a contour, -8.0, 0.5) or to
+    # raise something other than a ConfigError
     with pytest.raises(ConfigError):
-        call()
+        LET_THROUGH[case]()
+
+
+def test_a_numpy_float_release_value_is_a_release():
+    # the value used to be refused while epsilon_spent took the same number
+    assert NoisyRelease(np.float32(1.0), 1.0, 1.0) == NoisyRelease(1.0, np.float32(1.0), 1.0)
 
 
 def test_helpers_keep_their_messages_and_types():
