@@ -4,9 +4,9 @@ Per subset, both models are fit and the equal-tailed CIs of the shared
 coefficient are compared with the length-overlap measure nu in [0, 1]
 (1 = identical intervals, 0 = disjoint or a failed fit).  The subset
 average nu_bar is released with Laplace(0, 1/(epsilon*M)) noise, its
-one-dimensional posterior is computed by grid quadrature, and the
-posterior credible interval can be inverted into a bound on the absolute
-coefficient difference under an assumption on the two interval lengths.
+one-dimensional posterior is computed by grid quadrature, drawing nothing,
+and a posterior credible interval can be inverted into a bound on the
+absolute coefficient difference under an assumption on the interval lengths.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .privacy import (
     BudgetLedger,
     PrivacyParams,
     Released,
-    RngStream,
     RunConfig,
     count,
     fraction,
@@ -37,8 +36,6 @@ from .privacy import (
 from .tabular import Dataset
 
 Z975 = float(ndtri(0.975))  # 1.959964
-
-POSTERIOR_SAMPLES = 1000  # draws of nu_bar stored in a report
 
 # most points of a posterior grid, and most cells of a planning contour:
 # about 80 MB per float64 array
@@ -165,12 +162,11 @@ def release_overlap(result: OverlapResult, config: AMConfig, ledger: BudgetLedge
 
 @dataclass(frozen=True)
 class AMPosterior:
-    """Grid posterior of the average overlap on [0, 1]."""
+    """Grid density and CDF of the average overlap on [0, 1]; nothing is drawn."""
 
     grid: np.ndarray
     density: np.ndarray
     cdf: np.ndarray
-    samples: np.ndarray
 
     def quantile(self, q) -> float | np.ndarray:
         out = np.interp(q, self.cdf, self.grid)
@@ -185,11 +181,10 @@ def posterior_nu(released: Released) -> AMPosterior:
     """Posterior density of nu_bar, proportional to
     exp(-M*eps*|nu - nu_noisy|) * nu^(a-1) * (1-nu)^(b-1) on [0, 1].
 
-    The density is evaluated in log space on a uniform grid, normalized by
-    the trapezoid rule, and sampled by inverse CDF with linear
-    interpolation.  The density and CDF are deterministic; only the samples
-    consume randomness.  When a < 1 or b < 1 the endpoints are singular, so
-    the grid is opened by one step at each end.
+    The density is evaluated in log space on a uniform grid and normalized
+    by the trapezoid rule, and the CDF is its cumulative sum.  Nothing is
+    drawn, so the seed does not change the posterior.  When a < 1 or b < 1
+    the endpoints are singular, so the grid is opened by one step at each end.
     """
     config = released.config
     a, b = config.prior
@@ -210,9 +205,7 @@ def posterior_nu(released: Released) -> AMPosterior:
     steps = np.diff(grid) * (density[1:] + density[:-1]) / 2.0
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf /= cdf[-1]
-    rng = RngStream(config.seed).child("am-posterior").generator
-    samples = np.interp(rng.random(POSTERIOR_SAMPLES), cdf, grid)
-    return AMPosterior(grid=grid, density=density, cdf=cdf, samples=samples)
+    return AMPosterior(grid=grid, density=density, cdf=cdf)
 
 
 def credible_interval(posterior: AMPosterior, mass: float) -> ConfidenceInterval:

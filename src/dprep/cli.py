@@ -188,10 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p, alt_model=True)
     _add_run_args(p)
     p.add_argument("--level", type=float, default=0.95, help="CI level (default 0.95)")
-    p.add_argument("--grid-points", type=int, default=10001)
+    p.add_argument("--grid-points", type=int, default=10001,
+                   help="posterior grid points, an integer in 101..10^7 (default 10001)")
     p.add_argument("--invert", action="store_true",
                    help="also invert the overlap interval into a |beta-gamma| bound")
-    p.add_argument("--invert-mass", type=float, default=0.9)
+    p.add_argument("--invert-mass", type=float, default=0.9,
+                   help="mass of the credible interval to invert, in (0, 1) (default 0.9)")
     p.add_argument("--l1", type=float, default=None, help="assumed wider CI length")
     p.add_argument("--l2", type=float, default=None, help="assumed narrower CI length")
     p.add_argument("--sigma-o", type=float, default=None,

@@ -6,12 +6,12 @@ builds the report sections both share; each verify function adds its own
 config echo and provenance, and AM its ``inversion`` block.
 
 This layer owns the privacy boundary.  A release report contains only the
-noised scalar, a configuration echo, posterior summaries, and provenance;
-raw subset statistics (the true count, per-subset indicators, coefficients,
-overlaps, interval pairs) live in a separate custodian-only debug payload
-that is written nowhere unless explicitly requested.  The payload keeps its
-per-subset values as numpy arrays; :func:`write_json` turns them into lists
-only when the payload is written.
+noised scalar, a configuration echo, posterior summaries (AM's read off
+the grid CDF, with no draws), and provenance; raw subset statistics (the
+true count, per-subset indicators, coefficients, overlaps, interval pairs)
+live in a separate custodian-only debug payload that is written nowhere
+unless explicitly requested.  The payload keeps its per-subset values as
+numpy arrays; :func:`write_json` turns them into lists only when written.
 
 Ledger appends happen inside the release step, before any report is
 assembled or written: an unrecorded release would be a privacy accounting
@@ -41,6 +41,7 @@ from .ad import (
 )
 from .am import (
     AMConfig,
+    AMPosterior,
     InversionAssumption,
     average_overlap,
     credible_interval,
@@ -51,7 +52,7 @@ from .am import (
 from .errors import ConfigError, TransformDomainError
 from .linmod import ModelSpec, confidence_interval, fit_ols
 from .partition import make_partition
-from .privacy import BudgetLedger, Released, fraction
+from .privacy import BudgetLedger, NoisyRelease, Released, fraction
 from .tabular import Dataset
 
 # field names that must never appear in a release report; the boundary
@@ -71,28 +72,33 @@ FORBIDDEN_RELEASE_FIELDS = (
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _provenance(seed: int) -> dict:
-    return {"seed": seed, "timestamp": _utc_now(), "engine_version": __version__}
+    return {"seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
+            "engine_version": __version__}
 
 
-def _quantiles(samples: np.ndarray) -> dict[str, float]:
-    qs = np.quantile(samples, QUANTILE_PROBS)
-    return {f"{p:g}": float(q) for p, q in zip(QUANTILE_PROBS, qs)}
+def _quantiles(values) -> dict[str, float]:
+    """``values``, the quantiles at QUANTILE_PROBS in order, keyed by probability."""
+    return {f"{p:g}": float(q) for p, q in zip(QUANTILE_PROBS, values)}
 
 
 def summarize_r_samples(r_samples, delta: float) -> dict:
     """Posterior summary recomputable from the stored samples alone."""
     samples = np.asarray(r_samples, dtype=float)
-    return {"theta_hat": theta_hat(samples, delta), "r_quantiles": _quantiles(samples)}
+    return {"theta_hat": theta_hat(samples, delta),
+            "r_quantiles": _quantiles(np.quantile(samples, QUANTILE_PROBS))}
 
 
-def summarize_nu_samples(samples) -> dict:
-    arr = np.asarray(samples, dtype=float)
-    return {"mean": float(arr.mean()), "quantiles": _quantiles(arr)}
+def summarize_nu_samples(posterior: AMPosterior, level: float) -> dict:
+    """An AM report's ``posterior`` section, read off the grid CDF: the mean,
+    the quantiles and the credible intervals of mass 0.9 and ``level``, keyed
+    by ``repr(mass)``.  The name stays until ``bench/`` stops binding it."""
+    intervals = {}
+    for mass in sorted({0.9, float(level)}):
+        ci = credible_interval(posterior, mass)
+        intervals[repr(mass)] = [ci.lower, ci.upper]
+    return {"mean": posterior.mean, "quantiles": _quantiles(posterior.quantile(QUANTILE_PROBS)),
+            "credible_intervals": intervals}
 
 
 def _report(framework: str, noisy_key: str, released: Released, echo: dict,
@@ -183,19 +189,10 @@ def am_verify(
     released = release_overlap(overlap, config, ledger)
     posterior = posterior_nu(released)
 
-    intervals = {}
-    for mass in sorted({0.9, config.level}):
-        ci = credible_interval(posterior, mass)
-        intervals[f"{mass:g}"] = [ci.lower, ci.upper]
-
     report = {
         **_report("am", "nu_bar_noisy", released, {
             "level": config.level, "grid_points": config.grid_points, "coef": coef,
-        }, {
-            **summarize_nu_samples(posterior.samples),
-            "credible_intervals": intervals,
-            "samples": [float(v) for v in posterior.samples],
-        }),
+        }, summarize_nu_samples(posterior, config.level)),
         "provenance": _provenance(config.seed),
     }
     if inversion is not None:
@@ -242,15 +239,23 @@ def fit_summary(dataset: Dataset, model: ModelSpec, level: float = 0.95) -> dict
 
 
 def recompute_posterior_summary(report: dict) -> dict:
-    """Rebuild the posterior summary of a parsed report from its stored
-    samples; must reproduce the emitted summary exactly."""
+    """Rebuild the posterior summary of a parsed report, AD's from its draws
+    and AM's from its release and settings; must reproduce it exactly."""
     if report["framework"] == "ad":
-        return summarize_r_samples(
-            report["posterior"]["r_samples"], report["config"]["delta"]
-        )
-    if report["framework"] == "am":
-        return summarize_nu_samples(report["posterior"]["samples"])
-    raise ConfigError(f"unknown framework {report.get('framework')!r}")
+        return summarize_r_samples(report["posterior"]["r_samples"], report["config"]["delta"])
+    if report["framework"] != "am":
+        raise ConfigError(f"unknown framework {report.get('framework')!r}")
+    posterior, config = report["posterior"], report["config"]
+    if "samples" in posterior:  # an AM report written when it summarised draws
+        samples = np.asarray(posterior["samples"], dtype=float)
+        return {"mean": float(samples.mean()),
+                "quantiles": _quantiles(np.quantile(samples, QUANTILE_PROBS))}
+    released = report["released"]
+    am_config = AMConfig(**{key: config[key] for key in
+                            ("M", "epsilon", "prior", "seed", "level", "grid_points")})
+    release = NoisyRelease(value=released["nu_bar_noisy"], epsilon_spent=released["epsilon"],
+                           sensitivity=released["sensitivity"], mechanism=released["mechanism"])
+    return summarize_nu_samples(posterior_nu(Released(am_config, release)), am_config.level)
 
 
 def audit_release_report(text: str) -> list[str]:

@@ -35,6 +35,7 @@ from dprep import (
 )
 from dprep.am import Z975, OverlapResult
 from dprep.privacy import Released
+from dprep.verify import summarize_nu_samples
 
 
 def _ci(lo, hi, level=0.95):
@@ -223,7 +224,8 @@ def test_posterior_density_normalized_and_in_bounds():
     post = posterior_nu(_released(1.03, M=25))
     assert np.trapezoid(post.density, post.grid) == pytest.approx(1.0, abs=1e-6)
     assert np.all(post.density >= 0)
-    assert np.all((post.samples >= 0) & (post.samples <= 1))
+    quantiles = post.quantile(np.linspace(0.0, 1.0, 101))
+    assert np.all((quantiles >= 0) & (quantiles <= 1)) and np.all(np.diff(quantiles) >= 0)
     assert post.cdf[0] == 0.0 and post.cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -254,12 +256,13 @@ def test_posterior_open_grid_for_singular_priors():
     assert np.trapezoid(post.density, post.grid) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_posterior_samples_seeded():
+def test_posterior_is_the_same_whatever_the_seed():
+    # nothing is drawn after the release: the seed picks only the noise
     a = posterior_nu(_released(0.7, M=25, seed=3))
-    b = posterior_nu(_released(0.7, M=25, seed=3))
-    c = posterior_nu(_released(0.7, M=25, seed=4))
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    b = posterior_nu(_released(0.7, M=25, seed=4))
+    for name in ("grid", "density", "cdf"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert summarize_nu_samples(a, 0.95) == summarize_nu_samples(b, 0.95)
 
 
 def test_credible_interval_validation():

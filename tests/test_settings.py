@@ -60,7 +60,7 @@ MODEL0, MODEL1 = parse_formula("y ~ x1 + x2"), parse_formula("y ~ x1")
 SIGN = build_fixed_region(0.0, math.inf)
 FIT = FitResult(np.array([1.0]), np.array([0.5]), 10, 1.0, {"x": 0})
 POSTERIOR = AMPosterior(grid=np.linspace(0, 1, 101), density=np.ones(101),
-                        cdf=np.linspace(0, 1, 101), samples=np.full(3, 0.5))
+                        cdf=np.linspace(0, 1, 101))
 
 # site -> (rule, call(value), the stored value of the result, or None)
 SITES = {

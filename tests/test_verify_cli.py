@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from dprep import (
     InversionAssumption,
     NoisyRelease,
     PrivacyParams,
+    Released,
     ToleranceRegion,
     ad_verify,
     am_verify,
     build_fixed_region,
+    credible_interval,
     make_partition,
     parse_formula,
+    posterior_nu,
 )
 from dprep.cli import main
 from dprep.tabular import read_table
@@ -36,6 +40,8 @@ from dprep.verify import (
     write_json,
 )
 from dprep.ad import build_inflated_region, delta_star
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -110,6 +116,17 @@ def test_am_report_is_boundary_clean_and_inverts():
     assert len(debug["nu_per_subset"]) == 4
 
 
+def _am_report(ds, config):
+    return am_verify(ds, parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3"),
+                     "x1", config, BudgetLedger(cap=1.0))
+
+
+def _posterior_of(report, config):
+    released = report["released"]
+    return posterior_nu(Released(config, NoisyRelease(
+        released["nu_bar_noisy"], released["epsilon"], released["sensitivity"])))
+
+
 def test_report_round_trip_reproduces_summaries():
     ds = synth_dataset(120, seed=3)
     report, _ = ad_verify(
@@ -122,13 +139,64 @@ def test_report_round_trip_reproduces_summaries():
     assert recomputed["theta_hat"] == report["posterior"]["theta_hat"]
     assert recomputed["r_quantiles"] == report["posterior"]["r_quantiles"]
 
-    am_report, _ = am_verify(
-        ds, parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + x3"), "x1",
-        AMConfig(M=4, epsilon=1.0, seed=11), BudgetLedger(cap=1.0),
-    )
-    back = recompute_posterior_summary(json.loads(json.dumps(am_report)))
-    assert back["mean"] == am_report["posterior"]["mean"]
-    assert back["quantiles"] == am_report["posterior"]["quantiles"]
+    # the whole AM posterior section, credible intervals included, is rebuilt
+    # from the report's own released and config sections
+    for seed, level in enumerate((0.9, 0.95, 0.99), start=11):
+        for prior in ((1.0, 1.0), (0.5, 0.5), (2.0, 3.0)):
+            config = AMConfig(M=4, epsilon=1.0, seed=seed, level=level, prior=prior)
+            am_report, _ = _am_report(ds, config)
+            back = recompute_posterior_summary(json.loads(json.dumps(am_report)))
+            assert back == am_report["posterior"]
+            assert set(back) == {"mean", "quantiles", "credible_intervals"}
+
+
+def test_am_report_reads_every_number_off_one_cdf():
+    config = AMConfig(M=4, epsilon=1.0, seed=7)
+    report, _ = _am_report(synth_dataset(120, seed=3), config)
+    summary = report["posterior"]
+    lo, hi = summary["credible_intervals"]["0.9"]
+    # not bit-identical: (1 - 0.9) / 2 is 0.04999999999999999
+    assert summary["quantiles"]["0.05"] == pytest.approx(lo, abs=1e-12, rel=0)
+    assert summary["quantiles"]["0.95"] == pytest.approx(hi, abs=1e-12, rel=0)
+    assert summary["mean"] == _posterior_of(report, config).mean
+
+
+@pytest.mark.parametrize("level, key", [
+    (0.9000001, "0.9000001"), (0.95000001, "0.95000001"), (0.9999999, "0.9999999"),
+])
+def test_credible_interval_keys_never_collide(level, key):
+    # a level that "%g" rounds to 0.9 or to 1 gets its own key and its own interval
+    config = AMConfig(M=4, epsilon=1.0, seed=5, level=level)
+    report, _ = _am_report(synth_dataset(120, seed=3), config)
+    intervals = report["posterior"]["credible_intervals"]
+    assert set(intervals) == {"0.9", key}
+    posterior = _posterior_of(report, config)
+    for mass, name in ((0.9, "0.9"), (level, key)):
+        ci = credible_interval(posterior, mass)
+        assert intervals[name] == [ci.lower, ci.upper]
+    assert intervals["0.9"] != intervals[key]
+
+
+def test_an_edited_credible_interval_bound_fails_its_recheck():
+    report, _ = _am_report(synth_dataset(120, seed=3), AMConfig(M=4, epsilon=1.0, seed=7))
+    edited = json.loads(json.dumps(report))
+    edited["posterior"]["credible_intervals"]["0.95"][1] -= 1e-6
+    back = recompute_posterior_summary(edited)
+    assert back == report["posterior"]
+    assert back["credible_intervals"] != edited["posterior"]["credible_intervals"]
+
+
+def test_a_report_that_holds_draws_still_rechecks():
+    # an am-verify --invert report written when the AM summary came from
+    # 1,000 stored draws of nu_bar: its mean and quantiles re-check from them
+    report = load_json(DATA / "am_report_with_samples.json")
+    assert len(report["posterior"]["samples"]) == 1000 and "inversion" in report
+    back = recompute_posterior_summary(report)
+    assert set(back) == {"mean", "quantiles"}
+    for key, value in back.items():
+        assert report["posterior"][key] == value
+    report["posterior"]["quantiles"]["0.5"] += 1e-9
+    assert recompute_posterior_summary(report)["quantiles"] != report["posterior"]["quantiles"]
 
 
 def test_delta_resolution_rules():
@@ -460,7 +528,7 @@ AM_KEY_PATHS = {
     "released/epsilon",
     "config/M", "config/epsilon", "config/prior", "config/seed", "config/level",
     "config/grid_points", "config/coef",
-    "posterior/mean", "posterior/samples",
+    "posterior/mean",
     "posterior/credible_intervals/0.9", "posterior/credible_intervals/0.95",
     *(f"posterior/quantiles/{q}" for q in QUANTILES),
     "provenance/seed", "provenance/timestamp", "provenance/engine_version",
