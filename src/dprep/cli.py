@@ -27,7 +27,7 @@ from .am import (
 )
 from .errors import BudgetExceededError, ConfigError, DprepError, SingularFitError
 from .linmod import ConfidenceInterval, parse_formula
-from .privacy import BudgetLedger, pair, real
+from .privacy import BudgetLedger, count, pair, positive, real
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
@@ -98,7 +98,10 @@ def _region_of(args):
                 raise ConfigError(
                     f"--region inflate:ALPHA requires --{name.replace('_', '-')}"
                 )
-        return lambda n: build_inflated_region(args.gamma_o, args.sigma_o, alpha, args.n0, n)
+        # checked before the table is read; n is checked against n0 once known
+        gamma_o, sigma_o = real(args.gamma_o, "gamma_hat_o"), positive(args.sigma_o, "sigma_hat_o")
+        alpha, n0 = positive(alpha, "alpha"), count(args.n0, "n0")
+        return lambda n: build_inflated_region(gamma_o, sigma_o, alpha, n0, n)
     if ":" not in spec:
         raise ConfigError(f"--region must be lo:hi or inflate:ALPHA, got {spec!r}")
     lo, hi = spec.split(":", 1)
@@ -226,19 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inversion_from_args(args, n_subset: int | None) -> InversionAssumption:
+def _inversion_of(args):
+    """Parse the inversion settings without the data: returns a function of
+    the subset size n that builds the assumption (only the null assumption
+    needs n)."""
     if args.l1 is not None or args.l2 is not None:
         if args.l1 is None or args.l2 is None:
             raise ConfigError("give both --l1 and --l2, or neither")
-        return InversionAssumption(l1=args.l1, l2=args.l2)
+        assumption = InversionAssumption(l1=args.l1, l2=args.l2)
+        return lambda n: assumption
     if args.sigma_o is None or args.n0 is None:
         raise ConfigError(
             "inversion needs --l1/--l2 or the null assumption via --sigma-o and --n0"
         )
-    n = n_subset if n_subset is not None else getattr(args, "n", None)
-    if n is None:
-        raise ConfigError("null-assumption inversion needs the subset size --n")
-    return null_assumption_lengths(args.sigma_o, args.n0, n, getattr(args, "level", 0.95))
+    sigma_o, n0 = positive(args.sigma_o, "sigma_hat_o"), count(args.n0, "n0")
+
+    def null_assumption(n):
+        if n is None:
+            raise ConfigError("null-assumption inversion needs the subset size --n")
+        return null_assumption_lengths(sigma_o, n0, n, args.level)
+
+    return null_assumption
 
 
 def _cmd_fit(args) -> int:
@@ -307,9 +318,10 @@ def _cmd_am_verify(args) -> int:
     _check_distinct_paths(args)
     config = AMConfig(**_run_settings(args), level=args.level, grid_points=args.grid_points)
     model0, model1 = parse_formula(args.model), parse_formula(args.model_alt)
+    inversion_of = _inversion_of(args) if args.invert else None
 
     def run(dataset, ledger):
-        inversion = _inversion_from_args(args, dataset.n_rows // args.M) if args.invert else None
+        inversion = inversion_of(dataset.n_rows // args.M) if inversion_of else None
         return am_verify(dataset, model0, model1, args.coef, config, ledger,
                          inversion=inversion, invert_mass=args.invert_mass)
 
@@ -325,7 +337,7 @@ def _cmd_am_contour(args) -> int:
 
 def _cmd_invert(args) -> int:
     lo, hi = pair(_numbers(args.nu_ci), "--nu-ci", real)
-    assumption = _inversion_from_args(args, None)
+    assumption = _inversion_of(args)(args.n)
     nu_ci = ConfidenceInterval(lo, hi, level=args.mass)
     diff = invert_credible_interval(nu_ci, assumption)
     print(json.dumps({

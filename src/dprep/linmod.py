@@ -151,25 +151,21 @@ def parse_formula(formula: str, intercept: bool = True) -> ModelSpec:
     return ModelSpec(response=lhs, terms=tuple(terms), intercept=intercept)
 
 
-def _transform_column(values: np.ndarray, transform: str) -> np.ndarray:
-    if transform == "identity":
-        return values
+def _transform(values: np.ndarray, transform: str) -> None:
+    """Apply a factor's transform to ``values`` in place."""
     if transform == "square":
-        return values * values
-    return np.log(values)
+        np.multiply(values, values, out=values)
+    elif transform == "log":
+        np.log(values, out=values)
 
 
-def _design_buffer(
-    dataset: Dataset, models
-) -> tuple[np.ndarray, list[list[int]], list[list[str]]]:
-    """One float64 array holding each distinct column the models need once,
-    in order of first use: the intercept, then every model's terms and its
-    response (a response is the same column as the plain term of its name),
-    on the N rows and then one all-zero row, the pad of a plan's blocks.
-    Also returns, per model, the buffer columns of its design with the
-    response last (the layout :func:`fit_stack` takes), and its design
-    names.  A cell outside a transform's domain (log of a value <= 0) or
-    past the float range is left NaN or infinite."""
+def _design_layout(models) -> tuple[dict, list[list[int]], list[list[str]]]:
+    """The design columns the models need, each distinct one once, in order
+    of first use: the intercept, then every model's terms and its response
+    (a response is the same column as the plain term of its name), as a
+    dict from a column's key to its position.  Also returns, per model, the
+    positions of its design with the response last (the layout
+    :func:`fit_stack` takes), and its design names."""
     keys: dict = {"intercept": 0} if any(model.intercept for model in models) else {}
     layouts, names = [], []
     for model in models:
@@ -178,21 +174,31 @@ def _design_buffer(
             cols.append(keys.setdefault(term.factors, len(keys)))
         layouts.append(cols)
         names.append((["intercept"] if model.intercept else []) + list(model.term_names))
-    buffer = np.empty((dataset.n_rows + 1, len(keys)))
-    buffer[-1] = 0.0
-    for key, c in keys.items():
-        if key == "intercept":
-            buffer[:-1, c] = 1.0
-            continue
-        # a term is the product of its transformed factors, in factor order
-        for i, (column, transform) in enumerate(key):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                values = _transform_column(dataset.column(column), transform)
-                if i == 0:
-                    buffer[:-1, c] = values
-                else:
-                    buffer[:-1, c] *= values
-    return buffer, layouts, names
+    return keys, layouts, names
+
+
+def _write_design(out: np.ndarray, keys: dict, gather) -> None:
+    """Write design column c of :func:`_design_layout`'s ``keys`` into
+    out[c]; ``gather(name, into)`` writes a data column's values on out's
+    rows into ``into``.  A term is the product of its transformed factors,
+    in factor order.  A cell outside a transform's domain (log of a value
+    <= 0) or past the float range is left NaN or infinite, without a
+    warning; the np.errstate is set here, as a pool thread does not see its
+    caller's."""
+    factor = None  # a later factor of a product, built apart
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for key, c in keys.items():
+            if key == "intercept":
+                out[c] = 1.0
+                continue
+            for i, (name, transform) in enumerate(key):
+                if i and factor is None:
+                    factor = np.empty_like(out[c])
+                into = factor if i else out[c]
+                gather(name, into)
+                _transform(into, transform)
+                if i:
+                    out[c] *= factor
 
 
 def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, list[str]]:
@@ -202,14 +208,16 @@ def design_with_response(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray
     term columns in specification order.
 
     Raises TransformDomainError when a design cell is not finite."""
-    buffer, _, names = _design_buffer(dataset, [model])
-    finite = np.isfinite(buffer).all(axis=0)
+    keys, _, [names] = _design_layout([model])
+    design = np.empty((len(keys), dataset.n_rows))
+    _write_design(design, keys, lambda name, into: np.copyto(into, dataset.column(name)))
+    finite = np.isfinite(design).all(axis=1)
     if not finite.all():
-        name = names[0][int(np.argmin(finite))]
+        name = names[int(np.argmin(finite))]
         raise TransformDomainError(
             f"design column {name!r} is not finite: log of a value <= 0, or overflow"
         )
-    return buffer[:-1], names[0]  # the N rows, not the pad
+    return design.T, names
 
 
 @dataclass(frozen=True)
@@ -368,31 +376,42 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _factor_in_chunks(buffer: np.ndarray, blocks: np.ndarray, R_U: np.ndarray) -> None:
-    """Fill R_U (M, D, D) with the R of each block buffer[blocks[l]], one
-    chunk at a time: all M blocks when they hold at most ``FIT_CHUNK_ROWS``
-    rows, else ``FIT_CHUNK_ROWS // 4`` rows (at least one block).  Each
-    chunk is gathered and factored on its own, so no copy of all the blocks
-    is held.  One thread per core factors the chunks, as take and the
-    batched QR release the GIL; a block's R is the same bit for bit in any
-    chunk and on any thread.  Nothing here reads the caller's np.errstate,
-    which another thread would not see."""
+def _factor_in_chunks(dataset: Dataset, keys: dict, blocks: np.ndarray,
+                      R_U: np.ndarray) -> None:
+    """Fill R_U (M, D, D) with the R of the design of each block of rows
+    blocks[l], the D columns of :func:`_design_layout`'s ``keys``, one chunk
+    at a time: all M blocks when they hold at most ``FIT_CHUNK_ROWS`` rows,
+    else ``FIT_CHUNK_ROWS // 4`` rows (at least one block).  Each chunk
+    gathers its rows of the data columns and writes its own design
+    (:func:`_write_design`), a pad row (index N) all zeros, which leaves a
+    block's R as it is; so no array of the N rows is built.  One thread per
+    core builds and factors the chunks, as take, the column arithmetic and
+    the batched QR release the GIL; a block's R is the same bit for bit in
+    any chunk and on any thread."""
     M, n = blocks.shape
+    N, D = dataset.n_rows, R_U.shape[1]
+    # looked up here, so that a missing column is raised before any chunk runs
+    columns = {name: dataset.column(name)
+               for key in keys if key != "intercept" for name, _ in key}
     step = M if M * n <= FIT_CHUNK_ROWS else max(1, FIT_CHUNK_ROWS // 4 // n)
     starts = range(0, M, step)
     workers = min(_available_cores(), len(starts))
-    # one gather buffer per running chunk, allocated here so that the
+    # one design buffer per running chunk, allocated here so that the
     # calling thread can reuse the memory once the pool is gone
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(np.empty((step, n, buffer.shape[1])))
+        free.put(np.empty((D, step, n)))
 
     def factor(start):
         out, index = free.get(), blocks[start:start + step]
         try:
-            # "clip" never clips these indices; "raise" would gather into a temporary
-            chunk = np.take(buffer, index, axis=0, out=out[:len(index)], mode="clip")
-            R_U[start:start + step, :n] = np.linalg.qr(chunk, mode="r")
+            chunk = out[:, :len(index)]
+            # "clip" reads the last row for a pad, which is zeroed below;
+            # "raise" would gather into a temporary
+            _write_design(chunk, keys, lambda name, into: np.take(
+                columns[name], index, out=into, mode="clip"))
+            chunk[:, index == N] = 0.0
+            R_U[start:start + step, :n] = np.linalg.qr(chunk.transpose(1, 2, 0), mode="r")
         finally:
             free.put(out)  # also after an exception, or a running chunk would wait forever
 
@@ -412,22 +431,21 @@ def fit_subsets(
     """Fit each model on each of the plan's M subsets: row l of a model's
     fit is subset l.  Returns one (fit, design column names) per model.
 
-    The models share one design buffer U, from which each of the plan's
-    blocks is gathered (a pad reads U's zero row, which leaves a block's R
-    as it is) and factored once, into R_U, by :func:`_factor_in_chunks`.
-    A model's [X | y] is Q_U times its columns of R_U, whose QR is thus its
-    R_aug; columns that lead both it and U are triangular in R_U already.
-    A model that is all of U is fitted bit for bit as alone, any other to
-    rounding, except that a non-finite cell makes its column and every
-    later one of its subset's R_U non-finite: a model using a later column
-    is singular there too.  A plan for other rows is a ConfigError."""
+    The models share one design U, the distinct columns they need, of
+    which each of the plan's blocks is built and factored once, into R_U,
+    by :func:`_factor_in_chunks`.  A model's [X | y] is Q_U times its
+    columns of R_U, whose QR is thus its R_aug; columns that lead both it
+    and U are triangular in R_U already.  A model that is all of U is
+    fitted bit for bit as alone, any other to rounding, except that a
+    non-finite cell makes its column and every later one of its subset's
+    R_U non-finite: a model using a later column is singular there too.  A
+    plan for other rows is a ConfigError."""
     if plan.n_rows != dataset.n_rows:
         raise ConfigError(f"plan covers {plan.n_rows} rows but the data has {dataset.n_rows}")
-    buffer, layouts, names = _design_buffer(dataset, models)
-    D = buffer.shape[1]
+    keys, layouts, names = _design_layout(models)
+    D = len(keys)
     R_U = np.zeros((plan.M, D, D))  # zero rows pad R when a block has fewer than D rows
-    _factor_in_chunks(buffer, plan.blocks, R_U)
-    del buffer
+    _factor_in_chunks(dataset, keys, plan.blocks, R_U)
     out = []
     for cols, model_names in zip(layouts, names):
         p = next((i for i, c in enumerate(cols) if c != i), len(cols))

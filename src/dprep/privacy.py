@@ -129,9 +129,13 @@ def positive(value, name: str) -> float:
 
 
 def count(value, name: str) -> int:
-    """``value`` as :func:`integer`, at least 1."""
+    """``value`` as :func:`integer`, at least 1 and within the doubles, so
+    that a ratio of counts is a float."""
     if (value := integer(value, name)) < 1:
         raise ConfigError(f"{name} must be at least 1, got {value}")
+    if real(value, name) == math.inf:
+        raise ConfigError(f"{name} must be at most the largest double, "
+                          f"got an integer of {value.bit_length()} bits")
     return value
 
 

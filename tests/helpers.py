@@ -208,6 +208,18 @@ def split(plan, values) -> list[np.ndarray]:
             for size in np.unique(sizes)[::-1]]
 
 
+def shared_design(dataset: Dataset, models) -> tuple[np.ndarray, list, list]:
+    """The models' shared design on all N rows, (N, D), written by
+    ``linmod``'s one design writer in the column order ``fit_subsets``
+    factors, unchecked (a cell outside a transform's domain is left NaN);
+    also each model's layout of it and its design names."""
+    keys, layouts, names = linmod._design_layout(models)
+    design = np.empty((len(keys), dataset.n_rows))
+    linmod._write_design(design, keys,
+                         lambda name, into: np.copyto(into, dataset.column(name)))
+    return design.T, layouts, names
+
+
 def reference_fit_subsets(dataset: Dataset, models, plan) -> list:
     """Reference for ``linmod.fit_subsets``: the path dprep took before the
     models shared one QR per subset.  Each model's own design is gathered
@@ -216,7 +228,7 @@ def reference_fit_subsets(dataset: Dataset, models, plan) -> list:
     model."""
     out = []
     for model in models:
-        Xy, _, [names] = linmod._design_buffer(dataset, [model])
+        Xy, _, [names] = shared_design(dataset, [model])
         fits = [linmod.fit_stack(stack) for stack in split(plan, Xy)]
         out.append((linmod.StackFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])
                                       for f in fields(linmod.StackFit))), names))

@@ -1,13 +1,14 @@
 """Every published number a function or type takes goes through one of the
 checked conversions of ``dprep.privacy``: ``fraction`` (0 < x < 1),
-``positive`` (0 < x < inf), ``count`` (an int >= 1), ``integer`` or
-``real``; a pair setting goes through ``pair`` and a planning grid through
-``grid``, then each of its values through one of them.  A bad value is a
-ConfigError before any work; a NumPy scalar is accepted and stored as a
-Python number."""
+``positive`` (0 < x < inf), ``count`` (an int >= 1 within the doubles),
+``integer`` or ``real``; a pair setting goes through ``pair`` and a
+planning grid through ``grid``, then each of its values through one of
+them.  A bad value is a ConfigError before any work; a NumPy scalar is
+accepted and stored as a Python number."""
 
 import dataclasses
 import math
+import sys
 from operator import attrgetter
 
 import numpy as np
@@ -250,6 +251,23 @@ def test_inputs_a_hand_written_copy_let_through_are_refused(case):
     # raise something other than a ConfigError
     with pytest.raises(ConfigError):
         LET_THROUGH[case]()
+
+
+PAST_THE_DOUBLES = 10**400 - 1  # 400 nines: n0 / n raised OverflowError
+N0_SITES = {
+    "build_inflated_region": lambda n0: build_inflated_region(0.0, 1.0, 1.96, n0, 10),
+    "delta_star": lambda n0: delta_star(0.0, 1.0, 1.96, n0, 10),
+    "robustness_contour": lambda n0: robustness_contour([0.0], [5], 1.0, n0, 100, 1.0, SIGN),
+    "null_assumption_lengths": lambda n0: null_assumption_lengths(1.0, n0, 10),
+}
+
+
+@pytest.mark.parametrize("site", N0_SITES)
+def test_an_n0_past_the_doubles_is_refused_and_the_largest_double_is_not(site):
+    with pytest.raises(ConfigError, match="^n0 must be at most the largest double, "
+                                          "got an integer of 1329 bits$"):
+        N0_SITES[site](PAST_THE_DOUBLES)
+    N0_SITES[site](int(sys.float_info.max))
 
 
 def test_a_numpy_float_release_value_is_a_release():

@@ -5,14 +5,16 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (reference_fit_stack, reference_fit_subsets, split, subset_oracle,
-                     synth_dataset)
+from helpers import (reference_fit_stack, reference_fit_subsets, replace_row, shared_design,
+                     split, subset_oracle, synth_dataset)
 
 from dprep import (
     ConfigError,
@@ -433,7 +435,7 @@ def test_fit_core_matches_lu_reference_across_conditioning():
 
 def _design_stacks(ds, model, plan):
     """The model's own design X on each subset, as split stacks it."""
-    Xy, _, _ = linmod._design_buffer(ds, [model])
+    Xy, _, _ = shared_design(ds, [model])
     return [stack[..., :-1] for stack in split(plan, Xy)]
 
 
@@ -529,8 +531,8 @@ def test_each_chunk_of_blocks_is_factored_once(monkeypatch, n_models):
     ds = _chunk_dataset()
     plan = make_partition(ds.n_rows, 35, seed=3)  # 35 subsets of 29 rows
     models = [parse_formula(formula) for formula in MODELS + ["z ~ x1 + sq(x2)"]][:n_models]
-    buffer, _, _ = linmod._design_buffer(ds, models)
-    expected = sorted(block.tobytes() for block in buffer[plan.blocks])
+    design, _, _ = shared_design(ds, models)
+    expected = sorted(block.tobytes() for block in design[plan.blocks])
     # the whole stack on this thread; chunks of three blocks (87 rows) on
     # this thread, or on a pool of three threads
     for chunk_rows, cores in [(1015, 3), (4 * 87, 1), (4 * 87, 3)]:
@@ -643,6 +645,42 @@ def test_an_exception_in_a_chunk_propagates_from_the_pool(monkeypatch, fails):
     assert not caller.is_alive()  # no hang
     assert [str(exc) for exc in raised] == ["a chunk failed"]
     assert threading.active_count() == before  # the pool is shut down
+
+
+def test_a_cell_outside_a_transform_warns_on_no_pool_thread(monkeypatch):
+    # each chunk writes its design on a pool thread, which does not see the
+    # caller's np.errstate: a log of a value <= 0 in subset 3 and a square
+    # past the float range in subset 60, each in its own chunk of 23
+    # blocks, raise no warning there and make only those subsets singular
+    ds = synth_dataset(70_003, seed=8)  # 3 subsets of 701 rows, the rest padded
+    plan = make_partition(ds.n_rows, 100, seed=9)
+    assert plan.M * plan.blocks.shape[1] > linmod.FIT_CHUNK_ROWS  # the pool's path
+    ds = replace_row(ds, int(plan.blocks[3, 0]), {"x2": -1.0})
+    ds = replace_row(ds, int(plan.blocks[60, 5]), {"x3": 1e200})
+    models = [parse_formula("y ~ x1 + log(x2) + sq(x3)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on any thread is raised
+        pool = _fits_on(monkeypatch, max(2, linmod._available_cores()), ds, models, plan)
+        one = _fits_on(monkeypatch, 1, ds, models, plan)
+    assert np.flatnonzero(pool[0][0].singular).tolist() == [3, 60]
+    _assert_fits_identical(one, pool)
+
+
+def test_the_fit_stage_peak_allocation_is_flat_in_n(monkeypatch):
+    # each chunk writes its own design, so nothing of the N rows is built:
+    # the peak is the chunks' buffers, R_U and the fits, whatever N is
+    monkeypatch.setattr(linmod, "_available_cores", lambda: 2)
+    models = [parse_formula("y ~ x1 + x2 + x3"), parse_formula("y ~ x1 + sq(x2)")]
+    peaks = []
+    for N in (250_000, 1_000_000):
+        ds, plan = synth_dataset(N, seed=6), make_partition(N, 1000, seed=7)
+        tracemalloc.start()
+        try:
+            fit_subsets(ds, models, plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.25 * min(peaks) and max(peaks) < 8 * 2**20, peaks
 
 
 def test_a_stack_of_at_most_fit_chunk_rows_starts_no_thread(monkeypatch):

@@ -865,6 +865,40 @@ def test_cli_bad_setting_exits_2_before_release(tmp_path, table, monkeypatch, ca
     assert not (tmp_path / "no-such-dir").exists()
 
 
+NINES = "9" * 400  # an --n0 past the doubles
+
+
+@pytest.mark.parametrize("command", ["ad-verify", "am-verify", "ad-mselect", "invert"])
+def test_cli_n0_past_the_doubles_exits_2_before_ingest(tmp_path, table, monkeypatch, capsys,
+                                                       command):
+    # n0 / n used to raise OverflowError, a traceback and exit 1, in the
+    # verify commands after the table was read
+    import dprep.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the table was read before --n0 was checked")
+
+    monkeypatch.setattr(dprep.cli, "read_table", forbidden)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledger.ndjson").write_text(LEDGER_RECORD + "\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    args = {
+        "ad-verify": _ad_args(table, tmp_path) + [
+            "--region", "inflate:1.96", "--gamma-o", "0.5", "--sigma-o", "0.1", "--n0", NINES],
+        "am-verify": _am_args(table, tmp_path) + ["--invert", "--sigma-o", "0.1", "--n0", NINES],
+        "ad-mselect": ["ad-mselect", "--gamma-grid", "0:1:3", "--m-grid", "5,10",
+                       "--sigma-o", "1", "--n0", NINES, "--N", "1000", "--epsilon", "1",
+                       "--region", "0:inf", "--out", str(tmp_path / "grid.csv")],
+        "invert": ["invert", "--nu-ci", "0.8,0.9", "--sigma-o", "1", "--n0", NINES,
+                   "--n", "10"],
+    }[command]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: n0 must be at most the largest double")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("framework", ["ad", "am"])
 def test_ledger_in_a_missing_directory_exits_2_before_ingest(tmp_path, table, monkeypatch,
                                                              capsys, framework):
