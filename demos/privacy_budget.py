@@ -14,9 +14,9 @@ import numpy as np
 from dprep import (
     BudgetExceededError,
     BudgetLedger,
+    Laplace,
     PrivacyParams,
     RngStream,
-    laplace_sample,
     release_scalar,
 )
 
@@ -24,12 +24,12 @@ from dprep import (
 def main():
     print("=== Laplace mechanism ===")
     stream = RngStream(2021).child("demo-noise")
-    draws = laplace_sample(stream, scale=1.0, size=200_000)
+    draws = Laplace(epsilon=1.0, sensitivity=1.0).sample(stream, size=200_000)
     print(f"scale-1 draws: var = {draws.var():.3f} (theory 2.0), "
           f"P(|x| > 3) = {np.mean(np.abs(draws) > 3):.4f} "
           f"(theory {math.exp(-3):.4f})")
 
-    replay = laplace_sample(RngStream(2021).child("demo-noise"), 1.0, size=5)
+    replay = Laplace(1.0, 1.0).sample(RngStream(2021).child("demo-noise"), size=5)
     print(f"streams replay from their path: first draws again -> {np.round(replay, 4)}")
 
     print("\n=== budget composition against a cap ===")
@@ -59,8 +59,8 @@ def main():
 
     print("\n=== why subsample-and-aggregate helps ===")
     for M in (1, 25):
-        scale = 1.0 / (M * 1.0)
-        noise = laplace_sample(RngStream(5).child("agg", M), scale, size=100_000)
+        # epsilon 1 on an average of M subsets: sensitivity, and scale, 1/M
+        noise = Laplace(1.0, 1.0 / M).sample(RngStream(5).child("agg", M), size=100_000)
         print(f"M = {M:>2}: noise sd on an averaged statistic = {noise.std():.4f}")
     print("averaging over M subsets divides the sensitivity, and the noise, by M")
 

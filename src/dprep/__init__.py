@@ -70,12 +70,12 @@ from .linmod import (
 from .partition import PartitionPlan, make_partition
 from .privacy import (
     BudgetLedger,
+    Laplace,
     NoisyRelease,
     PrivacyParams,
     Released,
     RngStream,
     UncappedBudgetWarning,
-    laplace_sample,
     release_scalar,
 )
 from .tabular import Dataset, encode_categoricals, read_schema, read_table

@@ -5,9 +5,9 @@ The pipeline is: partition the confidential data, fit the published model on
 each subset, count how many subset coefficients land in the tolerance region
 (S, custodian-only; a subset whose fit fails counts 0), release
 S + Laplace(0, 1/epsilon), and draw (r, S) exactly from their posterior
-given the noisy count; the ``burn_in`` of
-``ADConfig.mcmc`` is unused.  Only the noisy count and posterior summaries
-ever cross the privacy boundary.
+given the noisy count under the release's own law, ``privacy.Laplace``;
+the ``burn_in`` of ``ADConfig.mcmc`` is unused.  Only the noisy count and
+posterior summaries ever cross the privacy boundary.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .linmod import ModelSpec, coef_position, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
+    Laplace,
     PrivacyParams,
     Released,
     RngStream,
@@ -211,16 +212,16 @@ def theta_hat(r_samples: np.ndarray, delta: float) -> float:
 
 
 def s_marginal_logweights(
-    s_noisy: float, M: int, eps: float, a: float, b: float
+    s_noisy: float, M: int, mechanism: Laplace, a: float, b: float
 ) -> np.ndarray:
     """Unnormalized log p(S = s | s_noisy) for s in 0..M, with r integrated out.
 
-    The weight of s is exp(-eps*|s_noisy - s|) * C(M, s) * B(s + a, M - s + b):
-    the Laplace likelihood times the Beta-Binomial prior of the count.
+    The weight of s is exp(mechanism.loglik(s_noisy - s)) * C(M, s) * B(s + a, M - s + b):
+    the noise likelihood times the Beta-Binomial prior of the count.
     """
     s_grid = np.arange(M + 1)
     log_binom = gammaln(M + 1) - gammaln(s_grid + 1) - gammaln(M - s_grid + 1)
-    return (-eps * np.abs(s_noisy - s_grid) + log_binom
+    return (mechanism.loglik(s_noisy - s_grid) + log_binom
             + betaln(s_grid + a, M - s_grid + b))
 
 
@@ -230,8 +231,8 @@ def gibbs_posterior(released: Released, delta: float | None = None) -> ADPosteri
     S takes only the values 0..M, so r integrates out in closed form: each
     pair is S drawn from its marginal (``s_marginal_logweights``, normalized
     by direct summation), then r | S ~ Beta(S + a, M - S + b).  There is no
-    chain to mix.  M, epsilon, the prior and the seed come from
-    ``released.config``; ``keep`` of ``config.mcmc`` is the number of draws.
+    chain to mix.  The noise law is the release record's; M, the prior and the
+    seed come from ``released.config``, and ``keep`` of ``config.mcmc`` is the number of draws.
     """
     config = released.config
     if delta is None:
@@ -240,7 +241,8 @@ def gibbs_posterior(released: Released, delta: float | None = None) -> ADPosteri
     M = config.M
     a, b = config.prior
     _, keep = config.mcmc
-    logw = s_marginal_logweights(released.release.value, M, config.eps, a, b)
+    mechanism = Laplace(released.release.epsilon_spent, released.release.sensitivity)
+    logw = s_marginal_logweights(released.release.value, M, mechanism, a, b)
     weights = np.exp(logw - logw.max())
     rng = RngStream(config.seed).child("ad-gibbs").generator
     s_samples = rng.choice(M + 1, size=keep, p=weights / weights.sum())
@@ -306,7 +308,7 @@ def robustness_contour(
     MAX_GRID_POINTS cells, gamma values times (largest M + 1), is refused.
     """
     sigma_hat_o, n0, N = positive(sigma_hat_o, "sigma_hat_o"), count(n0, "n0"), count(N, "N")
-    eps = PrivacyParams.of(epsilon).epsilon
+    eta = Laplace(PrivacyParams.of(epsilon).epsilon, 1.0)
     gammas, Ms = grid(gamma_grid, "gamma"), [count(M, "M") for M in grid(M_grid, "M")]
     if max(Ms) > N:
         raise ConfigError(f"every M must satisfy 1 <= M <= N = {N}, got {max(Ms)}")
@@ -316,7 +318,6 @@ def robustness_contour(
         raise ConfigError("gamma grid values must be finite")
 
     q = np.array([0.1, 0.9])
-    eta_q = -np.sign(q - 0.5) * np.log(1 - np.abs(2 * q - 1)) / eps  # Laplace quantiles
     T = np.empty((gamma_axis.size, M_axis.size))
     for j, M in enumerate(Ms):
         sd = sigma_hat_o * math.sqrt(n0 / (N // M))
@@ -324,14 +325,12 @@ def robustness_contour(
         s = np.arange(M + 1)
         pmf = np.exp(gammaln(M + 1) - gammaln(s + 1) - gammaln(M - s + 1)
                      + xlogy(s, p[:, None]) + xlogy(M - s, 1.0 - p[:, None]))
-        # S lies in [0, M], so each quantile lies in [eta_q/M, 1 + eta_q/M]
-        lo = np.broadcast_to(eta_q / M, (gamma_axis.size, 2))
+        # S lies in [0, M], so each quantile lies in [eta_q/M, 1 + eta_q/M], eta_q eta's own
+        lo = np.broadcast_to(eta.quantile(q) / M, (gamma_axis.size, 2))
         hi = lo + 1.0
         for _ in range(QUANTILE_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            t = M * mid[..., None] - s
-            tail = 0.5 * np.exp(-eps * np.abs(t))
-            cdf = np.einsum("gs,gqs->gq", pmf, np.where(t < 0, tail, 1.0 - tail))
+            cdf = np.einsum("gs,gqs->gq", pmf, eta.cdf(M * mid[..., None] - s))
             below = cdf < q
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         q10, q90 = (0.5 * (lo + hi)).T

@@ -4,9 +4,9 @@ Per subset, both models are fit and the equal-tailed CIs of the shared
 coefficient are compared with the length-overlap measure nu in [0, 1]
 (1 = identical intervals, 0 = disjoint or a failed fit).  The subset
 average nu_bar is released with Laplace(0, 1/(epsilon*M)) noise, its
-one-dimensional posterior is computed by grid quadrature, drawing nothing,
-and a posterior credible interval can be inverted into a bound on the
-absolute coefficient difference under an assumption on the interval lengths.
+posterior under that released law is computed by grid quadrature, drawing
+nothing, and a posterior credible interval can be inverted into a bound on
+the absolute coefficient difference under an assumption on the interval lengths.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .linmod import ConfidenceInterval, ModelSpec, fit_subsets
 from .partition import PartitionPlan
 from .privacy import (
     BudgetLedger,
+    Laplace,
     PrivacyParams,
     Released,
     RunConfig,
@@ -178,8 +179,8 @@ class AMPosterior:
 
 
 def posterior_nu(released: Released) -> AMPosterior:
-    """Posterior density of nu_bar, proportional to
-    exp(-M*eps*|nu - nu_noisy|) * nu^(a-1) * (1-nu)^(b-1) on [0, 1].
+    """Posterior density of nu_bar, proportional to exp(-(eps/Delta)*|nu - nu_noisy|) *
+    nu^(a-1) * (1-nu)^(b-1) on [0, 1], the rate eps/Delta read from the release record.
 
     The density is evaluated in log space on a uniform grid and normalized
     by the trapezoid rule, and the CDF is its cumulative sum.  Nothing is
@@ -193,8 +194,9 @@ def posterior_nu(released: Released) -> AMPosterior:
         grid = np.linspace(0.0, 1.0, G + 2)[1:-1]
     else:
         grid = np.linspace(0.0, 1.0, G)
+    release = released.release
     logpdf = (
-        -config.M * config.eps * np.abs(grid - released.release.value)
+        Laplace(release.epsilon_spent, release.sensitivity).loglik(grid - release.value)
         + xlogy(a - 1.0, grid)
         + xlogy(b - 1.0, 1.0 - grid)
     )
@@ -220,13 +222,13 @@ def error_bound(
 ) -> float:
     """Chebyshev bound on P(|noisy average overlap - its expectation| >= omega).
 
-    Returns (variance_cap/M + 2/(M^2 eps^2)) / omega^2.  The default cap
-    1/4 is the worst case for a [0, 1] variable; pass 1/12 for a uniform
-    overlap.  Useful for screening M before spending any budget.
+    Returns (variance_cap/M + Laplace(eps, 1/M).variance) / omega^2.  The
+    default cap 1/4 is the worst case for a [0, 1] variable; pass 1/12 for
+    a uniform overlap.  Useful for screening M before spending any budget.
     """
     M, epsilon = count(M, "M"), PrivacyParams.of(epsilon).epsilon
     omega, variance_cap = positive(omega, "omega"), positive(variance_cap, "variance_cap")
-    return (variance_cap / M + 2.0 / (M**2 * epsilon**2)) / omega**2
+    return (variance_cap / M + Laplace(epsilon, 1.0 / M).variance) / omega**2
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Laplace mechanism, privacy-budget ledger, and seeded random streams.
 
+:class:`Laplace` is the noise law a release draws and every posterior models.
 Every stochastic component of the package draws from an :class:`RngStream`
 so that a whole run is reproducible from one root seed while independent
 sub-streams can be handed to parallel work (repeated verifications)
@@ -75,30 +76,15 @@ class RngStream:
         return f"RngStream(root_seed={self.root_seed}, path={self.path!r})"
 
 
-def laplace_sample(stream: RngStream, scale: float, size=None):
-    """Draw from Laplace(0, scale) by inverse CDF.
-
-    Parameters
-    ----------
-    stream : RngStream
-        Source of uniforms; exactly one 64-bit draw is consumed per variate.
-    scale : float
-        Laplace scale b of the density (1/2b) exp(-|x|/b); above 0 and finite.
-    size : int or tuple, optional
-        Shape of the output; a scalar float is returned when omitted.
-    """
-    scale = positive(scale, "Laplace scale")
-    u = stream.uniform_open(size)
-    t = u - 0.5
-    out = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
-    return float(out) if size is None else out
-
-
 def integer(value, name: str) -> int:
-    """``value``, an integer of any type (a NumPy one too) but not a bool, as an int."""
+    """``value``, an integer of any type (a NumPy one too) but not a bool, as an
+    int within the doubles, so that a message can print it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    if abs(real(value := operator.index(value), name)) == math.inf:
+        raise ConfigError(f"{name} must be {'at most' if value > 0 else 'at least minus'} the "
+                          f"largest double, got an integer of {value.bit_length()} bits")
+    return value
 
 
 def real(value, name: str) -> float:
@@ -129,13 +115,9 @@ def positive(value, name: str) -> float:
 
 
 def count(value, name: str) -> int:
-    """``value`` as :func:`integer`, at least 1 and within the doubles, so
-    that a ratio of counts is a float."""
+    """``value`` as :func:`integer`, at least 1."""
     if (value := integer(value, name)) < 1:
         raise ConfigError(f"{name} must be at least 1, got {value}")
-    if real(value, name) == math.inf:
-        raise ConfigError(f"{name} must be at most the largest double, "
-                          f"got an integer of {value.bit_length()} bits")
     return value
 
 
@@ -160,6 +142,39 @@ def grid(values, name: str):
     if len(values) == 0:
         raise ConfigError(f"the {name} grid must be nonempty")
     return values
+
+
+class Laplace:
+    """The noise law Laplace(0, sensitivity/epsilon), on floats or elementwise on arrays.
+    Slotted with a plain ``__init__``: one is built per release; frozen setattrs cost ~6%."""
+
+    __slots__ = ("epsilon", "sensitivity")
+
+    def __init__(self, epsilon, sensitivity):
+        self.epsilon = positive(epsilon, "epsilon")
+        self.sensitivity = positive(sensitivity, "sensitivity")
+
+    def sample(self, stream: RngStream, size=None):
+        """Inverse-CDF draws, one 64-bit word each; a float when ``size`` is omitted."""
+        out = self.quantile(stream.uniform_open(size))
+        return float(out) if size is None else out
+
+    def quantile(self, q):
+        t = q - 0.5  # abs, not np.abs: no ufunc call on a float, and the same value
+        return -(self.sensitivity / self.epsilon) * np.sign(t) * np.log1p(-2.0 * abs(t))
+
+    def loglik(self, x):
+        """The log density less its constant, which a posterior normalises away."""
+        return -(self.epsilon / self.sensitivity) * np.abs(x)
+
+    def cdf(self, x):
+        tail = 0.5 * np.exp(-(self.epsilon / self.sensitivity) * np.abs(x))
+        return np.where(x < 0, tail, 1.0 - tail)
+
+    @property
+    def variance(self) -> float:
+        scale = self.sensitivity / self.epsilon  # scale * scale is inf where scale**2 raises
+        return 2.0 * scale * scale
 
 
 @dataclass(frozen=True)
@@ -427,7 +442,7 @@ def release_scalar(
     ledger: BudgetLedger,
     stream: RngStream,
 ) -> NoisyRelease:
-    """Release ``true_value`` plus Laplace(0, sensitivity/epsilon) noise.
+    """Release ``true_value`` plus noise drawn from ``Laplace(epsilon, sensitivity)``.
 
     ``sensitivity`` bounds the change of ``true_value`` between neighbouring
     datasets: datasets that differ by substituting one row, N being public.
@@ -437,7 +452,7 @@ def release_scalar(
     clamped or rounded — consumers must expect releases outside the range
     of the underlying statistic.
     """
-    sensitivity = positive(sensitivity, "sensitivity")
+    law = Laplace(params.epsilon, sensitivity)
     ledger.check(params.epsilon)
     if ledger.cap is None:
         warnings.warn(
@@ -446,11 +461,10 @@ def release_scalar(
             UncappedBudgetWarning,
             stacklevel=2,
         )
-    noise = laplace_sample(stream, sensitivity / params.epsilon)
     release = NoisyRelease(
-        value=true_value + noise,
+        value=true_value + law.sample(stream),
         epsilon_spent=params.epsilon,
-        sensitivity=sensitivity,
+        sensitivity=law.sensitivity,
         mechanism="laplace",
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

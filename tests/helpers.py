@@ -18,7 +18,6 @@ from dprep import (
     RngStream,
     SingularFitError,
     TransformDomainError,
-    laplace_sample,
     linmod,
 )
 from dprep.am import Z975
@@ -42,6 +41,15 @@ def synth_dataset(
     x3 = (rng.uniform(size=n) < 0.5).astype(float)
     y = 2.0 * x1 + x2_coef * x2 + 3.0 * x3 + rng.normal(0.0, noise_sd, n)
     return Dataset({"x1": x1, "x2": x2, "x3": x3, "y": y})
+
+
+def laplace_sample_reference(stream: RngStream, scale: float, size=None):
+    """Reference Laplace(0, scale) draws: the inverse-CDF arithmetic dprep's
+    sampler was first written with, on the stream's open uniforms; a float
+    when ``size`` is omitted."""
+    t = stream.uniform_open(size) - 0.5
+    out = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
+    return float(out) if size is None else out
 
 
 def replace_row(dataset: Dataset, row: int, values: dict[str, float]) -> Dataset:
@@ -248,7 +256,7 @@ def robustness_cell_oracle(gamma, M, sigma_hat_o, n0, N, eps, region, K, stream,
         k = min(chunk, K - start)
         coefs = stream.generator.normal(gamma, sd, size=(k, M))
         S = region.contains(coefs).sum(axis=1)
-        r_obs[start:start + k] = (S + laplace_sample(stream, 1.0 / eps, size=k)) / M
+        r_obs[start:start + k] = (S + laplace_sample_reference(stream, 1.0 / eps, size=k)) / M
     return r_obs
 
 

@@ -18,6 +18,7 @@ from dprep import (
     BudgetLedger,
     ConfigError,
     Dataset,
+    Laplace,
     NoisyRelease,
     RngStream,
     build_fixed_region,
@@ -26,7 +27,6 @@ from dprep import (
     delta_star,
     fit_ols,
     gibbs_posterior,
-    laplace_sample,
     make_partition,
     parse_formula,
     release_count,
@@ -167,7 +167,7 @@ def test_release_count_uses_unit_sensitivity():
     ledger = BudgetLedger(cap=1.0)
     released = release_count(3, config, ledger)
     twin = RngStream(11).child("ad-release")
-    assert released.release.value == 3.0 + laplace_sample(twin, 1.0 / 0.5)
+    assert released.release.value == 3.0 + Laplace(0.5, 1.0).sample(twin)
     assert released.release.sensitivity == 1.0
     assert ledger.spent == pytest.approx(0.5)
 
@@ -193,7 +193,7 @@ def _exact_s_pmf(s_noisy, M, eps, a=1.0, b=1.0):
 def test_s_conditional_two_point_oracle():
     # M=1, eps=1, s_noisy=0.3, flat prior: B(1, 2) = B(2, 1) = 1/2, so
     # P(S=0) = e^{-0.3} / (e^{-0.3} + e^{-0.7}) = 1/(1+e^{-0.4})
-    logw = s_marginal_logweights(0.3, M=1, eps=1.0, a=1.0, b=1.0)
+    logw = s_marginal_logweights(0.3, M=1, mechanism=Laplace(1.0, 1.0), a=1.0, b=1.0)
     w = np.exp(logw - logw.max())
     w /= w.sum()
     assert w[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.4)), abs=1e-12)

@@ -15,6 +15,7 @@ from dprep import (
     Dataset,
     DegenerateIntervalError,
     InversionAssumption,
+    Laplace,
     NoisyRelease,
     RngStream,
     average_overlap,
@@ -24,7 +25,6 @@ from dprep import (
     fit_ols,
     invert_credible_interval,
     invert_overlap,
-    laplace_sample,
     make_partition,
     null_assumption_lengths,
     overlap_measure,
@@ -201,7 +201,7 @@ def test_release_overlap_sensitivity_is_one_over_m():
                            lower=np.zeros((2, 25)), upper=np.ones((2, 25)))
     released = release_overlap(result, config, ledger)
     twin = RngStream(13).child("am-release")
-    assert released.release.value == 0.8 + laplace_sample(twin, 1.0 / 25.0)
+    assert released.release.value == 0.8 + Laplace(1.0, 1.0 / 25.0).sample(twin)
     assert released.release.sensitivity == pytest.approx(1.0 / 25.0)
 
 
@@ -263,6 +263,18 @@ def test_posterior_is_the_same_whatever_the_seed():
     for name in ("grid", "density", "cdf"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert summarize_nu_samples(a, 0.95) == summarize_nu_samples(b, 0.95)
+
+
+def test_posterior_models_the_law_its_release_records():
+    # the rate is epsilon / sensitivity of the release record, which the
+    # report publishes, not M * epsilon of the config (they part in the last bit)
+    release = _released(0.7, M=9, eps=0.1).release
+    post = posterior_nu(Released(AMConfig(M=9, epsilon=0.1), release))
+    rate = 0.1 / (1 / 9)
+    assert rate != 9 * 0.1
+    logpdf = -rate * np.abs(post.grid - 0.7)
+    pdf = np.exp(logpdf - logpdf.max())
+    assert np.array_equal(post.density, pdf / np.trapezoid(pdf, post.grid))
 
 
 def test_credible_interval_validation():

@@ -5,19 +5,26 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, parse_records_oracle
+from helpers import (
+    BAD_LEDGER_RECORDS,
+    LEDGER_RECORD,
+    TORN_NON_UTF8,
+    laplace_sample_reference,
+    parse_records_oracle,
+)
 
 from dprep import (
     BudgetExceededError,
     BudgetLedger,
     ConfigError,
+    Laplace,
     LedgerCorruptError,
     NoisyRelease,
     PrivacyParams,
     RngStream,
     UncappedBudgetWarning,
-    laplace_sample,
     release_scalar,
 )
 
@@ -27,8 +34,8 @@ from dprep import (
 def test_same_path_replays_identical_sequence():
     a = RngStream(123).child("noise", 4)
     b = RngStream(123).child("noise", 4)
-    assert laplace_sample(a, 1.0, size=100).tolist() == \
-           laplace_sample(b, 1.0, size=100).tolist()
+    assert Laplace(1.0, 1.0).sample(a, size=100).tolist() == \
+           Laplace(1.0, 1.0).sample(b, size=100).tolist()
 
 
 def _integers_uniforms(gen, size):
@@ -53,7 +60,7 @@ def test_uniform_open_is_bit_equal_to_the_integers_formula(seed):
         got, want = stream.uniform_open(size), _integers_uniforms(twin.generator, size)
         assert type(got) is float if size is None else got.shape == want.shape
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        got = laplace_sample(stream, 2.5, size=size)
+        got = Laplace(1.0, 2.5).sample(stream, size=size)
         want = _integers_laplace(twin.generator, 2.5, size)
         assert type(got) is float if size is None else got.dtype == np.float64
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -62,41 +69,70 @@ def test_uniform_open_is_bit_equal_to_the_integers_formula(seed):
 def test_distinct_paths_are_distinct():
     root = RngStream(123)
     draws = {
-        tuple(laplace_sample(root.child(label, i), 1.0, size=4))
+        tuple(Laplace(1.0, 1.0).sample(root.child(label, i), size=4))
         for label in ("a", "b") for i in range(3)
     }
     assert len(draws) == 6
     # different root seeds differ too
-    assert laplace_sample(RngStream(1).child("a"), 1.0) != \
-           laplace_sample(RngStream(2).child("a"), 1.0)
+    assert Laplace(1.0, 1.0).sample(RngStream(1).child("a")) != \
+           Laplace(1.0, 1.0).sample(RngStream(2).child("a"))
 
 
 # ---------------------------------------------------------- laplace draws
 
 def test_laplace_variance_identity():
     b = 2.0
-    draws = laplace_sample(RngStream(7).child("var"), b, size=1_000_000)
+    draws = Laplace(1.0, b).sample(RngStream(7).child("var"), size=1_000_000)
     assert draws.var() == pytest.approx(2 * b * b, rel=0.02)
 
 
 def test_laplace_tail_mass():
     # P(|x| > 3b) = exp(-3) ~ 0.049787
     b = 1.5
-    draws = laplace_sample(RngStream(8).child("tail"), b, size=1_000_000)
+    draws = Laplace(1.0, b).sample(RngStream(8).child("tail"), size=1_000_000)
     emp = np.mean(np.abs(draws) > 3 * b)
     assert abs(emp - math.exp(-3)) < 0.003
 
 
 def test_laplace_sign_balance():
-    draws = laplace_sample(RngStream(9).child("sign"), 1.0, size=1_000_000)
+    draws = Laplace(1.0, 1.0).sample(RngStream(9).child("sign"), size=1_000_000)
     assert abs(np.mean(draws > 0) - 0.5) < 0.002
+
+
+LAWS = [(eps, sensitivity) for eps in (0.01, 1.0, 5.0) for sensitivity in (1.0, 1 / 25, 1 / 5000)]
+Q = np.array([0.01, 0.1, 0.3, 0.49, 0.5, 0.51, 0.7, 0.9, 0.99])
+
+
+@pytest.mark.parametrize("eps, sensitivity", LAWS)
+def test_laplace_law_matches_scipy(eps, sensitivity):
+    law, scale = Laplace(eps, sensitivity), sensitivity / eps
+    ref = stats.laplace(scale=scale)
+    x = scale * np.array([-30.0, -3.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 3.0, 30.0])
+    assert law.cdf(x) == pytest.approx(ref.cdf(x), rel=1e-12, abs=0)
+    assert law.quantile(Q) == pytest.approx(ref.ppf(Q), rel=1e-12, abs=0)
+    # the log density up to its constant, the same at every x
+    gap = law.loglik(x) - ref.logpdf(x)
+    assert np.ptp(gap) < 1e-12
+    assert law.variance == ref.var() == 2 * scale**2
+    assert law.cdf(law.quantile(Q)) == pytest.approx(Q, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("eps, sensitivity", LAWS)
+def test_laplace_sample_is_the_reference_inverse_cdf_bit_for_bit(eps, sensitivity):
+    law = Laplace(eps, sensitivity)
+    stream, twin = RngStream(3).child("law"), RngStream(3).child("law")
+    for size in (None, 1, 7, (2, 3), None):
+        got = law.sample(stream, size)
+        want = laplace_sample_reference(twin, sensitivity / eps, size)
+        assert type(got) is float if size is None else got.shape == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_laplace_scale_validation():
     with pytest.raises(ConfigError):
-        laplace_sample(RngStream(0), 0.0)
+        Laplace(1.0, 0.0)
     with pytest.raises(ConfigError):
-        laplace_sample(RngStream(0), -1.0)
+        Laplace(1.0, -1.0)
 
 
 # -------------------------------------------------------------- releases
@@ -107,7 +143,7 @@ def test_release_adds_exactly_the_stream_noise():
     twin = RngStream(21).child("rel")
     ledger = BudgetLedger(cap=10.0)
     rel = release_scalar(5.0, 2.0, PrivacyParams(0.5), ledger, stream)
-    assert rel.value == 5.0 + laplace_sample(twin, 2.0 / 0.5)
+    assert rel.value == 5.0 + Laplace(0.5, 2.0).sample(twin)
     assert rel.epsilon_spent == 0.5
     assert rel.sensitivity == 2.0
     assert rel.mechanism == "laplace"
@@ -116,8 +152,8 @@ def test_release_adds_exactly_the_stream_noise():
 def test_noise_variance_shrinks_with_sensitivity_over_m():
     # sensitivity 1/M at fixed epsilon shrinks noise variance by 1/M^2
     M = 8
-    s1 = laplace_sample(RngStream(3).child("v1"), 1.0, size=200_000)
-    sM = laplace_sample(RngStream(3).child("v2"), 1.0 / M, size=200_000)
+    s1 = Laplace(1.0, 1.0).sample(RngStream(3).child("v1"), size=200_000)
+    sM = Laplace(1.0, 1.0 / M).sample(RngStream(3).child("v2"), size=200_000)
     assert sM.var() / s1.var() == pytest.approx(1.0 / M**2, rel=0.05)
 
 
@@ -129,12 +165,12 @@ def test_budget_composition_and_refusal():
     assert ledger.spent == pytest.approx(0.6)
 
     # second release refused before any noise is sampled
-    next_draw_if_untouched = laplace_sample(RngStream(4).child("budget-probe"), 1.0)
+    next_draw_if_untouched = Laplace(1.0, 1.0).sample(RngStream(4).child("budget-probe"))
     probe_twin = RngStream(4).child("budget-probe")
     with pytest.raises(BudgetExceededError):
         release_scalar(0.0, 1.0, params, ledger, stream)
     assert len(ledger.entries) == 1
-    assert laplace_sample(probe_twin, 1.0) == next_draw_if_untouched
+    assert Laplace(1.0, 1.0).sample(probe_twin) == next_draw_if_untouched
 
     # exact-fit spending is allowed
     release_scalar(0.0, 1.0, PrivacyParams(0.4), ledger, stream)
@@ -149,7 +185,7 @@ def test_refusal_consumes_no_randomness():
     with pytest.raises(BudgetExceededError):
         release_scalar(0.0, 1.0, PrivacyParams(0.6), ledger, stream)
     # stream state untouched: next draw equals a fresh twin's first draw
-    assert laplace_sample(stream, 1.0) == laplace_sample(twin, 1.0)
+    assert Laplace(1.0, 1.0).sample(stream) == Laplace(1.0, 1.0).sample(twin)
 
 
 def test_uncapped_ledger_warns_per_release():

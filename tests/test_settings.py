@@ -29,6 +29,7 @@ from dprep import (
     ConfigError,
     FitResult,
     InversionAssumption,
+    Laplace,
     NoisyRelease,
     PartitionPlan,
     PrivacyParams,
@@ -43,7 +44,6 @@ from dprep import (
     delta_star,
     error_bound,
     invert_overlap,
-    laplace_sample,
     make_partition,
     null_assumption_lengths,
     parse_formula,
@@ -92,7 +92,8 @@ SITES = {
     "RunConfig.prior[1]": ("positive", lambda v: RunConfig(M=10, epsilon=1.0, prior=(1.0, v)),
                            lambda c: c.prior[1]),
     "BudgetLedger.cap": ("positive", lambda v: BudgetLedger(cap=v), attrgetter("cap")),
-    "laplace_sample.scale": ("positive", lambda v: laplace_sample(RngStream(0), v), None),
+    "Laplace.epsilon": ("positive", lambda v: Laplace(v, 1.0), attrgetter("epsilon")),
+    "Laplace.sensitivity": ("positive", lambda v: Laplace(1.0, v), attrgetter("sensitivity")),
     "release_scalar.sensitivity": (
         "positive", lambda v: release_scalar(0.0, v, PrivacyParams(1.0), BudgetLedger(cap=1.0),
                                              RngStream(0)), attrgetter("sensitivity")),
@@ -268,6 +269,30 @@ def test_an_n0_past_the_doubles_is_refused_and_the_largest_double_is_not(site):
                                           "got an integer of 1329 bits$"):
         N0_SITES[site](PAST_THE_DOUBLES)
     N0_SITES[site](int(sys.float_info.max))
+
+
+HUGE = 10**5000  # past the 4,300 digits an int may print with
+HUGE_INTS = {
+    "count": lambda ledger: count(-HUGE, "M"),
+    "RunConfig.M": lambda ledger: RunConfig(M=-HUGE, epsilon=1.0),
+    "AMConfig.grid_points": lambda ledger: AMConfig(M=4, epsilon=1.0, grid_points=HUGE),
+    "ADConfig.mcmc[1]": lambda ledger: ADConfig(M=4, epsilon=1.0, mcmc=(0, HUGE)),
+    "ADConfig.mcmc[0]": lambda ledger: ADConfig(M=4, epsilon=1.0, mcmc=(-HUGE, 5)),
+    "t_quantile.df": lambda ledger: t_quantile(-HUGE, 0.9),
+    "ad_verify.seed": lambda ledger: dprep.verify.ad_verify(
+        DATA, MODEL0, "x1", SIGN, ADConfig(M=4, epsilon=1.0, seed=HUGE), ledger),
+}
+
+
+@pytest.mark.parametrize("site", HUGE_INTS)
+def test_an_int_too_long_to_print_is_a_config_error_before_any_release(site):
+    # each raised ValueError (int-to-str's digit limit) from its own message;
+    # ad_verify spent epsilon = 1 first, then raised writing the report
+    ledger = BudgetLedger(cap=1.0)
+    with pytest.raises(ConfigError, match=" must be at (most|least minus) the largest double, "
+                                          "got an integer of 16610 bits$"):
+        HUGE_INTS[site](ledger)
+    assert (len(ledger), ledger.spent) == (0, 0.0)
 
 
 def test_a_numpy_float_release_value_is_a_release():

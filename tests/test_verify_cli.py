@@ -140,14 +140,17 @@ def test_report_round_trip_reproduces_summaries():
     assert recomputed["r_quantiles"] == report["posterior"]["r_quantiles"]
 
     # the whole AM posterior section, credible intervals included, is rebuilt
-    # from the report's own released and config sections
-    for seed, level in enumerate((0.9, 0.95, 0.99), start=11):
-        for prior in ((1.0, 1.0), (0.5, 0.5), (2.0, 3.0)):
-            config = AMConfig(M=4, epsilon=1.0, seed=seed, level=level, prior=prior)
-            am_report, _ = _am_report(ds, config)
-            back = recompute_posterior_summary(json.loads(json.dumps(am_report)))
-            assert back == am_report["posterior"]
-            assert set(back) == {"mean", "quantiles", "credible_intervals"}
+    # from the report's own released and config sections; at M = 9, eps = 0.1
+    # the rate eps / (1/M) the release records is not M * eps in the last bit
+    assert 0.1 / (1 / 9) != 9 * 0.1
+    for M, eps in ((4, 1.0), (9, 0.1)):
+        for seed, level in enumerate((0.9, 0.95, 0.99), start=11):
+            for prior in ((1.0, 1.0), (0.5, 0.5), (2.0, 3.0)):
+                config = AMConfig(M=M, epsilon=eps, seed=seed, level=level, prior=prior)
+                am_report, _ = _am_report(ds, config)
+                back = recompute_posterior_summary(json.loads(json.dumps(am_report)))
+                assert back == am_report["posterior"]
+                assert set(back) == {"mean", "quantiles", "credible_intervals"}
 
 
 def test_am_report_reads_every_number_off_one_cdf():
