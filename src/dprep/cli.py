@@ -142,7 +142,8 @@ def _add_run_args(p):
     p.add_argument("--epsilon", type=float, required=True, help="privacy budget per release")
     p.add_argument("--M", type=int, required=True, help="number of subsets")
     p.add_argument("--prior", default="1,1", help="Beta prior a,b (default 1,1)")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default: DPREP_SEED or 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="root seed, an integer in [0, 2**64) (default: DPREP_SEED or 0)")
     p.add_argument("--ledger", required=True, help="append-only budget ledger file")
     p.add_argument("--out", required=True, help="release report JSON path")
     p.add_argument("--unsafe-debug", default=None, metavar="PATH",

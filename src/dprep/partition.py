@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .privacy import RngStream, count, integer
+from .privacy import RngStream, count, integer, seed
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class PartitionPlan:
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, check in (("n_rows", integer), ("M", count), ("seed", integer)):
+        for name, check in (("n_rows", integer), ("M", count), ("seed", seed)):
             object.__setattr__(self, name, check(getattr(self, name), name))
         if self.M > self.n_rows:
             raise ConfigError(

@@ -42,13 +42,14 @@ class RngStream:
     sequence of ``(purpose label, index)`` pairs.  Two streams built from
     the same identity replay the same draw sequence; streams whose paths
     differ anywhere are statistically independent.  Deriving children is
-    cheap, so one root seed can fan out to every component of a run.
+    cheap, so one root seed can fan out to every component of a run.  The
+    root seed is checked by :func:`seed`.
     """
 
     def __init__(self, root_seed: int, path: tuple = ()):
-        self.root_seed = int(root_seed)
+        self.root_seed = seed(root_seed, "root_seed")
         self.path = tuple((str(label), int(index)) for label, index in path)
-        entropy = [self.root_seed & 0xFFFFFFFFFFFFFFFF]
+        entropy = [self.root_seed]
         for label, index in self.path:
             entropy.extend((_label_key(label), index))
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -118,6 +119,15 @@ def count(value, name: str) -> int:
     """``value`` as :func:`integer`, at least 1."""
     if (value := integer(value, name)) < 1:
         raise ConfigError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def seed(value, name: str) -> int:
+    """``value`` as :func:`integer`, in [0, 2**64): a stream keys its
+    generator on the seed's 64 bits, so a wider range would give two seeds
+    one stream."""
+    if not 0 <= (value := integer(value, name)) < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {value}")
     return value
 
 
@@ -204,8 +214,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", PrivacyParams.of(self.epsilon))
-        for name in ("M", "seed"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
+        object.__setattr__(self, "M", integer(self.M, "M"))
+        object.__setattr__(self, "seed", seed(self.seed, "seed"))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
         object.__setattr__(self, "prior", pair(self.prior, "prior", positive))

@@ -14,6 +14,7 @@ from .errors import ConfigError, IngestionError
 
 COLUMN_KINDS = ("numeric", "categorical")
 _MISSING = {"", "na", "nan", "null"}
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes numpy's DataSource decompresses
 
 
 @dataclass(frozen=True)
@@ -154,21 +155,32 @@ def _indicators(name, cells, levels) -> dict[str, np.ndarray]:
             for k, level in enumerate(levels[1:], start=1)}
 
 
-def _read_columns(path, header, skiprows, schema, delimiter) -> Dataset:
-    """The data rows parsed in bulk by numpy.  Raises ValueError, TypeError
-    or IngestionError wherever the per-cell path might differ: a header it
-    refuses, a row of the wrong length, a cell numpy cannot parse, a
+def _read_columns(path, header, skiprows, schema, delimiter, source=None) -> Dataset:
+    """The data rows parsed in bulk by numpy, from ``source`` or else from the
+    path itself.  Raises ValueError, TypeError or IngestionError wherever the
+    per-cell path might differ: a header it refuses, a suffix numpy would
+    decompress, a row of the wrong length, a cell numpy cannot parse, a
     non-finite number, a constant column, a level that is padded, a
     missing token or holds a NUL (which csv refuses before Python 3.11)."""
     if len(set(header)) != len(header) or not set(schema) <= set(header):
         raise ValueError("header left to the per-cell path")
+    if source is None:  # absolute, so that numpy never takes the name for a URL
+        source = os.path.abspath(os.fsdecode(path))
+        if source.endswith(_COMPRESSED):
+            raise ValueError("a suffix numpy decompresses is left to the per-cell path")
     kinds = [schema.get(name, "numeric") for name in header]
     dtype = [(f"f{i}", "f8" if kind == "numeric" else "O") for i, kind in enumerate(kinds)]
-    # newline="" as for csv: a quoted line break stays as written
-    with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+    block = isinstance(source, str)
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a table with no data rows warns
-        table = np.loadtxt(fh, dtype, comments=None, delimiter=delimiter,
-                           skiprows=skiprows, quotechar='"', ndmin=1)
+        try:
+            table = np.loadtxt(source, dtype, comments=None, delimiter=delimiter,
+                               skiprows=skiprows, quotechar='"', ndmin=1, encoding="utf-8")
+        except FileNotFoundError:
+            if not block:
+                raise
+            # numpy's DataSource resolves the working directory too, which may be gone
+            return _reread(path, header, skiprows, schema, delimiter)
     out: dict[str, np.ndarray] = {}
     for i, (name, kind) in enumerate(zip(header, kinds)):
         cells = table[f"f{i}"]
@@ -176,6 +188,10 @@ def _read_columns(path, header, skiprows, schema, delimiter) -> Dataset:
             out[name] = cells
             continue
         levels = sorted(set(cells))
+        if block and any("\n" in level for level in levels) and _holds_cr(path):
+            # numpy read the path with universal newlines, so a quoted "\r" or
+            # "\r\n" came out as "\n"
+            return _reread(path, header, skiprows, schema, delimiter)
         if len(levels) < 2 or any(level != level.strip() or "\0" in level
                                   or level.lower() in _MISSING for level in levels):
             raise ValueError(f"column {name!r} left to the per-cell path")
@@ -183,14 +199,33 @@ def _read_columns(path, header, skiprows, schema, delimiter) -> Dataset:
     return Dataset(out)
 
 
+def _reread(path, *args) -> Dataset:
+    """``_read_columns`` from a file object that keeps line breaks as
+    written, as csv reads them: numpy walks it line by line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return _read_columns(path, *args, source=fh)
+
+
+def _holds_cr(path) -> bool:
+    with open(path, "rb") as fh:
+        return any(b"\r" in block for block in iter(lambda: fh.read(1 << 20), b""))
+
+
 def read_table(path, schema, delimiter: str = ",") -> Dataset:
-    """Read a delimited text file (header row required) into a Dataset.
+    r"""Read a delimited text file (header row required) into a Dataset.
 
     ``schema`` may be a mapping or a path to a JSON schema file.  The data
-    rows are parsed in bulk by numpy; when that parse fails or meets a cell
-    the per-cell path might treat differently, the table is re-read cell by
-    cell (``encode_categoricals``), which words every error and also reads
-    cells numpy refuses but ``float`` accepts (``1_000``, full-width digits).
+    rows are parsed in bulk by numpy, which is handed the absolute path and
+    reads the file in blocks.  A path ending in a suffix numpy would
+    decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) goes to the per-cell
+    path instead.  numpy reads with universal newlines, which turn a quoted
+    ``\r`` or ``\r\n`` into ``\n``; so when a categorical level holds a
+    ``\n`` and the file holds a ``\r``, numpy re-reads the rows from a file
+    object that keeps line breaks as written, as csv does.  When the bulk
+    parse fails or meets a cell the per-cell path might treat differently,
+    the table is re-read cell by cell (``encode_categoricals``), which words
+    every error and also reads cells numpy refuses but ``float`` accepts
+    (``1_000``, full-width digits).
     Non-UTF-8 bytes and fields over csv's size limit raise IngestionError;
     a ``delimiter`` that is not one character raises ConfigError.
     """

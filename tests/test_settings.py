@@ -54,7 +54,7 @@ from dprep import (
     theta_hat,
 )
 from dprep.ad import InflationProvenance
-from dprep.privacy import RunConfig, count, fraction, positive
+from dprep.privacy import RngStream, RunConfig, count, fraction, positive, seed
 
 DATA = synth_dataset(120, seed=3)
 MODEL0, MODEL1 = parse_formula("y ~ x1 + x2"), parse_formula("y ~ x1")
@@ -313,6 +313,28 @@ def test_helpers_keep_their_messages_and_types():
     for helper in (fraction, positive, count):
         with pytest.raises(ConfigError, match="^x must be "):
             helper(False, "x")
+
+
+# each was once reduced to its low 64 bits: 5 and 5 + 2**64 drew one
+# partition and one noise, and so did -1 and 2**64 - 1
+SEED_SITES = {
+    "seed": lambda value: seed(value, "seed"),
+    "RunConfig.seed": lambda value: RunConfig(M=4, epsilon=1.0, seed=value),
+    "PartitionPlan.seed": lambda value: make_partition(10, 2, value),
+    "RngStream.root_seed": lambda value: RngStream(value),
+}
+
+
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_a_seed_outside_64_bits_is_a_config_error(site):
+    for value in (-1, 2**64, 5 + 2**64):
+        with pytest.raises(ConfigError, match=rf"seed must be in \[0, 2\*\*64\), got {value}$"):
+            SEED_SITES[site](value)
+    for value in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        SEED_SITES[site](value)
+    assert type(seed(np.uint64(7), "seed")) is int
+    with pytest.raises(ConfigError, match="seed must be an integer, got 5.0$"):
+        SEED_SITES[site](5.0)
 
 
 def test_region_kind_follows_its_provenance():

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -232,3 +233,69 @@ def test_clean_tables_load_without_the_per_cell_path(tmp_path, monkeypatch):
         path = tmp_path / "table.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         read_table(path, schema, delimiter)
+
+
+# ------------------------------------------------ numpy reads the path in blocks
+
+def test_a_clean_table_reaches_loadtxt_as_a_str_path(tmp_path, monkeypatch):
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    path, schema = _seeded_table(tmp_path, n=500)
+    assert read_table(path, schema).n_rows == 500
+    assert sources == [os.path.abspath(path)]
+
+
+def _no_network(*args, **kwargs):
+    raise AssertionError("ingest opened a URL")
+
+
+# name -> (file name under tmp_path, bytes written, path handed to read_table)
+BLOCK_PATH_CASES = {
+    "plain text named .gz": ("table.csv.gz", b"a,g\n1,x\n2,y\n", "table.csv.gz"),
+    "relative name that parses as a URL": ("http:/x/t.csv", b"a,g\n1,x\n2,y\n",
+                                           "http://x/t.csv"),
+    "bytes path": ("table.csv", b"a,g\n1,x\n2,y\n", b"table.csv"),
+    "CR only": ("table.csv", b"a,g\r1,x\r2,y\r", "table.csv"),
+    "CRLF, quoted CRLF in a level": ("table.csv", b'a,g\r\n1,"x\r\ny"\r\n2,y\r\n3,x\r\n',
+                                     "table.csv"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BLOCK_PATH_CASES)
+def test_block_path_edge_cases_read_as_the_per_cell_path(tmp_path, monkeypatch, name):
+    file, data, given = BLOCK_PATH_CASES[name]
+    monkeypatch.setattr("urllib.request.urlopen", _no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / file).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / file).write_bytes(data)
+    want = _per_cell(given, CAT)
+    assert not isinstance(want, str)
+    _assert_same(want, _outcome(read_table, given, CAT))
+
+
+def test_a_quoted_cr_level_keeps_its_cr_without_the_per_cell_path(tmp_path, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("per-cell path used")
+
+    monkeypatch.setattr(tabular, "encode_categoricals", per_cell)
+    path = tmp_path / "table.csv"
+    path.write_bytes(b'a,g\r\n1,"x\r\ny"\r\n2,"x\ny"\r\n3,"x\ry"\r\n')
+    # universal newlines would merge the three levels into one constant "x\ny"
+    assert read_table(path, CAT).column_names == ("a", "g_x\r\ny", "g_x\ry")
+
+
+def test_a_table_reads_without_a_working_directory(tmp_path, monkeypatch):
+    # numpy's DataSource resolves the working directory even for an absolute path
+    path, schema = _seeded_table(tmp_path, n=50)
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    _assert_same(_per_cell(path, schema), read_table(path, schema))

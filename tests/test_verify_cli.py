@@ -850,6 +850,8 @@ PRE_RELEASE_REFUSALS = {
     "grid-oversized": ("am", ["--grid-points", "100000000000"], "grid_points"),
     "out-dir-missing": ("ad", ["--out", "no-such-dir/release.json"], "--out"),
     "debug-dir-missing": ("am", ["--unsafe-debug", "no-such-dir/am.dbg"], "--unsafe-debug"),
+    "seed-negative": ("ad", ["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+    "seed-past-64-bits": ("am", ["--seed", str(2**64 + 5)], "seed must be in [0, 2**64)"),
 }
 
 
