@@ -17,16 +17,20 @@ import sys
 
 import numpy as np
 
-from .ad import ADConfig, build_fixed_region, build_inflated_region, robustness_contour
-from .am import (
-    AMConfig,
+from .ad import ADConfig
+from .am import AMConfig
+from .errors import BudgetExceededError, ConfigError, DprepError, SingularFitError
+from .linmod import parse_formula
+from .planning import (
+    ConfidenceInterval,
     InversionAssumption,
+    build_fixed_region,
+    build_inflated_region,
     invert_credible_interval,
     null_assumption_lengths,
     reference_contour,
+    robustness_contour,
 )
-from .errors import BudgetExceededError, ConfigError, DprepError, SingularFitError
-from .linmod import ConfidenceInterval, parse_formula
 from .privacy import BudgetLedger, count, pair, positive, real
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json

@@ -23,7 +23,8 @@ from .errors import (
     TransformDomainError,
 )
 from .partition import PartitionPlan
-from .privacy import count, fraction, real
+from .planning import ConfidenceInterval
+from .privacy import count, fraction
 from .tabular import Dataset
 
 TRANSFORMS = ("identity", "log", "square")
@@ -462,26 +463,6 @@ def subset_failure(fit: StackFit, l: int) -> str:
     if df < 1:
         return f"need at least {k + 1} rows to fit {k} coefficients, have {df + k}"
     return RANK_DEFICIENT
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-
-    def __post_init__(self):
-        for name, check in (("lower", real), ("upper", real), ("level", fraction)):
-            object.__setattr__(self, name, check(getattr(self, name), name))
-        if not self.lower <= self.upper:  # NaN compares False
-            raise ConfigError(f"interval needs lower <= upper, got [{self.lower}, {self.upper}]")
-
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
 
 
 def t_quantile(df: int, p: float) -> float:

@@ -257,14 +257,7 @@ class NoisyRelease:
 
     @classmethod
     def from_record(cls, line: str) -> "NoisyRelease":
-        rec = json.loads(line)
-        return cls(
-            value=rec["value"],
-            epsilon_spent=rec["epsilon"],
-            sensitivity=rec["sensitivity"],
-            mechanism=rec["mechanism"],
-            timestamp=rec["timestamp"],
-        )
+        return cls(*_FIELDS(json.loads(line)))
 
 
 # a record's keys in the order of NoisyRelease's fields

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -155,32 +156,43 @@ def _indicators(name, cells, levels) -> dict[str, np.ndarray]:
             for k, level in enumerate(levels[1:], start=1)}
 
 
-def _read_columns(path, header, skiprows, schema, delimiter, source=None) -> Dataset:
-    """The data rows parsed in bulk by numpy, from ``source`` or else from the
-    path itself.  Raises ValueError, TypeError or IngestionError wherever the
-    per-cell path might differ: a header it refuses, a suffix numpy would
-    decompress, a row of the wrong length, a cell numpy cannot parse, a
-    non-finite number, a constant column, a level that is padded, a
-    missing token or holds a NUL (which csv refuses before Python 3.11)."""
+def _read_columns(fh, header, skiprows, schema, delimiter, block=True) -> Dataset:
+    """The data rows parsed in bulk by numpy: with ``block``, from the path of
+    ``fh``, ``read_table``'s open header file, which numpy reads in blocks;
+    else from ``fh`` itself, opened with ``newline=""`` so that it keeps line
+    breaks as written, as csv does, which numpy walks line by line.  Raises
+    ValueError, TypeError or IngestionError wherever the per-cell path might
+    differ: a header it refuses, a suffix numpy would decompress, a row of the
+    wrong length, a cell numpy cannot parse, a non-finite number, a constant
+    column, a level that is padded, a missing token or holds a NUL (which csv
+    refuses before Python 3.11)."""
     if len(set(header)) != len(header) or not set(schema) <= set(header):
         raise ValueError("header left to the per-cell path")
-    if source is None:  # absolute, so that numpy never takes the name for a URL
-        source = os.path.abspath(os.fsdecode(path))
+    if block:  # absolute, so that numpy never takes the name for a URL
+        source = os.path.abspath(os.fsdecode(fh.name))
         if source.endswith(_COMPRESSED):
             raise ValueError("a suffix numpy decompresses is left to the per-cell path")
+    else:
+        fh.seek(0)
+        source = fh
     kinds = [schema.get(name, "numeric") for name in header]
     dtype = [(f"f{i}", "f8" if kind == "numeric" else "O") for i, kind in enumerate(kinds)]
-    block = isinstance(source, str)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a table with no data rows warns
         try:
             table = np.loadtxt(source, dtype, comments=None, delimiter=delimiter,
                                skiprows=skiprows, quotechar='"', ndmin=1, encoding="utf-8")
         except FileNotFoundError:
-            if not block:
+            table = None  # numpy's DataSource resolves the working directory, which may be gone
+        except Exception:
+            if not block or _same_file(fh, source):
                 raise
-            # numpy's DataSource resolves the working directory too, which may be gone
-            return _reread(path, header, skiprows, schema, delimiter)
+            table = None  # numpy failed on another file, see below
+    if block and (table is None or not _same_file(fh, source)):
+        # the rows come from fh: numpy found no file, or the path no longer
+        # names fh's and numpy may have read another, one put in its place
+        # or a compressed sibling it opened instead
+        return _read_columns(fh, header, skiprows, schema, delimiter, block=False)
     out: dict[str, np.ndarray] = {}
     for i, (name, kind) in enumerate(zip(header, kinds)):
         cells = table[f"f{i}"]
@@ -188,10 +200,10 @@ def _read_columns(path, header, skiprows, schema, delimiter, source=None) -> Dat
             out[name] = cells
             continue
         levels = sorted(set(cells))
-        if block and any("\n" in level for level in levels) and _holds_cr(path):
+        if block and any("\n" in level for level in levels) and _holds_cr(fh):
             # numpy read the path with universal newlines, so a quoted "\r" or
             # "\r\n" came out as "\n"
-            return _reread(path, header, skiprows, schema, delimiter)
+            return _read_columns(fh, header, skiprows, schema, delimiter, block=False)
         if len(levels) < 2 or any(level != level.strip() or "\0" in level
                                   or level.lower() in _MISSING for level in levels):
             raise ValueError(f"column {name!r} left to the per-cell path")
@@ -199,16 +211,16 @@ def _read_columns(path, header, skiprows, schema, delimiter, source=None) -> Dat
     return Dataset(out)
 
 
-def _reread(path, *args) -> Dataset:
-    """``_read_columns`` from a file object that keeps line breaks as
-    written, as csv reads them: numpy walks it line by line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _read_columns(path, *args, source=fh)
+def _same_file(fh, path: str) -> bool:
+    try:
+        return os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+    except OSError:
+        return False
 
 
-def _holds_cr(path) -> bool:
-    with open(path, "rb") as fh:
-        return any(b"\r" in block for block in iter(lambda: fh.read(1 << 20), b""))
+def _holds_cr(fh) -> bool:
+    fh.buffer.seek(0)
+    return any(b"\r" in block for block in iter(lambda: fh.buffer.read(1 << 20), b""))
 
 
 def read_table(path, schema, delimiter: str = ",") -> Dataset:
@@ -220,12 +232,17 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
     decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) goes to the per-cell
     path instead.  numpy reads with universal newlines, which turn a quoted
     ``\r`` or ``\r\n`` into ``\n``; so when a categorical level holds a
-    ``\n`` and the file holds a ``\r``, numpy re-reads the rows from a file
-    object that keeps line breaks as written, as csv does.  When the bulk
-    parse fails or meets a cell the per-cell path might treat differently,
-    the table is re-read cell by cell (``encode_categoricals``), which words
-    every error and also reads cells numpy refuses but ``float`` accepts
-    (``1_000``, full-width digits).
+    ``\n`` and the file holds a ``\r``, numpy re-reads the rows from the
+    open file the header came from, which keeps line breaks as written, as
+    csv does.  It does so too when the path no longer names that file (the
+    table was removed or replaced after it was opened), so that the rows
+    always come from the header's file.  A table that is not a regular
+    file (a pipe, ``/dev/stdin``) is read cell by cell, since numpy would
+    open it again and read on past the rows the header's read buffered.
+    When the bulk parse fails or meets a cell the per-cell path might treat
+    differently, the table is re-read cell by cell (``encode_categoricals``)
+    from that file, which words every error and also reads cells numpy
+    refuses but ``float`` accepts (``1_000``, full-width digits).
     Non-UTF-8 bytes and fields over csv's size limit raise IngestionError;
     a ``delimiter`` that is not one character raises ConfigError.
     """
@@ -238,10 +255,14 @@ def read_table(path, schema, delimiter: str = ",") -> Dataset:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
-            try:
-                return _read_columns(path, header, reader.line_num, schema, delimiter)
-            except (ValueError, TypeError, IngestionError):
-                pass  # numpy refuses the delimiter or a cell, or a check above failed
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a pipe: numpy may re-read it
+                try:
+                    return _read_columns(fh, header, reader.line_num, schema, delimiter)
+                except (ValueError, TypeError, IngestionError):
+                    pass  # numpy refuses the delimiter or a cell, or a check above failed
+                fh.seek(0)  # numpy may have read on from fh
+                reader = csv.reader(fh, delimiter=delimiter)
+                next(reader)
             rows = [row for row in reader if row]
         except StopIteration:
             raise IngestionError(f"{path}: empty file, expected a header row") from None

@@ -32,9 +32,7 @@ import numpy as np
 from . import __version__
 from .ad import (
     ADConfig,
-    ToleranceRegion,
     compute_indicator_count,
-    delta_star,
     gibbs_posterior,
     release_count,
     theta_hat,
@@ -42,16 +40,20 @@ from .ad import (
 from .am import (
     AMConfig,
     AMPosterior,
-    InversionAssumption,
     average_overlap,
     credible_interval,
-    invert_credible_interval,
     posterior_nu,
     release_overlap,
 )
 from .errors import ConfigError, TransformDomainError
 from .linmod import ModelSpec, confidence_interval, fit_ols
 from .partition import make_partition
+from .planning import (
+    InversionAssumption,
+    ToleranceRegion,
+    delta_star,
+    invert_credible_interval,
+)
 from .privacy import BudgetLedger, NoisyRelease, Released, fraction
 from .tabular import Dataset
 
@@ -279,8 +281,3 @@ def write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_array_to_list)
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def load_json(path) -> dict:
-    with open(os.fspath(path), encoding="utf-8") as fh:
-        return json.load(fh)

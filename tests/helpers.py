@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -18,9 +19,10 @@ from dprep import (
     RngStream,
     SingularFitError,
     TransformDomainError,
+    am,
     linmod,
 )
-from dprep.am import Z975
+from dprep.planning import Z975
 
 
 def synth_dataset(
@@ -41,6 +43,30 @@ def synth_dataset(
     x3 = (rng.uniform(size=n) < 0.5).astype(float)
     y = 2.0 * x1 + x2_coef * x2 + 3.0 * x3 + rng.normal(0.0, noise_sd, n)
     return Dataset({"x1": x1, "x2": x2, "x3": x3, "y": y})
+
+
+def load_json(path) -> dict:
+    with open(os.fspath(path), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def overlap_measure(i1, i2) -> float:
+    """Reference for the per-subset overlap of ``am.average_overlap``, in
+    plain Python floats: (c/len(i1) + c/len(i2)) / 2 for two intervals of
+    positive length, c the length of their intersection (zero when
+    disjoint)."""
+    if i1.length <= 0 or i2.length <= 0:
+        raise DegenerateIntervalError("overlap requires intervals of positive length")
+    c = max(0.0, min(i1.upper, i2.upper) - max(i1.lower, i2.lower))
+    return 0.5 * (c / i1.length + c / i2.length)
+
+
+def am_overlap(i1, i2) -> float:
+    """dprep's own overlap arithmetic, ``am._overlap``, on two intervals of
+    positive length; it must equal ``overlap_measure`` exactly."""
+    nu = float(am._overlap(i1.lower, i1.upper, i2.lower, i2.upper))
+    assert nu == overlap_measure(i1, i2)
+    return nu
 
 
 def laplace_sample_reference(stream: RngStream, scale: float, size=None):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from helpers import replace_row, synth_dataset
+from helpers import am_overlap, replace_row, synth_dataset
 
 from dprep import (
     ADConfig,
@@ -29,7 +29,6 @@ from dprep import (
     invert_credible_interval,
     make_partition,
     null_assumption_lengths,
-    overlap_measure,
     average_overlap,
     parse_formula,
     posterior_nu,
@@ -248,8 +247,8 @@ def test_08_overlap_oracle_equivalence():
             b = a.copy()
         i1 = ConfidenceInterval(a[0] / 16, a[1] / 16, 0.95)
         i2 = ConfidenceInterval(b[0] / 16, b[1] / 16, 0.95)
-        nu = overlap_measure(i1, i2)
-        assert nu == overlap_measure(i2, i1)
+        nu = am_overlap(i1, i2)
+        assert nu == am_overlap(i2, i1)
         af = [Fraction(int(v), 16) for v in a]
         bf = [Fraction(int(v), 16) for v in b]
         c = max(Fraction(0), min(af[1], bf[1]) - max(af[0], bf[0]))

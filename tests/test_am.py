@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import reference_cell_oracle, replace_row, subset_oracle, synth_dataset
+from helpers import (am_overlap, overlap_measure, reference_cell_oracle, replace_row,
+                     subset_oracle, synth_dataset)
 
 from dprep import (
     AMConfig,
@@ -27,13 +28,13 @@ from dprep import (
     invert_overlap,
     make_partition,
     null_assumption_lengths,
-    overlap_measure,
     parse_formula,
     posterior_nu,
     reference_contour,
     release_overlap,
 )
-from dprep.am import Z975, OverlapResult
+from dprep.am import OverlapResult
+from dprep.planning import Z975
 from dprep.privacy import Released
 from dprep.verify import summarize_nu_samples
 
@@ -51,12 +52,12 @@ def _released(nu_noisy, M, eps=1.0, seed=0, prior=(1.0, 1.0), grid_points=10001)
 # ---------------------------------------------------------------- overlap
 
 def test_overlap_reference_values():
-    assert overlap_measure(_ci(0, 2), _ci(0, 2)) == 1.0
-    assert overlap_measure(_ci(0, 1), _ci(2, 3)) == 0.0
-    assert overlap_measure(_ci(0, 2), _ci(1, 3)) == pytest.approx(0.5, abs=0)
-    assert overlap_measure(_ci(0, 4), _ci(1, 2)) == pytest.approx(0.625, abs=0)
+    assert am_overlap(_ci(0, 2), _ci(0, 2)) == 1.0
+    assert am_overlap(_ci(0, 1), _ci(2, 3)) == 0.0
+    assert am_overlap(_ci(0, 2), _ci(1, 3)) == pytest.approx(0.5, abs=0)
+    assert am_overlap(_ci(0, 4), _ci(1, 2)) == pytest.approx(0.625, abs=0)
     # touching intervals share a single point: zero length, zero overlap
-    assert overlap_measure(_ci(0, 1), _ci(1, 2)) == 0.0
+    assert am_overlap(_ci(0, 1), _ci(1, 2)) == 0.0
 
 
 def test_overlap_symmetry_and_degenerate():
@@ -67,7 +68,7 @@ def test_overlap_symmetry_and_degenerate():
         if a[0] == a[1] or b[0] == b[1]:
             continue
         i1, i2 = _ci(*a), _ci(*b)
-        assert overlap_measure(i1, i2) == overlap_measure(i2, i1)
+        assert am_overlap(i1, i2) == am_overlap(i2, i1)
     with pytest.raises(DegenerateIntervalError):
         overlap_measure(_ci(1, 1), _ci(0, 2))
 
@@ -84,14 +85,14 @@ def test_overlap_one_iff_identical():
             b = np.sort(rng.integers(-64, 64, 2)) / 16.0
             if b[0] == b[1]:
                 continue
-        nu = overlap_measure(_ci(*a), _ci(*b))
+        nu = am_overlap(_ci(*a), _ci(*b))
         assert (nu == 1.0) == bool(np.array_equal(a, b))
 
 
 def test_overlap_translation_monotonicity():
     base = _ci(0.0, 2.0)
     shifts = np.linspace(0.0, 4.0, 41)
-    nus = [overlap_measure(base, _ci(s, s + 1.5)) for s in shifts]
+    nus = [am_overlap(base, _ci(s, s + 1.5)) for s in shifts]
     assert all(x >= y - 1e-15 for x, y in zip(nus, nus[1:]))
 
 
@@ -106,7 +107,7 @@ def test_overlap_matches_exact_rational_oracle():
         bf = [Fraction(int(v), 8) for v in b]
         c = max(Fraction(0), min(af[1], bf[1]) - max(af[0], bf[0]))
         exact = (c / (af[1] - af[0]) + c / (bf[1] - bf[0])) / 2
-        got = overlap_measure(_ci(a[0] / 8, a[1] / 8), _ci(b[0] / 8, b[1] / 8))
+        got = am_overlap(_ci(a[0] / 8, a[1] / 8), _ci(b[0] / 8, b[1] / 8))
         assert got == pytest.approx(float(exact), abs=1e-12)
 
 
@@ -414,7 +415,7 @@ def test_invert_round_trips_the_geometric_overlap():
         # geometric overlap of two centered intervals offset by d
         i1 = _ci(-l1 / 2, l1 / 2)
         i2 = _ci(d - l2 / 2, d + l2 / 2)
-        nu = overlap_measure(i1, i2)
+        nu = am_overlap(i1, i2)
         back = invert_overlap(nu, InversionAssumption(l1, l2))
         assert back == pytest.approx(d, abs=1e-12)
 

@@ -19,6 +19,7 @@ from helpers import synth_dataset
 import dprep.ad
 import dprep.am
 import dprep.linmod
+import dprep.planning
 import dprep.verify
 from dprep import (
     ADConfig,
@@ -53,7 +54,7 @@ from dprep import (
     t_quantile,
     theta_hat,
 )
-from dprep.ad import InflationProvenance
+from dprep.planning import InflationProvenance
 from dprep.privacy import RngStream, RunConfig, count, fraction, positive, seed
 
 DATA = synth_dataset(120, seed=3)
@@ -189,8 +190,8 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work started before the settings were checked")
     for module, name in ((dprep.ad, "fit_subsets"), (dprep.am, "fit_subsets"),
-                         (dprep.verify, "make_partition"), (dprep.ad, "ndtr"),
-                         (dprep.am, "ndtr"), (dprep.am, "ndtri"), (dprep.am, "stdtrit"),
+                         (dprep.verify, "make_partition"), (dprep.planning, "ndtr"),
+                         (dprep.planning, "ndtri"), (dprep.am, "stdtrit"),
                          (dprep.linmod, "stdtrit"), (RngStream, "uniform_open"),
                          (BudgetLedger, "append"), (AMPosterior, "quantile")):
         monkeypatch.setattr(module, name, work)
@@ -365,7 +366,7 @@ def test_interval_bounds_must_be_ordered():
     (dict(diff_grid=[0.0, 1.0, 2.0, 3.0], ratio_grid=[1.0, 2.0, 3.0, 4.0]), True),
 ])
 def test_reference_contour_cells_are_bounded(monkeypatch, grids, refused):
-    monkeypatch.setattr(dprep.am, "MAX_GRID_POINTS", 12)
+    monkeypatch.setattr(dprep.planning, "MAX_GRID_POINTS", 12)
     if refused:
         with pytest.raises(ConfigError, match="16 cells, over 12"):
             reference_contour(1.0, 1.0, 0.5, **grids)
@@ -376,7 +377,7 @@ def test_reference_contour_cells_are_bounded(monkeypatch, grids, refused):
 @pytest.mark.parametrize("M_grid, refused", [([3, 5], False), ([3, 6], True)])
 def test_robustness_contour_cells_are_bounded(monkeypatch, M_grid, refused):
     # gamma x (largest M + 1): 2 x 6 = 12 cells at the bound, 2 x 7 = 14 past it
-    monkeypatch.setattr(dprep.ad, "MAX_GRID_POINTS", 12)
+    monkeypatch.setattr(dprep.planning, "MAX_GRID_POINTS", 12)
     if refused:
         with pytest.raises(ConfigError, match="14 cells, over 12"):
             robustness_contour([0.0, 1.0], M_grid, 1.0, 100, 100, 1.0, SIGN)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (reference_fit_stack, reference_fit_subsets, replace_row, shared_design,
-                     split, subset_oracle, synth_dataset)
+from helpers import (overlap_measure, reference_fit_stack, reference_fit_subsets, replace_row,
+                     shared_design, split, subset_oracle, synth_dataset)
 
 from dprep import (
     ConfigError,
@@ -27,7 +27,6 @@ from dprep import (
     confidence_interval,
     fit_ols,
     make_partition,
-    overlap_measure,
     parse_formula,
 )
 from dprep import linmod

@@ -1,5 +1,7 @@
 import csv
+import gzip
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -299,3 +301,67 @@ def test_a_table_reads_without_a_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(gone)
     gone.rmdir()
     _assert_same(_per_cell(path, schema), read_table(path, schema))
+
+
+# ------------------------------------- the rows come from the header's file
+
+def _swap_before_the_bulk_parse(monkeypatch, swap):
+    """Patch ``np.loadtxt`` to run ``swap(path)`` just before it parses a path:
+    the table changes between ``read_table``'s open and numpy's."""
+    loadtxt = np.loadtxt
+
+    def racing(source, *args, **kwargs):
+        if isinstance(source, str):
+            swap(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", racing)
+
+
+TABLE, OTHER = "x,g\n1,a\n3,b\n", "x,g\n100,a\n300,b\n"
+
+RACES = {  # each: the file put beside t.csv, and what happens to t.csv
+    # numpy's DataSource opens <path>.gz when <path> is gone
+    "removed beside a gzip sibling": ("t.csv.gz", gzip.compress(OTHER.encode()), os.remove),
+    "removed beside a corrupt gzip sibling": ("t.csv.gz", b"not gzip", os.remove),
+    "replaced by another table": ("t.csv.new", OTHER.encode(),
+                                  lambda path: os.replace(path + ".new", path)),
+}
+
+
+@pytest.mark.parametrize("race", RACES)
+def test_the_rows_come_from_the_file_the_header_came_from(tmp_path, monkeypatch, race):
+    path = tmp_path / "t.csv"
+    path.write_text(TABLE)
+    want = _per_cell(path, {"g": "categorical"})
+    name, content, swap = RACES[race]
+    (tmp_path / name).write_bytes(content)
+    _swap_before_the_bulk_parse(monkeypatch, swap)
+    got = read_table(path, {"g": "categorical"})
+    _assert_same(want, got)
+    assert got.column("x").tolist() == [1.0, 3.0]
+
+
+def test_a_table_in_a_pipe_reads_whole(tmp_path):
+    """A fifo cannot be read twice: the rows come from the open file, past
+    the block its header's read buffered."""
+    rows = [f"{i},{'ab'[i % 2]}" for i in range(5000)]  # about 40 kB
+    text = "x,g\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    want = read_table(path, {"g": "categorical"})
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = read_table(fifo, {"g": "categorical"})
+    finally:
+        writer.join(timeout=10)
+    _assert_same(want, got)
+    assert got.n_rows == 5000

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, replace_row, synth_dataset
+from helpers import (BAD_LEDGER_RECORDS, LEDGER_RECORD, TORN_NON_UTF8, load_json, replace_row,
+                     synth_dataset)
 
 from dprep import (
     ADConfig,
@@ -34,12 +35,11 @@ from dprep.cli import main
 from dprep.tabular import read_table
 from dprep.verify import (
     audit_release_report,
-    load_json,
     recompute_posterior_summary,
     resolve_delta,
     write_json,
 )
-from dprep.ad import build_inflated_region, delta_star
+from dprep.planning import build_inflated_region, delta_star
 
 DATA = Path(__file__).parent / "data"
 
@@ -626,6 +626,31 @@ def test_cli_invert_matches_library(capsys):
     lo, hi = payload["difference_interval"]
     assert lo == pytest.approx(6.9, abs=2.0)
     assert hi == pytest.approx(423.2, abs=2.0)
+
+
+@pytest.mark.parametrize("assumption", [["--l1", "3", "--l2", "2"],
+                                        ["--sigma-o", "0.1", "--n0", "120"]],
+                         ids=["l1-l2", "null"])
+def test_am_report_inversion_is_the_invert_command_on_its_credible_interval(
+        tmp_path, table, capsys, assumption):
+    # the inversion crosses from the pipeline (am, verify) to planning: the
+    # report's nu_interval is rebuilt from its release and settings alone,
+    # and `dprep invert` maps it to the report's difference_interval
+    assert main(_am_args(table, tmp_path) + ["--invert", *assumption]) == 0
+    capsys.readouterr()
+    report = load_json(tmp_path / "am.json")
+    inversion, config, released = report["inversion"], report["config"], report["released"]
+    am_config = AMConfig(**{key: config[key] for key in
+                            ("M", "epsilon", "prior", "seed", "level", "grid_points")})
+    release = NoisyRelease(value=released["nu_bar_noisy"], epsilon_spent=released["epsilon"],
+                           sensitivity=released["sensitivity"], mechanism=released["mechanism"])
+    nu_ci = credible_interval(posterior_nu(Released(am_config, release)), inversion["mass"])
+    assert inversion["nu_interval"] == [nu_ci.lower, nu_ci.upper]
+    assert main(["invert", "--nu-ci", ",".join(map(repr, inversion["nu_interval"])),
+                 "--mass", repr(inversion["mass"]), "--l1", repr(inversion["l1"]),
+                 "--l2", repr(inversion["l2"])]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["difference_interval"] == inversion["difference_interval"]
 
 
 def test_cli_budget_status(tmp_path, table, capsys, monkeypatch):
