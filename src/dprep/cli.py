@@ -31,7 +31,7 @@ from .planning import (
     reference_contour,
     robustness_contour,
 )
-from .privacy import BudgetLedger, count, pair, positive, real
+from .privacy import BudgetLedger, count, grid, pair, positive, real
 from .tabular import read_table
 from .verify import ad_verify, am_verify, fit_summary, write_json
 
@@ -53,8 +53,9 @@ def _numbers(text: str, kind=float) -> tuple:
 
 def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
     """Grid syntax: 'lo:hi:count' (evenly spaced, count at most
-    MAX_GRID_COUNT) or 'v1,v2,...' (explicit).  Every value must be finite,
-    and in an integer grid an integer that a float holds exactly."""
+    MAX_GRID_COUNT) or 'v1,v2,...' (explicit).  ``privacy.grid`` checks the
+    values, in messages that name ``text``: each finite and, in an integer
+    grid, an integer that a float holds exactly."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -62,21 +63,11 @@ def _parse_grid(text: str, integer: bool = False) -> np.ndarray:
         lo, hi, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
         if not 1 <= count <= MAX_GRID_COUNT:
             raise ConfigError(f"grid count must be in 1..{MAX_GRID_COUNT} in {text!r}")
-        with np.errstate(all="ignore"):  # a span that overflows is refused below
-            grid = np.linspace(lo, hi, count)
+        with np.errstate(all="ignore"):  # a span that overflows is refused by grid
+            values = np.linspace(lo, hi, count)
     else:
-        grid = np.array([_number(v) for v in text.split(",") if v.strip()])
-        if grid.size == 0:
-            raise ConfigError(f"grid {text!r} is empty")
-    bad = grid[~np.isfinite(grid)]
-    if bad.size:
-        raise ConfigError(f"grid {text!r} holds {bad[0]}, which is not finite")
-    if not integer:
-        return grid
-    bad = grid[(np.round(grid) != grid) | (np.abs(grid) > 2**53)]
-    if bad.size:
-        raise ConfigError(f"grid {text!r} holds {bad[0]:g}, not an integer up to 2**53")
-    return grid.astype(int)
+        values = np.array([_number(v) for v in text.split(",") if v.strip()], dtype=float)
+    return grid(values, repr(text), whole=integer)
 
 
 def _resolve_seed(args) -> int:

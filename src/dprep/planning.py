@@ -197,9 +197,7 @@ def robustness_contour(
     if max(Ms) > N:
         raise ConfigError(f"every M must satisfy 1 <= M <= N = {N}, got {max(Ms)}")
     check_cells("gamma grid x (largest M + 1)", len(gammas) * (max(Ms) + 1), MAX_GRID_POINTS)
-    gamma_axis, M_axis = np.array([real(g, "gamma") for g in gammas]), np.array(Ms)
-    if not np.all(np.isfinite(gamma_axis)):
-        raise ConfigError("gamma grid values must be finite")
+    gamma_axis, M_axis = grid(np.array([real(g, "gamma") for g in gammas]), "gamma"), np.array(Ms)
 
     q = np.array([0.1, 0.9])
     T = np.empty((gamma_axis.size, M_axis.size))
@@ -280,10 +278,10 @@ def reference_contour(
         raise ConfigError(f"corr must be in [-1, 1], got {corr}")
     diffs, ratios = grid(diff_grid, "diff"), grid(ratio_grid, "ratio")
     check_cells("diff grid x ratio grid", len(diffs) * len(ratios), MAX_GRID_POINTS)
-    diff_axis = np.array([real(d, "relative difference") for d in diffs])
+    diff_axis = grid(np.array([real(d, "relative difference") for d in diffs]), "diff")
     ratio_axis = np.array([positive(r, "sd ratio") for r in ratios])
-    if not np.all((diff_axis >= 0) & (diff_axis < np.inf)):
-        raise ConfigError("relative differences must be nonnegative and finite")
+    if not np.all(diff_axis >= 0):
+        raise ConfigError("relative differences must be nonnegative")
 
     sigma_beta = ratio_axis * sigma_gamma
     # s^2 as a sum of squares: exactly 0 at corr = 1, ratio = 1, and never < 0

@@ -17,6 +17,7 @@ import math
 import numbers
 import operator
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -141,16 +142,26 @@ def pair(value, name: str, convert) -> tuple:
     return convert(first, name), convert(second, name)
 
 
-def grid(values, name: str):
+def grid(values, name: str, whole: bool = False):
     """``values``, one number or a nonempty sequence or 1-D array of them, as
-    a nonempty sequence.  Its values are not converted yet: a caller bounds
-    the grid's size first, then puts each value through a conversion."""
+    a nonempty sequence; a message names the grid ``name``.  Its values are
+    not converted yet: a caller bounds the grid's size first, then puts each
+    value through a conversion.  A float array, such as a grid read from
+    text, is checked here in one pass: each value finite and, with
+    ``whole``, an integer up to 2**53, which it returns as ints."""
     if isinstance(values, np.ndarray):
         values = np.atleast_1d(values)
     elif not isinstance(values, (list, tuple, range)):
         values = [values]
     if len(values) == 0:
-        raise ConfigError(f"the {name} grid must be nonempty")
+        raise ConfigError(f"grid {name} is empty")
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        if (bad := values[~np.isfinite(values)]).size:
+            raise ConfigError(f"grid {name} holds {bad[0]}, which is not finite")
+        if whole:
+            if (bad := values[(np.round(values) != values) | (np.abs(values) > 2**53)]).size:
+                raise ConfigError(f"grid {name} holds {bad[0]:g}, not an integer up to 2**53")
+            values = values.astype(int)
     return values
 
 
@@ -171,6 +182,9 @@ class Laplace:
 
     def quantile(self, q):
         t = q - 0.5  # abs, not np.abs: no ufunc call on a float, and the same value
+        if type(q) is float:  # one draw: float arithmetic, no np.sign; the same bits
+            log = float(np.log1p(-2.0 * abs(t)))  # not math.log1p, which can differ by one ulp
+            return math.copysign(self.sensitivity / self.epsilon, -t) * log
         return -(self.sensitivity / self.epsilon) * np.sign(t) * np.log1p(-2.0 * abs(t))
 
     def loglik(self, x):
@@ -264,54 +278,57 @@ class NoisyRelease:
 _FIELDS = operator.itemgetter("value", "epsilon", "sensitivity", "mechanism", "timestamp")
 # NoisyRelease's fields as a tuple, without astuple's deep copy
 _ATTRS = operator.attrgetter("value", "epsilon_spent", "sensitivity", "mechanism", "timestamp")
-_DECODE = json.JSONDecoder().raw_decode
+
+# One line as ``NoisyRelease.to_record`` writes it: its five keys in order,
+# json.dumps' separators, printable ASCII strings without escapes and floats
+# in repr form.  ``^`` under MULTILINE starts each match on a line, and no
+# group spans a ``\n``, so each match is one whole line.  A value has at most
+# 16 digits before its point or an exponent of at most 307, so it is finite
+# without being parsed; a value of 1e308 or more takes the per-line loop.
+_TEXT = rb'"([ !#-\[\]-~]*)"'
+_FLOAT = rb"(-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[-+][0-9]+))"
+_FINITE = (rb"(-?(?:(?:0|[1-9][0-9]{0,15})\.[0-9]+"
+           rb"|[1-9](?:\.[0-9]+)?e(?:-[0-9]+|\+(?:[0-2]?[0-9]{1,2}|30[0-7]))))")
+_RECORD = re.compile(
+    rb'^\{"timestamp": ' + _TEXT + rb', "mechanism": ' + _TEXT + rb', "sensitivity": '
+    + _FLOAT + rb', "epsilon": ' + _FLOAT + rb', "value": ' + _FINITE + rb"\}\n",
+    re.MULTILINE)
 
 
-def _record_fields(line: str) -> tuple:
-    record, end = _DECODE(line)  # where this returns, json.loads(line) == record
-    if end != len(line):
-        raise ValueError("trailing text")
-    return _FIELDS(record)
-
-
-def _bulk_records(data: bytes) -> tuple[list, int] | None:
-    """``_parse_records`` in one pass, or None where it does not accept
-    ``data``: bytes that are not ASCII, hold a ``\\r`` or do not end with
-    ``\\n`` (they might split otherwise than a text-mode read), or a record
-    that fails ``NoisyRelease``'s checks, applied here column by column."""
-    if not (data.isascii() and data.endswith(b"\n")) or b"\r" in data:
+def _bulk_records(data: bytes) -> tuple[list, list, int] | None:
+    """``_parse_records`` in one pattern pass, or None where it does not accept
+    ``data``: a line not exactly as ``NoisyRelease.to_record`` writes it
+    (among them every line a text-mode read might split otherwise), bytes
+    that do not end with ``\\n``, or an ε or sensitivity that is not
+    positive and finite, checked here column by column.  Each record is kept
+    as the pattern's raw groups, for ``_fields``."""
+    records = _RECORD.findall(data)
+    if len(records) != data.count(b"\n") or not data.endswith(b"\n"):
+        return None  # the matches do not tile the bytes
+    _, _, sensitivities, epsilons, _ = zip(*records)
+    epsilons, sensitivities = list(map(float, epsilons)), list(map(float, sensitivities))
+    if not (0 < min(epsilons) and max(epsilons) < math.inf
+            and 0 < min(sensitivities) and max(sensitivities) < math.inf):
         return None
-    lines = data.decode("ascii").split("\n")[:-1]
-    try:  # each dict is dropped as soon as its fields are taken
-        values, epsilons, sensitivities, mechanisms, stamps = zip(*map(_record_fields, lines))
-        numbers = values + epsilons + sensitivities
-        if set(map(type, numbers)) - {int, float} or set(map(type, mechanisms + stamps)) != {str}:
-            return None
-        numbers = list(map(float, numbers))
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-        return None
-    n = len(lines)
-    if not all(map(math.isfinite, numbers)) or min(numbers[n:]) <= 0:
-        return None
-    return list(zip(numbers[:n], numbers[n:2 * n], numbers[2 * n:], mechanisms, stamps)), n
+    return records, epsilons, len(records)
 
 
-def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
-    """The records in ``data``, ledger bytes that start on a line boundary,
-    as ``(value, epsilon, sensitivity, mechanism, timestamp)`` tuples, and
-    the number of lines they span.  A line that is not a valid record
-    (a torn write, a missing field) raises LedgerCorruptError naming
-    ``path:line``, counting from ``first_line``: skipping it would
-    understate the budget spent.  The per-line loop below decides (and
-    words) whatever ``_bulk_records`` does not accept.
+def _fields(record: tuple) -> tuple:
+    """``NoisyRelease``'s fields of a kept record: a field tuple as it is, or
+    the pattern's raw groups converted."""
+    if type(record[0]) is not bytes:
+        return record
+    stamp, mechanism, sensitivity, epsilon, value = record
+    return float(value), float(epsilon), float(sensitivity), mechanism.decode(), stamp.decode()
 
-    Lines split as in a text-mode read (``\\n``, ``\\r\\n`` or ``\\r``) and
-    bytes decode with ``errors="replace"``; records are written as
-    ASCII-only JSON, so a U+FFFD in a line marks bytes that are not UTF-8.
-    """
-    bulk = _bulk_records(data)
-    if bulk is not None:
-        return bulk
+
+def _parse_lines(data: bytes, path: str, first_line: int) -> tuple[list, int]:
+    """The per-line loop of ``_parse_records``, which decides (and words)
+    whatever ``_bulk_records`` does not accept.  Lines split as in a
+    text-mode read (``\\n``, ``\\r\\n`` or ``\\r``) and bytes decode with
+    ``errors="replace"``; records are written as ASCII-only JSON, so a U+FFFD
+    in a line marks bytes that are not UTF-8.  Returns field tuples and the
+    number of lines they span."""
     records = []
     lineno = first_line - 1
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
@@ -329,6 +346,28 @@ def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, int]:
     return records, lineno - first_line + 1
 
 
+def _parse_records(data: bytes, path: str, first_line: int) -> tuple[list, list, int]:
+    """The records in ``data``, ledger bytes that start on a line boundary,
+    their ε in file order, and the number of lines they span.  A line that
+    is not a valid record (a torn write, a missing field) raises
+    LedgerCorruptError naming ``path:line``, counting from ``first_line``:
+    skipping it would understate the budget spent."""
+    bulk = _bulk_records(data)
+    if bulk is not None:
+        return bulk
+    records, lines = _parse_lines(data, path, first_line)
+    return records, [record[1] for record in records], lines
+
+
+def _sync_directory(path: str) -> None:
+    """fsync the directory that holds ``path``."""
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class BudgetLedger:
     """Append-only record of privacy spending.
 
@@ -339,21 +378,26 @@ class BudgetLedger:
     before control returns, so a crash after sampling can never leave an
     unledgered release on disk next to a report.
 
-    Cost: opening validates every record of the file once, in one bulk
-    pass, or line by line where that pass does not accept the file; each
-    read of ``entries`` builds its ``NoisyRelease`` objects anew.  The
-    instance keeps the bytes it has validated, their line count and the ε
-    they spend, so an append reads the file, compares its head with those
-    bytes and parses only the records written since.  When those bytes
-    changed or the file got shorter, the append re-reads and re-validates
-    the whole file instead.  Records other processes appended
-    are added to ``entries`` and ``spent`` when an append reads them.
+    Cost: opening validates every record of the file once.  The records
+    dprep wrote take one pattern pass, which parses only their numbers and
+    keeps each record as the pattern's raw groups; any other file (a
+    hand-edited line, CRLF line ends, a blank or torn line) takes the
+    per-line loop, which is slower and gives the same result.  Each read of
+    ``entries`` builds its ``NoisyRelease`` objects anew.  The instance
+    keeps the bytes it has validated, their line count and the ε they
+    spend, so an append reads the file, compares its head with those bytes
+    and parses only the records written since.  When those bytes changed
+    or the file got shorter, the append re-reads and re-validates the whole
+    file instead.  Records other processes appended are added to
+    ``entries`` and ``spent`` when an append reads them.  The first record
+    written to an empty file also syncs the file's directory, which a new
+    file's entry needs to be durable.
     """
 
     def __init__(self, cap: float | None = None, path=None):
         self.cap = None if cap is None else positive(cap, "budget cap")
         self.path = os.fspath(path) if path is not None else None
-        self._records: list[tuple] = []  # NoisyRelease fields per release
+        self._records: list[tuple] = []  # per release, NoisyRelease fields or raw groups
         self._spent = 0.0
         self._read = b""  # the file's bytes validated so far
         self._lines = 0  # the lines they span
@@ -380,17 +424,17 @@ class BudgetLedger:
         if not (data.startswith(read) and read[-1:] in (b"", b"\n")):
             read = b""
         lines = self._lines if read else 0
-        new, count = _parse_records(data[len(read):], self.path, lines + 1)
+        new, epsilons, count = _parse_records(data[len(read):], self.path, lines + 1)
         if not read:
             self._records, self._spent = [], 0.0
-        for record in new:  # a left fold in file order, as a fresh open sums
-            self._spent += record[1]
+        for epsilon in epsilons:  # a left fold in file order, as a fresh open sums
+            self._spent += epsilon
         self._records.extend(new)
         self._read, self._lines = data, lines + count
 
     @property
     def entries(self) -> tuple:
-        return tuple(NoisyRelease(*record) for record in self._records)
+        return tuple(NoisyRelease(*_fields(record)) for record in self._records)
 
     def __len__(self) -> int:
         """The number of releases, without building ``entries``."""
@@ -430,6 +474,8 @@ class BudgetLedger:
                     fh.write(record)
                     fh.flush()
                     os.fsync(fh.fileno())
+                    if not data:  # a new file's entry is durable once its directory is synced
+                        _sync_directory(self.path)
                 finally:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
             self._read = data + record

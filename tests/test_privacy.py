@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import multiprocessing
 import os
 import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     parse_records_oracle,
 )
 
+import dprep.privacy
 from dprep import (
     BudgetExceededError,
     BudgetLedger,
@@ -126,6 +129,17 @@ def test_laplace_sample_is_the_reference_inverse_cdf_bit_for_bit(eps, sensitivit
         want = laplace_sample_reference(twin, sensitivity / eps, size)
         assert type(got) is float if size is None else got.shape == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("eps, sensitivity", LAWS)
+def test_scalar_laplace_draws_are_the_reference_bit_for_bit(eps, sensitivity):
+    # the one-draw path of Laplace.quantile, over 9 x 12,000 draws
+    law = Laplace(eps, sensitivity)
+    stream, twin = RngStream(5).child("scalar"), RngStream(5).child("scalar")
+    got = [law.sample(stream) for _ in range(12_000)]
+    want = [laplace_sample_reference(twin, sensitivity / eps) for _ in range(12_000)]
+    assert set(map(type, got)) == {float}
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_laplace_scale_validation():
@@ -296,6 +310,28 @@ def test_append_to_corrupt_ledger_file_writes_nothing(tmp_path):
     assert len(ledger.entries) == 1
 
 
+def test_the_first_record_syncs_the_ledger_directory(tmp_path, monkeypatch):
+    # fsync(2): a new file's directory entry is durable once the directory is
+    # synced; the ledger does so after the first record, and not again
+    synced, fsync = [], os.fsync
+
+    def recorded(fd):
+        synced.append(os.fstat(fd))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recorded)
+    path, stream = tmp_path / "ledger.ndjson", RngStream(39).child("dir")
+    ledger = BudgetLedger(cap=5.0, path=path)
+    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    directory, ledger_file = os.stat(tmp_path), os.stat(path)
+    assert [os.path.samestat(st, directory) for st in synced] == [False, True]
+    assert os.path.samestat(synced[0], ledger_file)
+    for _ in range(2):
+        synced.clear()
+        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+        assert len(synced) == 1 and os.path.samestat(synced[0], ledger_file)
+
+
 # ---------------------------------------------- appends read only the tail
 
 def _fresh(path):
@@ -453,6 +489,10 @@ def _ledger_corpus(seed: int = 1207) -> dict:
         "duplicate-key-bad": _record()[:-1] + ', "epsilon": 0}',
         "int-fields": _record(value="-12", epsilon="1", sensitivity="2"),
         "negative-zero": _record(value="-0.0"),
+        "int-value": _record(value="3"),
+        "negative-int-zero": _record(value="-0"),
+        "uppercase-exponent": _record(value="1.5E+16", epsilon="2.5E-1"),
+        "escaped-ascii": _record(mechanism=r'"\u006caplace"'),
         "true-value": _record(value="true"),
         "true-epsilon": _record(epsilon="true"),
         "true-sensitivity": _record(sensitivity="true"),
@@ -465,6 +505,15 @@ def _ledger_corpus(seed: int = 1207) -> dict:
         "infinity-sensitivity": _record(sensitivity="Infinity"),
         "1e400-value": _record(value="1e400"),
         "1e-400-epsilon": _record(epsilon="1e-400"),
+        "leading-zero-value": _record(value="012.5"),
+        "leading-zero-epsilon": _record(epsilon="00.25"),
+        "1e+400-value": _record(value="-1e+400"),
+        "9e+308-value": _record(value="9e+308"),
+        "1e+400-epsilon": _record(epsilon="1e+400"),
+        "huge-decimal-value": _record(value="1" + "0" * 400 + ".0"),
+        "largest-double-value": _record(value="-1.7976931348623157e+308"),
+        "largest-double-epsilon": _record(epsilon="1.7976931348623157e+308"),
+        "1e+400-sensitivity": _record(sensitivity="1e+400"),
         "huge-int-value": _record(value="1" + "0" * 400),
         "huge-int-epsilon": _record(epsilon="1" + "0" * 400),
         "huge-int-sensitivity": _record(sensitivity="1" + "0" * 400),
@@ -570,6 +619,12 @@ def test_tail_catch_up_matches_per_line_oracle(tmp_path, name):
     assert (ledger._lines, len(ledger._read)) == (3 + count + 1, path.stat().st_size)
 
 
+def _no_per_line_loop(monkeypatch):
+    def per_line(*args):
+        raise AssertionError("a record dprep wrote took the per-line loop")
+    monkeypatch.setattr(dprep.privacy, "_parse_lines", per_line)
+
+
 def test_open_builds_no_release_objects(tmp_path, monkeypatch):
     path, data = tmp_path / "ledger.ndjson", LEDGER_CORPUS["bench-2000"]
     path.write_bytes(data)
@@ -581,9 +636,46 @@ def test_open_builds_no_release_objects(tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(NoisyRelease, "__post_init__", counted)
-    ledger = BudgetLedger(path=path)
+    with monkeypatch.context() as patched:
+        _no_per_line_loop(patched)
+        ledger = BudgetLedger(path=path)
     assert len(built) == 0
     assert ledger.entries == tuple(parse_records_oracle(data, str(path), 1)[0])
+
+
+def _doubles(rng, n: int) -> list:
+    """Finite doubles across the range: subnormals, -0.0, integral floats,
+    the exponent forms repr writes, then ±1e-300 to 1e300."""
+    fixed = [5e-324, -4.9e-320, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+             9.99e307, -0.0, 0.0, 2.0, -7.0, 1e15, 1e16, 1e-05, 1e-04, 1e22,
+             123456789012345.67, 0.1, 1 / 3]
+    drawn = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    return fixed + drawn.tolist()
+
+
+def test_what_to_record_writes_takes_the_pattern_pass_and_reads_back(tmp_path, monkeypatch):
+    # writer and reader in lock-step: every line NoisyRelease.to_record writes
+    # takes the pattern pass and reads back equal, field by field and bit by bit
+    rng = np.random.default_rng(2032)
+    values = _doubles(rng, 500)
+    positives = [abs(x) for x in _doubles(rng, 500) if x != 0]
+    stamps = [datetime(2026, 3, 4, 5, 6, 7, tzinfo=timezone.utc).isoformat(),
+              datetime(2026, 3, 4, 5, 6, 7, 89, tzinfo=timezone.utc).isoformat(),
+              datetime.now(timezone.utc).isoformat(), ""]
+    assert len(stamps[0]) == 25 and len(stamps[1]) == 32
+    releases = [NoisyRelease(value=value, epsilon_spent=positives[i % len(positives)],
+                             sensitivity=positives[-1 - i % len(positives)],
+                             timestamp=stamps[i % len(stamps)])
+                for i, value in enumerate(values)]
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("".join(release.to_record() + "\n" for release in releases))
+    _no_per_line_loop(monkeypatch)
+    ledger = BudgetLedger(path=path)
+    assert len(ledger) == len(releases)
+    for got, want in zip(ledger.entries, releases, strict=True):
+        assert list(map(repr, dataclasses.astuple(got))) == \
+               list(map(repr, dataclasses.astuple(want)))
+    assert ledger.spent.hex() == _fold(releases).hex()
 
 
 def _spend_concurrently(path, start, results):
