@@ -15,7 +15,6 @@ from dprep import (
     BudgetExceededError,
     BudgetLedger,
     Laplace,
-    PrivacyParams,
     RngStream,
     release_scalar,
 )
@@ -37,17 +36,17 @@ def main():
         ledger_path = Path(tmp) / "ledger.ndjson"
         ledger = BudgetLedger(cap=1.0, path=ledger_path)
 
-        r1 = release_scalar(42.0, 1.0, PrivacyParams(0.6), ledger,
+        r1 = release_scalar(42.0, Laplace(0.6, 1.0), ledger,
                             RngStream(1).child("release", 0))
         print(f"release 1: value {r1.value:.3f} at epsilon 0.6 -> recorded")
 
         try:
-            release_scalar(42.0, 1.0, PrivacyParams(0.6), ledger,
+            release_scalar(42.0, Laplace(0.6, 1.0), ledger,
                            RngStream(1).child("release", 1))
         except BudgetExceededError as exc:
             print(f"release 2 refused before sampling any noise: {exc}")
 
-        r3 = release_scalar(42.0, 1.0, PrivacyParams(0.4), ledger,
+        r3 = release_scalar(42.0, Laplace(0.4, 1.0), ledger,
                             RngStream(1).child("release", 2))
         print(f"release 3: value {r3.value:.3f} at epsilon 0.4 -> fits exactly")
 

@@ -76,7 +76,6 @@ from .privacy import (
     BudgetLedger,
     Laplace,
     NoisyRelease,
-    PrivacyParams,
     Released,
     RngStream,
     UncappedBudgetWarning,
@@ -107,8 +106,8 @@ __all__ = [
     "error_bound", "invert_credible_interval", "invert_overlap", "null_assumption_lengths",
     "reference_contour", "robustness_contour",
     # privacy
-    "BudgetLedger", "Laplace", "NoisyRelease", "PrivacyParams", "Released", "RngStream",
-    "UncappedBudgetWarning", "release_scalar",
+    "BudgetLedger", "Laplace", "NoisyRelease", "Released", "RngStream", "UncappedBudgetWarning",
+    "release_scalar",
     # tabular
     "Dataset", "encode_categoricals", "read_schema", "read_table",
     # verify

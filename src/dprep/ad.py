@@ -31,6 +31,7 @@ from .privacy import (
     RunConfig,
     fraction,
     integer,
+    law_of,
     pair,
     release_run,
 )
@@ -146,8 +147,9 @@ def gibbs_posterior(released: Released, delta: float | None = None) -> ADPosteri
     S takes only the values 0..M, so r integrates out in closed form: each
     pair is S drawn from its marginal (``s_marginal_logweights``, normalized
     by direct summation), then r | S ~ Beta(S + a, M - S + b).  There is no
-    chain to mix.  The noise law is the release record's; M, the prior and the
-    seed come from ``released.config``, and ``keep`` of ``config.mcmc`` is the number of draws.
+    chain to mix.  The noise law is the release record's, read back by
+    ``privacy.law_of``; M, the prior and the seed come from ``released.config``,
+    and ``keep`` of ``config.mcmc`` is the number of draws.
     """
     config = released.config
     if delta is None:
@@ -156,8 +158,7 @@ def gibbs_posterior(released: Released, delta: float | None = None) -> ADPosteri
     M = config.M
     a, b = config.prior
     _, keep = config.mcmc
-    mechanism = Laplace(released.release.epsilon_spent, released.release.sensitivity)
-    logw = s_marginal_logweights(released.release.value, M, mechanism, a, b)
+    logw = s_marginal_logweights(released.release.value, M, law_of(released.release), a, b)
     weights = np.exp(logw - logw.max())
     rng = RngStream(config.seed).child("ad-gibbs").generator
     s_samples = rng.choice(M + 1, size=keep, p=weights / weights.sum())

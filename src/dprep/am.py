@@ -26,11 +26,11 @@ from .planning import MAX_GRID_POINTS, ConfidenceInterval
 from .planning import invert_credible_interval, null_assumption_lengths  # noqa: F401
 from .privacy import (
     BudgetLedger,
-    Laplace,
     Released,
     RunConfig,
     fraction,
     integer,
+    law_of,
     release_run,
 )
 from .tabular import Dataset
@@ -147,7 +147,8 @@ class AMPosterior:
 
 def posterior_nu(released: Released) -> AMPosterior:
     """Posterior density of nu_bar, proportional to exp(-(eps/Delta)*|nu - nu_noisy|) *
-    nu^(a-1) * (1-nu)^(b-1) on [0, 1], the rate eps/Delta read from the release record.
+    nu^(a-1) * (1-nu)^(b-1) on [0, 1], the rate eps/Delta that of the record's law,
+    ``privacy.law_of(released.release)``.
 
     The density is evaluated in log space on a uniform grid and normalized
     by the trapezoid rule, and the CDF is its cumulative sum.  Nothing is
@@ -163,7 +164,7 @@ def posterior_nu(released: Released) -> AMPosterior:
         grid = np.linspace(0.0, 1.0, G)
     release = released.release
     logpdf = (
-        Laplace(release.epsilon_spent, release.sensitivity).loglik(grid - release.value)
+        law_of(release).loglik(grid - release.value)
         + xlogy(a - 1.0, grid)
         + xlogy(b - 1.0, 1.0 - grid)
     )

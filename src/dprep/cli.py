@@ -268,7 +268,7 @@ def _verify(args, config, run, headline) -> int:
     the budget check before the table is read, ``run(dataset, ledger)``, the
     report and debug writes, and a summary line holding ``headline(report)``."""
     ledger = BudgetLedger(cap=args.budget_cap, path=args.ledger)
-    ledger.check(config.eps)  # a spent cap is refused whatever the data
+    ledger.check(config.epsilon)  # a spent cap is refused whatever the data
     dataset = read_table(args.input, args.schema, args.delimiter)
     report, debug = run(dataset, ledger)
     write_json(args.out, report)

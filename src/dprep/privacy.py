@@ -1,6 +1,8 @@
 """Laplace mechanism, privacy-budget ledger, and seeded random streams.
 
-:class:`Laplace` is the noise law a release draws and every posterior models.
+:class:`Laplace` is the noise law a release draws and every posterior models:
+:func:`release_scalar` draws from the law it is given and writes the law's
+name into the record, and :func:`law_of` reads a record's law back.
 Every stochastic component of the package draws from an :class:`RngStream`
 so that a whole run is reproducible from one root seed while independent
 sub-streams can be handed to parallel work (repeated verifications)
@@ -170,6 +172,7 @@ class Laplace:
     Slotted with a plain ``__init__``: one is built per release; frozen setattrs cost ~6%."""
 
     __slots__ = ("epsilon", "sensitivity")
+    name = "laplace"  # a release record's ``mechanism``
 
     def __init__(self, epsilon, sensitivity):
         self.epsilon = positive(epsilon, "epsilon")
@@ -201,42 +204,23 @@ class Laplace:
         return 2.0 * scale * scale
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy budget spent per release: 0 < epsilon < inf."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", positive(self.epsilon, "epsilon"))
-
-    @classmethod
-    def of(cls, epsilon) -> "PrivacyParams":
-        """``epsilon`` itself if it is a PrivacyParams, else one holding it."""
-        return epsilon if isinstance(epsilon, cls) else cls(epsilon)
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Keyword-only settings every verification run shares, checked once
     here; each framework's config adds and checks only its own fields."""
 
     M: int
-    epsilon: PrivacyParams
+    epsilon: float
     prior: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", PrivacyParams.of(self.epsilon))
+        object.__setattr__(self, "epsilon", positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "M", integer(self.M, "M"))
         object.__setattr__(self, "seed", seed(self.seed, "seed"))
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
         object.__setattr__(self, "prior", pair(self.prior, "prior", positive))
-
-    @property
-    def eps(self) -> float:
-        return self.epsilon.epsilon
 
 
 @dataclass(frozen=True)
@@ -246,7 +230,7 @@ class NoisyRelease:
     value: float
     epsilon_spent: float
     sensitivity: float
-    mechanism: str = "laplace"
+    mechanism: str = Laplace.name
     timestamp: str = ""
 
     def __post_init__(self):
@@ -484,25 +468,21 @@ class BudgetLedger:
         self._spent += release.epsilon_spent
 
 
-def release_scalar(
-    true_value: float,
-    sensitivity: float,
-    params: PrivacyParams,
-    ledger: BudgetLedger,
-    stream: RngStream,
-) -> NoisyRelease:
-    """Release ``true_value`` plus noise drawn from ``Laplace(epsilon, sensitivity)``.
+def release_scalar(true_value: float, law: Laplace, ledger: BudgetLedger,
+                   stream: RngStream) -> NoisyRelease:
+    """Release ``true_value`` plus one draw of ``law``, spending its ε.
 
-    ``sensitivity`` bounds the change of ``true_value`` between neighbouring
-    datasets: datasets that differ by substituting one row, N being public.
+    ``law.sensitivity`` bounds the change of ``true_value`` between
+    neighbouring datasets: datasets that differ by substituting one row, N
+    being public.  The record's ``epsilon_spent``, ``sensitivity`` and
+    ``mechanism`` are written from the law, so :func:`law_of` rebuilds it.
 
     The budget check runs before any noise is sampled; a refused release
     consumes neither budget nor randomness.  The returned value is never
     clamped or rounded — consumers must expect releases outside the range
     of the underlying statistic.
     """
-    law = Laplace(params.epsilon, sensitivity)
-    ledger.check(params.epsilon)
+    ledger.check(law.epsilon)
     if ledger.cap is None:
         warnings.warn(
             "releasing against a ledger with no budget cap; "
@@ -512,13 +492,23 @@ def release_scalar(
         )
     release = NoisyRelease(
         value=true_value + law.sample(stream),
-        epsilon_spent=params.epsilon,
+        epsilon_spent=law.epsilon,
         sensitivity=law.sensitivity,
-        mechanism="laplace",
+        mechanism=law.name,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     ledger.append(release)
     return release
+
+
+def law_of(release: NoisyRelease) -> Laplace:
+    """The noise law ``release`` was drawn from, rebuilt from its record: the
+    one map from a record's ``mechanism`` back to a law.  Any other mechanism
+    is a ConfigError, so that no posterior models a release under a law it
+    was not drawn from."""
+    if release.mechanism != Laplace.name:
+        raise ConfigError(f"unknown release mechanism {release.mechanism!r}")
+    return Laplace(release.epsilon_spent, release.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -532,7 +522,9 @@ class Released:
 
 def release_run(value: float, sensitivity: float, config: RunConfig, ledger: BudgetLedger,
                 label: str) -> Released:
-    """Release ``value`` for one run through :func:`release_scalar`, with its
-    noise drawn from the run's ``label`` stream, ``RngStream(config.seed).child(label)``."""
-    stream = RngStream(config.seed).child(label)
-    return Released(config, release_scalar(value, sensitivity, config.epsilon, ledger, stream))
+    """Release ``value`` for one run through :func:`release_scalar`, drawing
+    from ``Laplace(config.epsilon, sensitivity)`` on the run's ``label``
+    stream, ``RngStream(config.seed).child(label)``: the one place that
+    builds a run's noise law and stream."""
+    law, stream = Laplace(config.epsilon, sensitivity), RngStream(config.seed).child(label)
+    return Released(config, release_scalar(value, law, ledger, stream))

@@ -113,7 +113,7 @@ def _report(framework: str, noisy_key: str, released: Released, echo: dict,
         "framework": framework,
         "released": {noisy_key: release.value, "mechanism": release.mechanism,
                      "sensitivity": release.sensitivity, "epsilon": release.epsilon_spent},
-        "config": {"M": config.M, "epsilon": config.eps, "prior": list(config.prior),
+        "config": {"M": config.M, "epsilon": config.epsilon, "prior": list(config.prior),
                    "seed": config.seed, **echo},
         "posterior": posterior,
     }

@@ -19,8 +19,8 @@ from dprep import (
     BudgetLedger,
     ConfidenceInterval,
     Dataset,
+    Laplace,
     NoisyRelease,
-    PrivacyParams,
     RngStream,
     build_fixed_region,
     compute_indicator_count,
@@ -50,7 +50,7 @@ def _check(num, name, ok, detail=""):
 def _run_pipeline(ds, region, config, want_true_count=False):
     plan = make_partition(ds.n_rows, config.M, config.seed)
     ind = compute_indicator_count(ds, MODEL, "x2", region, plan)
-    released = release_count(ind.S, config, BudgetLedger(cap=config.eps))
+    released = release_count(ind.S, config, BudgetLedger(cap=config.epsilon))
     post = gibbs_posterior(released)
     return (post, ind.S) if want_true_count else post
 
@@ -209,13 +209,13 @@ def test_07_dp_density_ratio():
 
     def released_values(true_value, seed):
         stream = RngStream(seed).child("acceptance-dp")
-        params = PrivacyParams(1.0)
+        law = Laplace(1.0, 1.0)
         out = np.empty(n_total)
         pos = 0
         while pos < n_total:  # chunked ledgers keep memory flat
             ledger = BudgetLedger(cap=100_001.0)
             for _ in range(100_000):
-                out[pos] = release_scalar(true_value, 1.0, params, ledger, stream).value
+                out[pos] = release_scalar(true_value, law, ledger, stream).value
                 pos += 1
         return out
 

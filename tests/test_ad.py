@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,15 @@ def test_gibbs_reproducible_and_in_range():
     assert np.all((p1.r_samples > 0) & (p1.r_samples < 1))
     assert np.all((p1.s_samples >= 0) & (p1.s_samples <= 20))
     assert p1.delta == 0.5  # default for an unspecified degree of certainty
+
+
+def test_gibbs_refuses_a_release_of_an_unknown_mechanism():
+    # the posterior models the law the record names, and knows only Laplace
+    released = _released(12.4, M=20, seed=5)
+    geometric = Released(released.config, dataclasses.replace(released.release,
+                                                               mechanism="geometric"))
+    with pytest.raises(ConfigError, match="unknown release mechanism 'geometric'"):
+        gibbs_posterior(geometric)
 
 
 def test_gibbs_tracks_the_noisy_count():

@@ -93,8 +93,7 @@ PUBLIC_API = [
     "BudgetLedger", "ConfidenceInterval", "ConfigError", "ContourGrid", "Dataset",
     "DegenerateIntervalError", "DprepError", "FitResult", "IngestionError",
     "InsufficientDataError", "InversionAssumption", "Laplace", "LedgerCorruptError",
-    "ModelSpec", "NoisyRelease", "OverlapResult", "PartitionPlan", "PrivacyParams",
-    "Released", "RngStream", "RobustnessGrid", "SingularFitError", "Term", "ToleranceRegion",
+    "ModelSpec", "NoisyRelease", "OverlapResult", "PartitionPlan", "Released", "RngStream", "RobustnessGrid", "SingularFitError", "Term", "ToleranceRegion",
     "TransformDomainError", "UncappedBudgetWarning", "ad_verify", "am_verify",
     "average_overlap", "build_fixed_region", "build_inflated_region", "compute_indicator_count",
     "confidence_interval", "credible_interval", "delta_star", "encode_categoricals",

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import math
 import multiprocessing
 import os
 import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +27,11 @@ from dprep import (
     Laplace,
     LedgerCorruptError,
     NoisyRelease,
-    PrivacyParams,
     RngStream,
     UncappedBudgetWarning,
     release_scalar,
 )
+from dprep.privacy import RunConfig, law_of
 
 
 # ------------------------------------------------------------- rng streams
@@ -156,11 +158,56 @@ def test_release_adds_exactly_the_stream_noise():
     stream = RngStream(21).child("rel")
     twin = RngStream(21).child("rel")
     ledger = BudgetLedger(cap=10.0)
-    rel = release_scalar(5.0, 2.0, PrivacyParams(0.5), ledger, stream)
+    rel = release_scalar(5.0, Laplace(0.5, 2.0), ledger, stream)
     assert rel.value == 5.0 + Laplace(0.5, 2.0).sample(twin)
     assert rel.epsilon_spent == 0.5
     assert rel.sensitivity == 2.0
     assert rel.mechanism == "laplace"
+    # the record is written from the law, and law_of reads the law back from it
+    law = law_of(NoisyRelease.from_record(rel.to_record()))
+    assert type(law) is Laplace and (law.epsilon, law.sensitivity) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("mechanism", ["gaussian", "geometric", "Laplace", ""])
+def test_law_of_refuses_an_unknown_mechanism(mechanism):
+    # a posterior under a law the release was not drawn from would pass for a right one
+    release = NoisyRelease(0.0, 1.0, 1.0, mechanism=mechanism)
+    with pytest.raises(ConfigError, match=f"unknown release mechanism {mechanism!r}"):
+        law_of(release)
+
+
+def _source_nodes():
+    """Every node of dprep's source, with its file name and the names of the
+    classes and functions that enclose it, outermost first."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield child, scope
+            inner = (scope + (child.name,) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+            yield from walk(child, inner)
+    for path in sorted(Path(dprep.privacy.__file__).parent.glob("*.py")):
+        for node, scope in walk(ast.parse(path.read_text(encoding="utf-8")), ()):
+            yield path.name, node, scope
+
+
+def test_the_mechanism_is_named_once():
+    named = [(name, scope) for name, node, scope in _source_nodes()
+             if isinstance(node, ast.Constant) and node.value == "laplace"]
+    assert named == [("privacy.py", ("Laplace",))]
+    assert Laplace.name == "laplace"
+    # a record's default mechanism is that name, not a second literal
+    [default] = [node.value for name, node, scope in _source_nodes()
+                 if scope == ("NoisyRelease",) and isinstance(node, ast.AnnAssign)
+                 and node.target.id == "mechanism"]
+    assert ast.unparse(default) == "Laplace.name"
+
+
+def test_only_the_release_and_law_of_build_a_law_from_a_record_or_config():
+    # planning builds its law from its own published arguments
+    built = [(name, scope) for name, node, scope in _source_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Laplace" and name != "planning.py"]
+    assert sorted(built) == [("privacy.py", ("law_of",)), ("privacy.py", ("release_run",))]
 
 
 def test_noise_variance_shrinks_with_sensitivity_over_m():
@@ -174,20 +221,20 @@ def test_noise_variance_shrinks_with_sensitivity_over_m():
 def test_budget_composition_and_refusal():
     ledger = BudgetLedger(cap=1.0)
     stream = RngStream(4).child("budget")
-    params = PrivacyParams(0.6)
-    release_scalar(0.0, 1.0, params, ledger, stream)
+    law = Laplace(0.6, 1.0)
+    release_scalar(0.0, law, ledger, stream)
     assert ledger.spent == pytest.approx(0.6)
 
     # second release refused before any noise is sampled
     next_draw_if_untouched = Laplace(1.0, 1.0).sample(RngStream(4).child("budget-probe"))
     probe_twin = RngStream(4).child("budget-probe")
     with pytest.raises(BudgetExceededError):
-        release_scalar(0.0, 1.0, params, ledger, stream)
+        release_scalar(0.0, law, ledger, stream)
     assert len(ledger.entries) == 1
     assert Laplace(1.0, 1.0).sample(probe_twin) == next_draw_if_untouched
 
     # exact-fit spending is allowed
-    release_scalar(0.0, 1.0, PrivacyParams(0.4), ledger, stream)
+    release_scalar(0.0, Laplace(0.4, 1.0), ledger, stream)
     assert ledger.spent == pytest.approx(1.0)
     assert (ledger.spent, ledger.remaining) == (pytest.approx(1.0), pytest.approx(0.0))
 
@@ -197,7 +244,7 @@ def test_refusal_consumes_no_randomness():
     twin = RngStream(17).child("norand")
     ledger = BudgetLedger(cap=0.5)
     with pytest.raises(BudgetExceededError):
-        release_scalar(0.0, 1.0, PrivacyParams(0.6), ledger, stream)
+        release_scalar(0.0, Laplace(0.6, 1.0), ledger, stream)
     # stream state untouched: next draw equals a fresh twin's first draw
     assert Laplace(1.0, 1.0).sample(stream) == Laplace(1.0, 1.0).sample(twin)
 
@@ -205,7 +252,7 @@ def test_refusal_consumes_no_randomness():
 def test_uncapped_ledger_warns_per_release():
     ledger = BudgetLedger()
     with pytest.warns(UncappedBudgetWarning):
-        release_scalar(0.0, 1.0, PrivacyParams(1.0), ledger, RngStream(5).child("w"))
+        release_scalar(0.0, Laplace(1.0, 1.0), ledger, RngStream(5).child("w"))
     assert ledger.remaining is None
 
 
@@ -213,7 +260,7 @@ def test_ledger_totals_and_immutability():
     ledger = BudgetLedger(cap=5.0)
     stream = RngStream(6).child("tot")
     for eps in (0.25, 0.5, 1.0):
-        release_scalar(1.0, 1.0, PrivacyParams(eps), ledger, stream)
+        release_scalar(1.0, Laplace(eps, 1.0), ledger, stream)
     assert ledger.spent == pytest.approx(sum(e.epsilon_spent for e in ledger.entries))
     assert isinstance(ledger.entries, tuple)  # no in-place mutation surface
     with pytest.raises(AttributeError):
@@ -222,7 +269,7 @@ def test_ledger_totals_and_immutability():
 
 def test_invalid_parameters():
     with pytest.raises(ConfigError):
-        PrivacyParams(0.0)
+        RunConfig(M=10, epsilon=0.0)
     with pytest.raises(ConfigError):
         NoisyRelease(value=0.0, epsilon_spent=1.0, sensitivity=0.0)
     for bad in ({"value": "abc"}, {"value": True}, {"value": math.nan},
@@ -233,17 +280,14 @@ def test_invalid_parameters():
             NoisyRelease(**{"value": 0.0, "epsilon_spent": 1.0, "sensitivity": 1.0,
                             **bad})
     with pytest.raises(ConfigError):
-        release_scalar(0.0, -1.0, PrivacyParams(1.0), BudgetLedger(), RngStream(0))
+        release_scalar(0.0, Laplace(1.0, -1.0), BudgetLedger(), RngStream(0))
     with pytest.raises(ConfigError):
         BudgetLedger(cap=-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ConfigError):
-            PrivacyParams(bad)
+            RunConfig(M=10, epsilon=bad)
         with pytest.raises(ConfigError):
             BudgetLedger(cap=bad)
-    params = PrivacyParams(0.5)
-    assert PrivacyParams.of(params) is params
-    assert PrivacyParams.of(2) == PrivacyParams(2.0)
 
 
 # ------------------------------------------------------------ ledger file
@@ -252,7 +296,7 @@ def test_ledger_file_write_through_and_reload(tmp_path):
     path = tmp_path / "ledger.ndjson"
     ledger = BudgetLedger(cap=2.0, path=path)
     stream = RngStream(30).child("file")
-    r1 = release_scalar(3.0, 1.0, PrivacyParams(0.7), ledger, stream)
+    r1 = release_scalar(3.0, Laplace(0.7, 1.0), ledger, stream)
 
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1
@@ -261,16 +305,16 @@ def test_ledger_file_write_through_and_reload(tmp_path):
 
     reloaded = BudgetLedger(cap=2.0, path=path)
     assert reloaded.spent == pytest.approx(0.7)
-    release_scalar(3.0, 1.0, PrivacyParams(0.7), reloaded, stream)
+    release_scalar(3.0, Laplace(0.7, 1.0), reloaded, stream)
     with pytest.raises(BudgetExceededError):
-        release_scalar(3.0, 1.0, PrivacyParams(0.7), reloaded, stream)
+        release_scalar(3.0, Laplace(0.7, 1.0), reloaded, stream)
     assert len(path.read_text().strip().splitlines()) == 2
 
 
 def test_ledger_file_cap_already_blown(tmp_path):
     path = tmp_path / "ledger.ndjson"
     ledger = BudgetLedger(path=path)
-    release_scalar(0.0, 1.0, PrivacyParams(3.0), ledger, RngStream(1).child("x"))
+    release_scalar(0.0, Laplace(3.0, 1.0), ledger, RngStream(1).child("x"))
     with pytest.raises(BudgetExceededError):
         BudgetLedger(cap=1.0, path=path)
 
@@ -299,13 +343,13 @@ def test_append_to_corrupt_ledger_file_writes_nothing(tmp_path):
     path = tmp_path / "ledger.ndjson"
     ledger = BudgetLedger(cap=5.0, path=path)
     stream = RngStream(31).child("corrupt")
-    release_scalar(1.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    release_scalar(1.0, Laplace(0.5, 1.0), ledger, stream)
     # another writer died part-way through its record
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(BAD_LEDGER_RECORDS["torn"])
     before = path.read_bytes()
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
-        release_scalar(1.0, 1.0, PrivacyParams(0.5), ledger, stream)
+        release_scalar(1.0, Laplace(0.5, 1.0), ledger, stream)
     assert path.read_bytes() == before
     assert len(ledger.entries) == 1
 
@@ -322,13 +366,13 @@ def test_the_first_record_syncs_the_ledger_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", recorded)
     path, stream = tmp_path / "ledger.ndjson", RngStream(39).child("dir")
     ledger = BudgetLedger(cap=5.0, path=path)
-    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    release_scalar(0.0, Laplace(0.5, 1.0), ledger, stream)
     directory, ledger_file = os.stat(tmp_path), os.stat(path)
     assert [os.path.samestat(st, directory) for st in synced] == [False, True]
     assert os.path.samestat(synced[0], ledger_file)
     for _ in range(2):
         synced.clear()
-        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+        release_scalar(0.0, Laplace(0.5, 1.0), ledger, stream)
         assert len(synced) == 1 and os.path.samestat(synced[0], ledger_file)
 
 
@@ -343,18 +387,18 @@ def test_append_takes_in_another_instances_records(tmp_path):
     path = tmp_path / "ledger.ndjson"
     stream = RngStream(32).child("tail")
     first = BudgetLedger(cap=1.0, path=path)
-    release_scalar(0.0, 1.0, PrivacyParams(0.3), first, stream)
+    release_scalar(0.0, Laplace(0.3, 1.0), first, stream)
     second = BudgetLedger(cap=1.0, path=path)
-    theirs = release_scalar(0.0, 1.0, PrivacyParams(0.4), second, stream)
-    mine = release_scalar(0.0, 1.0, PrivacyParams(0.2), first, stream)
+    theirs = release_scalar(0.0, Laplace(0.4, 1.0), second, stream)
+    mine = release_scalar(0.0, Laplace(0.2, 1.0), first, stream)
     assert first.entries[1:] == (theirs, mine)
     assert (first.entries, first.spent) == _fresh(path)
     # 0.9 spent: 0.2 more passes the cap, which only the file shows the
     # second instance
-    release_scalar(0.0, 1.0, PrivacyParams(0.05), first, stream)
+    release_scalar(0.0, Laplace(0.05, 1.0), first, stream)
     before = path.read_bytes()
     with pytest.raises(BudgetExceededError):
-        release_scalar(0.0, 1.0, PrivacyParams(0.1), second, stream)
+        release_scalar(0.0, Laplace(0.1, 1.0), second, stream)
     assert (second.entries, second.spent) == _fresh(path)
     assert path.read_bytes() == before
 
@@ -365,7 +409,7 @@ def test_spent_is_a_left_fold_in_file_order(tmp_path):
     ledgers = [BudgetLedger(cap=100.0, path=path) for _ in range(2)]
     for i, eps in enumerate([0.1, 0.2, 0.3, 1e-3, 0.7, 1 / 3, 0.1, 2.9, 1e-5]):
         ledger = ledgers[i % 3 % 2]
-        release_scalar(0.0, 1.0, PrivacyParams(eps), ledger, stream)
+        release_scalar(0.0, Laplace(eps, 1.0), ledger, stream)
         entries, spent = _fresh(path)
         assert ledger.entries == entries
         assert ledger.spent.hex() == spent.hex()
@@ -383,7 +427,7 @@ def test_in_place_rewrite_of_a_read_record_is_caught(tmp_path):
            (inode, 2 * (len(LEDGER_RECORD) + 1))
     before = path.read_bytes()
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
-        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(34).child("x"))
+        release_scalar(0.0, Laplace(0.5, 1.0), ledger, RngStream(34).child("x"))
     assert path.read_bytes() == before
     assert ledger.spent == 1.0
 
@@ -393,18 +437,18 @@ def test_bad_tail_raises_at_its_line_and_changes_nothing(tmp_path):
     stream = RngStream(35).child("torn")
     ledger = BudgetLedger(cap=5.0, path=path)
     for _ in range(2):
-        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+        release_scalar(0.0, Laplace(0.5, 1.0), ledger, stream)
     entries, spent = ledger.entries, ledger.spent
     with open(path, "a", encoding="utf-8") as fh:  # another writer, then a crash
         fh.write(LEDGER_RECORD + "\n" + BAD_LEDGER_RECORDS["torn"])
     before = path.read_bytes()
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:4:")):
-        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+        release_scalar(0.0, Laplace(0.5, 1.0), ledger, stream)
     assert path.read_bytes() == before
     assert (ledger.entries, ledger.spent) == (entries, spent)
     # once the torn line is cut, the next append reads the valid record
     path.write_bytes(before[:-len(BAD_LEDGER_RECORDS["torn"])])
-    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, stream)
+    release_scalar(0.0, Laplace(0.5, 1.0), ledger, stream)
     assert len(ledger.entries) == 4
     assert (ledger.entries, ledger.spent) == _fresh(path)
 
@@ -431,7 +475,7 @@ def test_changed_file_is_reread_from_the_start(tmp_path, change):
     path.write_text((LEDGER_RECORD + "\n") * 3)
     ledger = BudgetLedger(cap=5.0, path=path)
     change(path)
-    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(36).child("re"))
+    release_scalar(0.0, Laplace(0.5, 1.0), ledger, RngStream(36).child("re"))
     assert (ledger.entries, ledger.spent) == _fresh(path)
     assert len(ledger.entries) == len(path.read_text().splitlines())
 
@@ -440,7 +484,7 @@ def test_append_after_a_record_without_newline(tmp_path):
     path = tmp_path / "ledger.ndjson"
     path.write_text(LEDGER_RECORD + "\n" + LEDGER_RECORD)
     ledger = BudgetLedger(cap=5.0, path=path)
-    release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(37).child("nl"))
+    release_scalar(0.0, Laplace(0.5, 1.0), ledger, RngStream(37).child("nl"))
     assert len(ledger.entries) == 3
     assert (ledger.entries, ledger.spent) == _fresh(path)
 
@@ -452,7 +496,7 @@ def test_record_glued_to_an_unterminated_line_is_caught(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:  # a writer that adds no newline
         fh.write(LEDGER_RECORD + "\n")
     with pytest.raises(LedgerCorruptError, match=re.escape(f"{path}:2:")):
-        release_scalar(0.0, 1.0, PrivacyParams(0.5), ledger, RngStream(38).child("glue"))
+        release_scalar(0.0, Laplace(0.5, 1.0), ledger, RngStream(38).child("glue"))
 
 
 # ------------------------------------ bulk open against the per-line oracle
@@ -685,7 +729,7 @@ def _spend_concurrently(path, start, results):
     accepted, refused_at = 0, []
     for _ in range(40):
         try:
-            release_scalar(0.0, 1.0, PrivacyParams(0.1), ledger, stream)
+            release_scalar(0.0, Laplace(0.1, 1.0), ledger, stream)
             accepted += 1
         except BudgetExceededError:
             refused_at.append(ledger.spent)

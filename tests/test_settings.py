@@ -33,7 +33,6 @@ from dprep import (
     Laplace,
     NoisyRelease,
     PartitionPlan,
-    PrivacyParams,
     RngStream,
     ToleranceRegion,
     am_verify,
@@ -87,7 +86,8 @@ SITES = {
     "confidence_interval.level": ("fraction", lambda v: confidence_interval(FIT, "x", v),
                                   attrgetter("level")),
     "t_quantile.p": ("fraction", lambda v: t_quantile(7, v), None),
-    "PrivacyParams.epsilon": ("positive", PrivacyParams, attrgetter("epsilon")),
+    "RunConfig.epsilon": ("positive", lambda v: RunConfig(M=10, epsilon=v),
+                          attrgetter("epsilon")),
     "RunConfig.prior[0]": ("positive", lambda v: RunConfig(M=10, epsilon=1.0, prior=(v, 1.0)),
                            lambda c: c.prior[0]),
     "RunConfig.prior[1]": ("positive", lambda v: RunConfig(M=10, epsilon=1.0, prior=(1.0, v)),
@@ -96,7 +96,7 @@ SITES = {
     "Laplace.epsilon": ("positive", lambda v: Laplace(v, 1.0), attrgetter("epsilon")),
     "Laplace.sensitivity": ("positive", lambda v: Laplace(1.0, v), attrgetter("sensitivity")),
     "release_scalar.sensitivity": (
-        "positive", lambda v: release_scalar(0.0, v, PrivacyParams(1.0), BudgetLedger(cap=1.0),
+        "positive", lambda v: release_scalar(0.0, Laplace(1.0, v), BudgetLedger(cap=1.0),
                                              RngStream(0)), attrgetter("sensitivity")),
     "InflationProvenance.sigma_hat_o": (
         "positive", lambda v: InflationProvenance(0.0, v, 2.0, 100, 10),

@@ -20,7 +20,6 @@ from dprep import (
     ConfigError,
     InversionAssumption,
     NoisyRelease,
-    PrivacyParams,
     Released,
     ToleranceRegion,
     ad_verify,
@@ -187,6 +186,16 @@ def test_an_edited_credible_interval_bound_fails_its_recheck():
     back = recompute_posterior_summary(edited)
     assert back == report["posterior"]
     assert back["credible_intervals"] != edited["posterior"]["credible_intervals"]
+
+
+def test_a_report_with_an_unknown_mechanism_fails_its_recheck():
+    # the posterior models the law the record names: a report that names
+    # another mechanism is refused, not re-checked under Laplace
+    report, _ = _am_report(synth_dataset(120, seed=3), AMConfig(M=4, epsilon=1.0, seed=7))
+    edited = json.loads(json.dumps(report))
+    edited["released"]["mechanism"] = "gaussian"
+    with pytest.raises(ConfigError, match="unknown release mechanism 'gaussian'"):
+        recompute_posterior_summary(edited)
 
 
 def test_a_report_that_holds_draws_still_rechecks():
@@ -1041,8 +1050,8 @@ ECHOED_FLOATS = {
         ledger, config=ADConfig(M=5, epsilon=1.0, seed=3, delta=f(0.5))),
     "AMConfig.level": lambda f, ledger: _am_run(
         ledger, config=AMConfig(M=5, epsilon=1.0, seed=3, level=f(0.875))),
-    "PrivacyParams": lambda f, ledger: _ad_run(
-        ledger, config=ADConfig(M=5, epsilon=PrivacyParams(f(1.0)), seed=3)),
+    "RunConfig.epsilon": lambda f, ledger: _ad_run(
+        ledger, config=ADConfig(M=5, epsilon=f(1.0), seed=3)),
     "ToleranceRegion": lambda f, ledger: _ad_run(
         ledger, region=ToleranceRegion(f(0.0), f(5.0))),
     "InversionAssumption": lambda f, ledger: _am_run(
